@@ -18,7 +18,12 @@ class EmptyKeyPart(ReadmitError):
 
 
 class MalformedCsv(ReadmitError):
-    """A CSV input failed validation. Carries row/column diagnostics."""
+    """A CSV input failed validation. Carries row/column diagnostics.
+
+    Raised only while reading CSVs in the calling process. It does not
+    survive pickling (args hold only the message), so it must not be
+    raised inside a sweep's worker processes.
+    """
 
     def __init__(self, path: str, row: int, column: str | None, reason: str):
         self.path = path

@@ -4,12 +4,25 @@ Evaluation protocol: stratified k-fold CV with pooled out-of-fold
 predictions, so one confusion matrix covers every input row exactly
 once. Standardization statistics and synthetic oversampling are fitted
 on training folds only; held-out rows stay untouched.
+
+Each (ratio, fold) fit is one task (run_fold) with its seeds fixed in
+advance. GBM tasks run in a pool of forked worker processes, one per
+CPU in this process's affinity mask; with a single CPU (for example
+under ``taskset -c 0``) they run in this process. Logistic tasks always
+run in this process: IRLS's matrix products already use every core.
+Results are gathered in task order, so the output is bit-identical to
+a serial run. Each worker holds one fit's working memory, so a GBM
+sweep's total memory grows with the worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import threading
+import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -145,6 +158,26 @@ class CvResult:
     traces: list[FoldTrace]
 
 
+@dataclass(frozen=True)
+class CvInputs:
+    """What every fold task of one evaluation reads."""
+
+    profiles: Sequence
+    schema: FeatureSchema
+    model_kind: str
+    train_config: models_mod.TrainConfig
+
+
+@dataclass(frozen=True)
+class FoldTask:
+    """One (ratio, fold) fit: its row split and its oversampling seed."""
+
+    fold: int
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    smote_config: SmoteConfig
+
+
 def _fit_and_score(model_kind, train_data, test_matrix, train_config):
     if model_kind == "logistic":
         model = models_mod.fit_logistic(train_data, train_config)
@@ -153,6 +186,167 @@ def _fit_and_score(model_kind, train_data, test_matrix, train_config):
         model = models_mod.fit_gbm(train_data, train_config)
         return models_mod.predict_proba_gbm(model, test_matrix)
     raise ValueError(f"unknown model kind {model_kind!r}")
+
+
+def run_fold(inputs: CvInputs, task: FoldTask) -> tuple[np.ndarray, FoldTrace]:
+    """Encode, standardize, oversample, fit and score one fold.
+
+    Age imputation and standardization statistics are fitted on the
+    training rows, oversampling touches the training rows only, and the
+    held-out rows are scored with the fitted model.
+    """
+    train_profiles = [inputs.profiles[i] for i in task.train_idx]
+    test_profiles = [inputs.profiles[i] for i in task.test_idx]
+
+    enc_train = encode(train_profiles, inputs.schema)
+    std_train, stats = standardize(enc_train.dataset)
+    enc_test = encode(test_profiles, inputs.schema,
+                      age_median=enc_train.age_median)
+    std_test, _ = standardize(enc_test.dataset, stats)
+
+    train_final = smote(std_train, task.smote_config)
+    scores = _fit_and_score(
+        inputs.model_kind, train_final, std_test.matrix, inputs.train_config
+    )
+    return scores, FoldTrace(
+        fold=task.fold,
+        n_train=len(task.train_idx),
+        n_test=len(task.test_idx),
+        n_synthetic=train_final.n_rows - std_train.n_rows,
+    )
+
+
+def _fold_tasks(labels, smote_config: SmoteConfig, n_folds: int,
+                seed: int) -> list[FoldTask]:
+    plan = stratified_folds(labels, n_folds, derive_seed(seed, "folds"))
+    return [
+        FoldTask(
+            fold=fold,
+            train_idx=plan.train_indices(fold),
+            test_idx=plan.test_indices(fold),
+            smote_config=replace(
+                smote_config, seed=derive_seed(seed, "smote", fold)
+            ),
+        )
+        for fold in range(n_folds)
+    ]
+
+
+def worker_count(n_tasks: int) -> int:
+    """Processes to run n_tasks fold fits on: one per CPU this process
+    may use (its affinity mask, so ``taskset`` limits it), at most one
+    per task. One where ``fork`` is unavailable, or while other Python
+    threads run: a forked child would inherit their locks but not them.
+    """
+    if (not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+# Set once in each pool worker, before it runs any task.
+_worker_inputs: CvInputs | None = None
+
+
+def _start_worker(inputs: CvInputs, parent: int) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+    threading.Thread(target=_exit_with_parent, args=(parent,),
+                     daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this worker once the process that started it is gone.
+
+    A pool worker whose parent is killed would otherwise wait on its
+    task queue forever: it holds that queue's pipe open itself.
+    """
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _run_worker_fold(task: FoldTask) -> tuple[np.ndarray, FoldTrace]:
+    return run_fold(_worker_inputs, task)
+
+
+def _run_folds(inputs: CvInputs, tasks: list[FoldTask],
+               workers: int) -> list[tuple[np.ndarray, FoldTrace]]:
+    """run_fold over tasks, results in task order, on ``workers`` processes.
+
+    Workers are forked, so they inherit ``inputs`` (the cohort) instead
+    of unpickling it; only a task's indices and seed go out and its
+    scores and trace come back. A task's error is raised here, the
+    first in task order, and the pool is shut down before it propagates.
+    """
+    if workers <= 1:
+        return list(map(partial(run_fold, inputs), tasks))
+    # Imported here: loading them would add about 2 MB and 20 ms to every
+    # CLI command, most of which never start a pool.
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=mp.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(inputs, os.getpid()),
+    ) as pool:
+        return list(pool.map(_run_worker_fold, tasks))
+
+
+def _cross_validate(
+    profiles: Sequence,
+    model_kind: str,
+    runs: Sequence[tuple[SmoteConfig, int]],
+    train_config: models_mod.TrainConfig,
+    n_folds: int,
+    include_income: bool,
+) -> list[CvResult]:
+    """One pooled CV result per (smote_config, seed) in ``runs``.
+
+    Every (run, fold) fit is one independent task. GBM tasks run on
+    worker_count processes, logistic tasks in this process.
+    """
+    if model_kind not in MODEL_KINDS:
+        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
+    if include_income and any(p.income is None for p in profiles):
+        raise ValueError(
+            "include_income requires profiles with income; filter first so "
+            "the pooled matrix still covers every row"
+        )
+
+    labels = np.asarray([p.readmit for p in profiles], dtype=np.int64)
+    inputs = CvInputs(
+        profiles=profiles,
+        schema=FeatureSchema(include_income=include_income),
+        model_kind=model_kind,
+        train_config=train_config,
+    )
+    plans = [_fold_tasks(labels, cfg, n_folds, seed) for cfg, seed in runs]
+    tasks = [task for plan in plans for task in plan]
+    workers = worker_count(len(tasks)) if model_kind == "gbm" else 1
+    outputs = _run_folds(inputs, tasks, workers)
+
+    results = []
+    for i, plan in enumerate(plans):
+        pooled = np.empty(len(labels), dtype=np.float64)
+        traces: list[FoldTrace] = []
+        for task, (scores, trace) in zip(plan, outputs[i * n_folds:]):
+            pooled[task.test_idx] = scores
+            traces.append(trace)
+        cm = confusion(labels, pooled)
+        curve = roc_curve(labels, pooled)
+        results.append(CvResult(
+            confusion=cm,
+            auc=auc(curve),
+            curve=curve,
+            pooled_scores=pooled,
+            labels=labels,
+            traces=traces,
+        ))
+    return results
 
 
 def cv_evaluate(
@@ -166,64 +360,15 @@ def cv_evaluate(
 ) -> CvResult:
     """Pooled out-of-fold evaluation over stratified folds.
 
-    Per fold: age imputation and standardization statistics are fitted
-    on the training rows, oversampling is applied to the training rows
-    only, and the held-out rows are scored with the fitted model. The
-    pooled scores cover every profile exactly once. Fold assignment and
-    per-fold oversampling seeds derive from ``seed`` via stable labels,
-    so identical inputs reproduce identical results.
+    Each fold is one run_fold task. The pooled scores cover every
+    profile exactly once. Fold assignment and per-fold oversampling
+    seeds derive from ``seed`` via stable labels, so identical inputs
+    reproduce identical results, whatever the worker count.
     """
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
-    if include_income and any(p.income is None for p in profiles):
-        raise ValueError(
-            "include_income requires profiles with income; filter first so "
-            "the pooled matrix still covers every row"
-        )
-
-    labels = np.asarray([p.readmit for p in profiles], dtype=np.int64)
-    schema = FeatureSchema(include_income=include_income)
-    plan = stratified_folds(labels, n_folds, derive_seed(seed, "folds"))
-
-    pooled = np.empty(len(labels), dtype=np.float64)
-    traces: list[FoldTrace] = []
-    for fold in range(n_folds):
-        train_idx = plan.train_indices(fold)
-        test_idx = plan.test_indices(fold)
-        train_profiles = [profiles[i] for i in train_idx]
-        test_profiles = [profiles[i] for i in test_idx]
-
-        enc_train = encode(train_profiles, schema)
-        std_train, stats = standardize(enc_train.dataset)
-        enc_test = encode(test_profiles, schema, age_median=enc_train.age_median)
-        std_test, _ = standardize(enc_test.dataset, stats)
-
-        fold_config = replace(
-            smote_config, seed=derive_seed(seed, "smote", fold)
-        )
-        train_final = smote(std_train, fold_config)
-        pooled[test_idx] = _fit_and_score(
-            model_kind, train_final, std_test.matrix, train_config
-        )
-        traces.append(
-            FoldTrace(
-                fold=fold,
-                n_train=len(train_idx),
-                n_test=len(test_idx),
-                n_synthetic=train_final.n_rows - std_train.n_rows,
-            )
-        )
-
-    cm = confusion(labels, pooled)
-    curve = roc_curve(labels, pooled)
-    return CvResult(
-        confusion=cm,
-        auc=auc(curve),
-        curve=curve,
-        pooled_scores=pooled,
-        labels=labels,
-        traces=traces,
-    )
+    return _cross_validate(
+        profiles, model_kind, [(smote_config, seed)], train_config,
+        n_folds, include_income,
+    )[0]
 
 
 # --- ratio sweep ---------------------------------------------------------------
@@ -275,26 +420,25 @@ def sweep(
     """One pooled CV evaluation per oversampling ratio, in the given order.
 
     Each ratio gets an independent seed derived from the master seed and
-    its position, so rows are reproducible in isolation.
+    its position, so rows are reproducible in isolation. Every
+    (ratio, fold) fit is built up front and run as one set of tasks.
     """
     if not ratios:
         raise ValueError("ratios must be non-empty")
     if train_config is None:
         train_config = models_mod.TrainConfig()
 
-    rows: list[SweepRow] = []
-    curves: dict[str, RocCurve] = {}
+    runs = []
     for i, ratio in enumerate(ratios):
         sub_seed = derive_seed(seed, "ratio", i)
-        result = cv_evaluate(
-            profiles,
-            model_kind,
-            SmoteConfig(ratio=ratio, k=k, seed=sub_seed),
-            train_config,
-            n_folds=n_folds,
-            seed=sub_seed,
-            include_income=include_income,
-        )
+        runs.append((SmoteConfig(ratio=ratio, k=k, seed=sub_seed), sub_seed))
+    results = _cross_validate(
+        profiles, model_kind, runs, train_config, n_folds, include_income,
+    )
+
+    rows: list[SweepRow] = []
+    curves: dict[str, RocCurve] = {}
+    for ratio, result in zip(ratios, results):
         label = ratio_label(ratio)
         cm = result.confusion
         rows.append(
