@@ -6,7 +6,8 @@ profiles.csv), sweep (oversampling-ratio evaluation sweep), train
 
 Exit codes are a stable contract: 0 success, 2 usage/input problems,
 3 I/O failures, 4 computation failures. Option values resolve as
-flags > config file > defaults, with READMIT_SEED as a seed fallback.
+flags > config file > defaults, with READMIT_SEED as a seed fallback,
+and each must have its default's type (see DEFAULTS).
 JSON artifacts embed the tool version and the fully resolved
 configuration; re-running with the same inputs is byte-identical.
 """
@@ -33,8 +34,11 @@ from .errors import (
     ReadmitError,
     UnmappableFamilyType,
 )
-from .features import FeatureSchema, encode, standardize
-from .resample import ORIGINAL, SmoteConfig, smote
+# standardize and smote are not called here (train fits through
+# evaluate.fit_model) but stay bound: the benchmark's traced pass wraps
+# readmit.cli.standardize and readmit.cli.smote by name.
+from .features import FeatureSchema, encode, standardize  # noqa: F401
+from .resample import ORIGINAL, SmoteConfig, smote  # noqa: F401
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -78,21 +82,37 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve(args, cfg: dict, key: str):
+    """The option's value, as its default's type: the flag, then the
+    config file, then READMIT_SEED (seed only), then the default."""
     flag = getattr(args, key, None)
     if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    if key == "seed":
-        env = os.environ.get("READMIT_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise UsageError(
-                    f"READMIT_SEED must be an integer, got {env!r}"
-                ) from None
-    return DEFAULTS[key]
+        value, where = flag, "--" + key.replace("_", "-")
+    elif key in cfg:
+        value, where = cfg[key], f"config key {key!r}"
+    elif key == "seed" and "READMIT_SEED" in os.environ:
+        value, where = os.environ["READMIT_SEED"], "READMIT_SEED"
+    else:
+        return DEFAULTS[key]
+    kind = type(DEFAULTS[key])
+    try:
+        typed = kind(value)
+        # bool("false") is True and int(2.5) is 2: neither is accepted.
+        if isinstance(value, bool) != (kind is bool) or (
+                kind is int and not isinstance(value, str) and typed != value):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise UsageError(
+            f"{where} must be {kind.__name__}, got {value!r}"
+        ) from None
+    return typed
+
+
+def _resolve_all(args, keys: tuple[str, ...]) -> dict:
+    cfg = _load_config_file(args.config)
+    resolved = {key: _resolve(args, cfg, key) for key in keys}
+    if resolved["model"] not in eval_mod.MODEL_KINDS:
+        raise UsageError(f"unknown model {resolved['model']!r}")
+    return resolved
 
 
 def parse_ratio_token(token: str) -> float | str:
@@ -123,18 +143,24 @@ def _dump_json(payload: dict, path: Path) -> None:
     )
 
 
-def _train_config(resolved: dict) -> models_mod.TrainConfig:
+_MODEL_KEYS = ("seed", "model", "k", "include_income", "n_trees",
+               "learning_rate", "max_depth", "min_samples_leaf", "ridge")
+
+
+def _fit_configs(
+    resolved: dict, ratio: float | str = ORIGINAL, smote_seed: int = 0
+) -> tuple[models_mod.TrainConfig, SmoteConfig]:
+    """The fit settings; an out-of-range value is a usage error."""
     try:
         return models_mod.TrainConfig(
             gbm=models_mod.GbmParams(
-                n_trees=int(resolved["n_trees"]),
-                learning_rate=float(resolved["learning_rate"]),
-                max_depth=int(resolved["max_depth"]),
-                min_samples_leaf=int(resolved["min_samples_leaf"]),
+                n_trees=resolved["n_trees"],
+                learning_rate=resolved["learning_rate"],
+                max_depth=resolved["max_depth"],
+                min_samples_leaf=resolved["min_samples_leaf"],
             ),
-            logistic=models_mod.LogisticParams(ridge=float(resolved["ridge"])),
-            seed=int(resolved["seed"]),
-        )
+            logistic=models_mod.LogisticParams(ridge=resolved["ridge"]),
+        ), SmoteConfig(ratio=ratio, k=resolved["k"], seed=smote_seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -153,12 +179,9 @@ def cmd_synth(args) -> int:
     except (json.JSONDecodeError, InfeasibleSpec, TypeError) as exc:
         raise UsageError(f"bad spec {spec_path}: {exc}") from None
 
-    seed_flag = getattr(args, "seed", None)
-    if seed_flag is None and "seed" not in cfg \
-            and os.environ.get("READMIT_SEED") is None:
-        seed = spec.seed
-    else:
-        seed = int(_resolve(args, cfg, "seed"))
+    seed = spec.seed
+    if args.seed is not None or "seed" in cfg or "READMIT_SEED" in os.environ:
+        seed = _resolve(args, cfg, "seed")
     spec = dataclasses.replace(spec, seed=seed)
 
     out_dir = Path(args.out)
@@ -212,44 +235,35 @@ def cmd_unify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config_file(args.config)
-    resolved = {key: _resolve(args, cfg, key) for key in (
-        "seed", "folds", "model", "k", "ratios", "include_income",
-        "n_trees", "learning_rate", "max_depth", "min_samples_leaf", "ridge",
-    )}
-    ratios = parse_ratios(str(resolved["ratios"]))
-    if resolved["model"] not in eval_mod.MODEL_KINDS:
-        raise UsageError(f"unknown model {resolved['model']!r}")
-
+    resolved = _resolve_all(args, _MODEL_KEYS + ("folds", "ratios"))
+    ratios = parse_ratios(resolved["ratios"])
+    if resolved["folds"] < 2:
+        raise UsageError(f"folds must be >= 2, got {resolved['folds']}")
+    train_config, _ = _fit_configs(resolved)  # also rejects a bad k here
     profiles = cohort_mod.read_profiles(args.profiles)
-    dropped = 0
-    if resolved["include_income"]:
-        n_before = len(profiles)
-        profiles = [p for p in profiles if p.income is not None]
-        dropped = n_before - len(profiles)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = eval_mod.sweep(
         profiles,
         ratios,
-        model_kind=str(resolved["model"]),
-        k=int(resolved["k"]),
-        train_config=_train_config(resolved),
-        n_folds=int(resolved["folds"]),
-        seed=int(resolved["seed"]),
-        include_income=bool(resolved["include_income"]),
+        model_kind=resolved["model"],
+        k=resolved["k"],
+        train_config=train_config,
+        n_folds=resolved["folds"],
+        seed=resolved["seed"],
+        include_income=resolved["include_income"],
     )
 
     resolved["ratios"] = [eval_mod.ratio_label(r) for r in ratios]
     payload = {
         "version": __version__,
         "config": resolved,
-        "dropped_missing_income": dropped,
+        "dropped_missing_income": report.dropped_missing_income,
         "rows": [row.to_dict() for row in report.rows],
     }
     _dump_json(payload, out_dir / "report.json")
-    FeatureSchema(include_income=bool(resolved["include_income"])).write(
+    FeatureSchema(include_income=resolved["include_income"]).write(
         out_dir / "schema.json"
     )
     for label, curve in report.curves.items():
@@ -259,33 +273,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config_file(args.config)
-    resolved = {key: _resolve(args, cfg, key) for key in (
-        "seed", "model", "k", "ratio", "include_income",
-        "n_trees", "learning_rate", "max_depth", "min_samples_leaf", "ridge",
-    )}
-    ratio = parse_ratio_token(str(resolved["ratio"]))
-    if resolved["model"] not in eval_mod.MODEL_KINDS:
-        raise UsageError(f"unknown model {resolved['model']!r}")
-
+    resolved = _resolve_all(args, _MODEL_KEYS + ("ratio",))
+    ratio = parse_ratio_token(resolved["ratio"])
+    train_config, smote_config = _fit_configs(
+        resolved, ratio, derive_seed(resolved["seed"], "smote"))
     profiles = cohort_mod.read_profiles(args.profiles)
-    if resolved["include_income"]:
-        profiles = [p for p in profiles if p.income is not None]
 
-    schema = FeatureSchema(include_income=bool(resolved["include_income"]))
-    seed = int(resolved["seed"])
-    enc = encode(profiles, schema)
-    std, _stats = standardize(enc.dataset)
-    train_data = smote(
-        std,
-        SmoteConfig(ratio=ratio, k=int(resolved["k"]),
-                    seed=derive_seed(seed, "smote")),
-    )
-    train_config = _train_config(resolved)
-    if resolved["model"] == "logistic":
-        model = models_mod.fit_logistic(train_data, train_config)
-    else:
-        model = models_mod.fit_gbm(train_data, train_config)
+    schema = FeatureSchema(include_income=resolved["include_income"])
+    enc = encode(profiles, schema, age_median=float("nan"))
+    model = eval_mod.fit_model(enc.dataset, resolved["model"], smote_config,
+                               train_config).model
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -353,13 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None,
-                       help="JSON file supplying option defaults")
+        p.add_argument("--seed")
+        p.add_argument("--config", help="JSON file supplying option defaults")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic raw CSV trio")
     add_common(p_synth)
-    p_synth.add_argument("--spec", default=None,
+    p_synth.add_argument("--spec",
                          help="cohort spec JSON (defaults to the bundled one)")
     p_synth.add_argument("-o", "--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
@@ -374,28 +370,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_unify.set_defaults(func=cmd_unify)
 
     def add_model_opts(p):
-        p.add_argument("--model", choices=list(eval_mod.MODEL_KINDS),
-                       default=None)
-        p.add_argument("--k", type=int, default=None,
-                       help="oversampling neighbor count")
-        p.add_argument("--include-income", dest="include_income",
-                       action="store_true", default=None)
-        p.add_argument("--n-trees", dest="n_trees", type=int, default=None)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float,
-                       default=None)
-        p.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-        p.add_argument("--min-samples-leaf", dest="min_samples_leaf",
-                       type=int, default=None)
-        p.add_argument("--ridge", type=float, default=None)
+        p.add_argument("--model", choices=list(eval_mod.MODEL_KINDS))
+        p.add_argument("--k", help="oversampling neighbor count")
+        p.add_argument("--include-income", action="store_true", default=None)
+        p.add_argument("--n-trees")
+        p.add_argument("--learning-rate")
+        p.add_argument("--max-depth")
+        p.add_argument("--min-samples-leaf")
+        p.add_argument("--ridge")
 
     p_sweep = sub.add_parser("sweep",
                              help="evaluate across oversampling ratios")
     add_common(p_sweep)
     add_model_opts(p_sweep)
     p_sweep.add_argument("--profiles", required=True)
-    p_sweep.add_argument("--ratios", default=None,
-                         help="comma list, e.g. original,0.3,1.0")
-    p_sweep.add_argument("--folds", type=int, default=None)
+    p_sweep.add_argument("--ratios", help="comma list, e.g. original,0.3,1.0")
+    p_sweep.add_argument("--folds")
     p_sweep.add_argument("-o", "--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -403,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_train)
     add_model_opts(p_train)
     p_train.add_argument("--profiles", required=True)
-    p_train.add_argument("--ratio", default=None,
+    p_train.add_argument("--ratio",
                          help="single oversampling ratio or 'original'")
     p_train.add_argument("-o", "--out", required=True)
     p_train.set_defaults(func=cmd_train)

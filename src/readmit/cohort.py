@@ -15,7 +15,7 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import AsOfBeforeEntry, EmptyKeyPart, MalformedCsv, NoEpisodes
+from .errors import EmptyKeyPart, MalformedCsv, NoEpisodes
 from . import features
 
 # IdCombo: the unique-individual key, a delimited concatenation of the
@@ -91,8 +91,7 @@ class ClientProfile:
     """One unique individual with canonical predictors and derived label.
 
     Category fields hold canonical integer codes (see features module).
-    total_los_days sums closed episodes only; use total_length_of_stay
-    with an as-of date to include open stays.
+    total_los_days sums closed episodes only; open stays add nothing.
     """
 
     id: IdCombo
@@ -174,21 +173,6 @@ def derive_label(episodes: Sequence[ResidenceEpisode]) -> int:
     if not episodes:
         raise NoEpisodes("cannot label a profile with no episodes")
     return 1 if len(episodes) >= 2 else 0
-
-
-def total_length_of_stay(episodes: Sequence[ResidenceEpisode], as_of: date) -> int:
-    """Sum episode durations in whole days; open episodes run to as_of."""
-    total = 0
-    for ep in episodes:
-        if ep.exit_date is not None:
-            total += (ep.exit_date - ep.entry_date).days
-        else:
-            if as_of < ep.entry_date:
-                raise AsOfBeforeEntry(
-                    f"as_of {as_of} precedes open entry {ep.entry_date}"
-                )
-            total += (as_of - ep.entry_date).days
-    return total
 
 
 def _pair_episodes(
@@ -466,10 +450,13 @@ def format_number(value: float | None) -> str:
 def write_profiles(profiles: Sequence[ClientProfile], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # With "\n" line ends, csv leaves a lone "\r" unquoted, and reading
+        # would split the row there; a row whose id holds one is quoted.
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(PROFILES_HEADER)
         for p in profiles:
             n_open = sum(1 for ep in p.episodes if not ep.closed)
-            writer.writerow([
+            (quoted if "\r" in p.id else writer).writerow([
                 p.id,
                 format_number(p.age),
                 p.race, p.family_type, p.reason_homeless,
@@ -480,35 +467,65 @@ def write_profiles(profiles: Sequence[ClientProfile], path: str | Path) -> None:
             ])
 
 
+_UNDATED_CLOSED = ResidenceEpisode(date.min, date.min)
+_UNDATED_OPEN = ResidenceEpisode(date.min)
+_COUNT_FIELDS = ("n_episodes", "n_open_episodes", "total_los_days",
+                 "incident_count")
+
+
+def _profile_row_problem(v: dict[str, int]) -> tuple[str, str] | None:
+    """(column, reason) of the first rule a profiles.csv row breaks."""
+    for f in features.CATEGORICAL_FIELDS:
+        if v[f] not in features.CATEGORIES[f]:
+            return f, f"unknown {f} code {v[f]}"
+    for f in _COUNT_FIELDS:
+        if v[f] < 0:
+            return f, f"negative count {v[f]}"
+    n = v["n_episodes"]
+    if v["n_open_episodes"] > n:
+        return "n_open_episodes", f"more open episodes than {n} episodes"
+    if v["readmit"] != (n >= 2):
+        return "readmit", f"must be {int(n >= 2)} with {n} episodes"
+    return None
+
+
 def read_profiles(path: str | Path) -> list[ClientProfile]:
-    """Load profiles.csv rows. Episode detail is not stored in the file,
-    so profiles come back with summary counts and an empty episode tuple."""
+    """Load profiles.csv rows, checking codes, counts and labels.
+
+    The file keeps episode counts but not dates, so each profile comes
+    back with that many undated episodes (closed ones first), entered
+    and exited on date.min; total_los_days keeps the stored sum.
+    """
     profiles = []
     for lineno, row in _read_rows(path, PROFILES_HEADER):
-        try:
-            codes = {f: int(row[f]) for f in ("race", "family_type",
-                                              "reason_homeless", "employment",
-                                              "citizenship")}
-            counts = {f: int(row[f]) for f in ("n_episodes", "n_open_episodes",
-                                               "total_los_days",
-                                               "incident_count", "readmit")}
-        except ValueError as exc:
-            raise MalformedCsv(str(path), lineno, None, str(exc)) from None
+        values = {}
+        for f in features.CATEGORICAL_FIELDS + _COUNT_FIELDS + ("readmit",):
+            try:
+                values[f] = int(row[f])
+            except ValueError:
+                raise MalformedCsv(str(path), lineno, f,
+                                   f"not an integer: {row[f]!r}") from None
+        problem = _profile_row_problem(values)
+        if problem is not None:
+            raise MalformedCsv(str(path), lineno, *problem)
+        n_closed = values["n_episodes"] - values["n_open_episodes"]
         profiles.append(
             ClientProfile(
                 id=row["id"],
                 age=_parse_optional_number(path, lineno, "age", row["age"]),
-                race=codes["race"],
-                family_type=codes["family_type"],
-                reason_homeless=codes["reason_homeless"],
-                employment=codes["employment"],
-                citizenship=codes["citizenship"],
+                race=values["race"],
+                family_type=values["family_type"],
+                reason_homeless=values["reason_homeless"],
+                employment=values["employment"],
+                citizenship=values["citizenship"],
                 income=_parse_optional_number(path, lineno, "income",
                                               row["income"]),
-                episodes=(),
-                total_los_days=counts["total_los_days"],
-                incident_count=counts["incident_count"],
-                readmit=counts["readmit"],
+                episodes=(_UNDATED_CLOSED,) * n_closed
+                + (_UNDATED_OPEN,) * values["n_open_episodes"],
+                total_los_days=values["total_los_days"],
+                incident_count=values["incident_count"],
+                readmit=values["readmit"],
             )
         )
     return profiles
+

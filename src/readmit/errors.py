@@ -33,10 +33,6 @@ class MalformedCsv(ReadmitError):
         super().__init__(f"{where}: {reason}")
 
 
-class AsOfBeforeEntry(ReadmitError):
-    """An as-of date precedes an open episode's entry date."""
-
-
 class NoEpisodes(ReadmitError):
     """A profile has no residence episodes."""
 
@@ -48,7 +44,7 @@ class UnmappableFamilyType(ReadmitError):
 
 
 class MissingAge(ReadmitError):
-    """Strict age mode rejected a profile with no recorded age."""
+    """No training row has an age to impute missing ages from."""
 
 
 class EmptyAfterFiltering(ReadmitError):

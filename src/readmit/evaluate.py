@@ -2,8 +2,10 @@
 
 Evaluation protocol: stratified k-fold CV with pooled out-of-fold
 predictions, so one confusion matrix covers every input row exactly
-once. Standardization statistics and synthetic oversampling are fitted
-on training folds only; held-out rows stay untouched.
+once. The cohort is encoded once; each fold's age imputation,
+standardization statistics and synthetic oversampling are fitted on its
+training rows only (fit_model, which ``readmit train`` uses too), and
+held-out rows stay untouched.
 
 Each (ratio, fold) fit is one task (run_fold) with its seeds fixed in
 advance. GBM tasks run in a pool of forked worker processes, one per
@@ -21,7 +23,7 @@ import csv
 import os
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -30,7 +32,8 @@ import numpy as np
 
 from . import models as models_mod
 from .errors import EmptyMatrix, LengthMismatch, NoPositives, SingleClass
-from .features import FeatureSchema, encode, standardize
+from .features import (EncodedDataset, FeatureSchema, encode, fit_age_median,
+                       standardize)
 from .resample import ORIGINAL, SmoteConfig, smote, stratified_folds
 from .seeding import derive_seed
 
@@ -162,8 +165,7 @@ class CvResult:
 class CvInputs:
     """What every fold task of one evaluation reads."""
 
-    profiles: Sequence
-    schema: FeatureSchema
+    data: EncodedDataset  # the whole cohort, encoded once; missing ages NaN
     model_kind: str
     train_config: models_mod.TrainConfig
 
@@ -178,42 +180,66 @@ class FoldTask:
     smote_config: SmoteConfig
 
 
-def _fit_and_score(model_kind, train_data, test_matrix, train_config):
-    if model_kind == "logistic":
-        model = models_mod.fit_logistic(train_data, train_config)
-        return models_mod.predict_proba_logistic(model, test_matrix)
+@dataclass(frozen=True)
+class FittedModel:
+    model: models_mod.LogisticModel | models_mod.GbmModel
+    n_synthetic: int
+    scores: np.ndarray | None  # of the held-out rows, when fit_model had some
+
+
+def _with_age(data: EncodedDataset, age_median: float) -> EncodedDataset:
+    matrix = data.matrix.copy()
+    matrix[np.isnan(matrix[:, 0]), 0] = age_median
+    return replace(data, matrix=matrix)
+
+
+def fit_model(
+    train: EncodedDataset,
+    model_kind: str,
+    smote_config: SmoteConfig,
+    train_config: models_mod.TrainConfig,
+    held_out: EncodedDataset | None = None,
+) -> FittedModel:
+    """Impute, standardize, oversample and fit on encoded training rows.
+
+    Missing (NaN) ages take the training rows' median, standardization
+    statistics are fitted on the training rows, and oversampling adds to
+    the training rows only. Held-out rows, when given, are imputed and
+    standardized with the training rows' values and scored.
+    """
     if model_kind == "gbm":
-        model = models_mod.fit_gbm(train_data, train_config)
-        return models_mod.predict_proba_gbm(model, test_matrix)
-    raise ValueError(f"unknown model kind {model_kind!r}")
+        fit, predict = models_mod.fit_gbm, models_mod.predict_proba_gbm
+    elif model_kind == "logistic":
+        fit = models_mod.fit_logistic
+        predict = models_mod.predict_proba_logistic
+    else:
+        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
+    ages = train.matrix[:, 0]
+    age_median = fit_age_median(ages[~np.isnan(ages)])
+    std_train, stats = standardize(_with_age(train, age_median))
+    train_final = smote(std_train, smote_config)
+    model = fit(train_final, train_config)
+    scores = None
+    if held_out is not None:
+        std_test, _ = standardize(_with_age(held_out, age_median), stats)
+        scores = predict(model, std_test.matrix)
+    return FittedModel(model=model,
+                       n_synthetic=train_final.n_rows - std_train.n_rows,
+                       scores=scores)
+
+
+def _rows(data: EncodedDataset, idx: np.ndarray) -> EncodedDataset:
+    return EncodedDataset(matrix=data.matrix[idx], labels=data.labels[idx],
+                          schema=data.schema)
 
 
 def run_fold(inputs: CvInputs, task: FoldTask) -> tuple[np.ndarray, FoldTrace]:
-    """Encode, standardize, oversample, fit and score one fold.
-
-    Age imputation and standardization statistics are fitted on the
-    training rows, oversampling touches the training rows only, and the
-    held-out rows are scored with the fitted model.
-    """
-    train_profiles = [inputs.profiles[i] for i in task.train_idx]
-    test_profiles = [inputs.profiles[i] for i in task.test_idx]
-
-    enc_train = encode(train_profiles, inputs.schema)
-    std_train, stats = standardize(enc_train.dataset)
-    enc_test = encode(test_profiles, inputs.schema,
-                      age_median=enc_train.age_median)
-    std_test, _ = standardize(enc_test.dataset, stats)
-
-    train_final = smote(std_train, task.smote_config)
-    scores = _fit_and_score(
-        inputs.model_kind, train_final, std_test.matrix, inputs.train_config
-    )
-    return scores, FoldTrace(
-        fold=task.fold,
-        n_train=len(task.train_idx),
-        n_test=len(task.test_idx),
-        n_synthetic=train_final.n_rows - std_train.n_rows,
-    )
+    """fit_model on one fold's training rows, scoring its held-out rows."""
+    fit = fit_model(_rows(inputs.data, task.train_idx), inputs.model_kind,
+                    task.smote_config, inputs.train_config,
+                    held_out=_rows(inputs.data, task.test_idx))
+    return fit.scores, FoldTrace(task.fold, len(task.train_idx),
+                                 len(task.test_idx), fit.n_synthetic)
 
 
 def _fold_tasks(labels, smote_config: SmoteConfig, n_folds: int,
@@ -275,9 +301,9 @@ def _run_folds(inputs: CvInputs, tasks: list[FoldTask],
                workers: int) -> list[tuple[np.ndarray, FoldTrace]]:
     """run_fold over tasks, results in task order, on ``workers`` processes.
 
-    Workers are forked, so they inherit ``inputs`` (the cohort) instead
-    of unpickling it; only a task's indices and seed go out and its
-    scores and trace come back. A task's error is raised here, the
+    Workers are forked, so they inherit ``inputs`` (the encoded cohort)
+    instead of unpickling it; only a task's indices and seed go out and
+    its scores and trace come back. A task's error is raised here, the
     first in task order, and the pool is shut down before it propagates.
     """
     if workers <= 1:
@@ -303,27 +329,20 @@ def _cross_validate(
     train_config: models_mod.TrainConfig,
     n_folds: int,
     include_income: bool,
-) -> list[CvResult]:
-    """One pooled CV result per (smote_config, seed) in ``runs``.
+) -> tuple[list[CvResult], int]:
+    """One pooled CV result per (smote_config, seed) in ``runs``, and the
+    number of profiles income mode dropped.
 
-    Every (run, fold) fit is one independent task. GBM tasks run on
-    worker_count processes, logistic tasks in this process.
+    The cohort is encoded once, missing ages left NaN for each fold to
+    impute from its training rows. Every (run, fold) fit is one
+    independent task. GBM tasks run on worker_count processes, logistic
+    tasks in this process.
     """
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
-    if include_income and any(p.income is None for p in profiles):
-        raise ValueError(
-            "include_income requires profiles with income; filter first so "
-            "the pooled matrix still covers every row"
-        )
-
-    labels = np.asarray([p.readmit for p in profiles], dtype=np.int64)
-    inputs = CvInputs(
-        profiles=profiles,
-        schema=FeatureSchema(include_income=include_income),
-        model_kind=model_kind,
-        train_config=train_config,
-    )
+    enc = encode(profiles, FeatureSchema(include_income=include_income),
+                 age_median=float("nan"))
+    labels = enc.dataset.labels
+    inputs = CvInputs(data=enc.dataset, model_kind=model_kind,
+                      train_config=train_config)
     plans = [_fold_tasks(labels, cfg, n_folds, seed) for cfg, seed in runs]
     tasks = [task for plan in plans for task in plan]
     workers = worker_count(len(tasks)) if model_kind == "gbm" else 1
@@ -346,7 +365,7 @@ def _cross_validate(
             labels=labels,
             traces=traces,
         ))
-    return results
+    return results, enc.dropped_missing_income
 
 
 def cv_evaluate(
@@ -361,14 +380,16 @@ def cv_evaluate(
     """Pooled out-of-fold evaluation over stratified folds.
 
     Each fold is one run_fold task. The pooled scores cover every
-    profile exactly once. Fold assignment and per-fold oversampling
-    seeds derive from ``seed`` via stable labels, so identical inputs
-    reproduce identical results, whatever the worker count.
+    profile exactly once (in income mode, every profile with an income).
+    Fold assignment and per-fold oversampling seeds derive from ``seed``
+    via stable labels, so identical inputs reproduce identical results,
+    whatever the worker count.
     """
-    return _cross_validate(
+    results, _ = _cross_validate(
         profiles, model_kind, [(smote_config, seed)], train_config,
         n_folds, include_income,
-    )[0]
+    )
+    return results[0]
 
 
 # --- ratio sweep ---------------------------------------------------------------
@@ -385,22 +406,14 @@ class SweepRow:
     sensitivity: float
 
     def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "accuracy": self.accuracy,
-            "tp": self.tp,
-            "fn": self.fn,
-            "fp": self.fp,
-            "tn": self.tn,
-            "auc": self.auc,
-            "sensitivity": self.sensitivity,
-        }
+        return asdict(self)
 
 
 @dataclass
 class SweepReport:
     rows: list[SweepRow]
     curves: dict[str, RocCurve]
+    dropped_missing_income: int
 
 
 def ratio_label(ratio: float | str) -> str:
@@ -432,7 +445,7 @@ def sweep(
     for i, ratio in enumerate(ratios):
         sub_seed = derive_seed(seed, "ratio", i)
         runs.append((SmoteConfig(ratio=ratio, k=k, seed=sub_seed), sub_seed))
-    results = _cross_validate(
+    results, dropped = _cross_validate(
         profiles, model_kind, runs, train_config, n_folds, include_income,
     )
 
@@ -454,4 +467,5 @@ def sweep(
             )
         )
         curves[label] = result.curve
-    return SweepReport(rows=rows, curves=curves)
+    return SweepReport(rows=rows, curves=curves,
+                       dropped_missing_income=dropped)

@@ -9,7 +9,7 @@ space is also the interpolation space used by the oversampler.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -124,20 +124,15 @@ class FeatureSchema:
 
 @dataclass
 class EncodedDataset:
-    """Numeric design matrix with aligned labels and row identifiers."""
+    """Numeric design matrix with aligned labels."""
 
     matrix: np.ndarray  # (n_rows, n_cols) float64
     labels: np.ndarray  # (n_rows,) int64 in {0, 1}
     schema: FeatureSchema
-    row_ids: list[str] = field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass
@@ -151,42 +146,32 @@ def encode(
     profiles: Sequence["ClientProfile"],
     schema: FeatureSchema,
     age_median: float | None = None,
-    strict_age: bool = False,
 ) -> EncodeResult:
     """Build the design matrix for a set of profiles.
 
-    Missing ages are imputed with ``age_median`` when given (apply mode,
-    e.g. held-out folds) or with the median age of these profiles (fit
-    mode). strict_age rejects missing ages instead. With income enabled,
-    rows without an income value are dropped and counted.
+    Missing ages are imputed with ``age_median`` when given (apply mode)
+    or with the median age of these profiles (fit mode). An age_median
+    of NaN leaves them NaN, for a fit to impute from its own training
+    rows. With income enabled, rows without an income value are dropped
+    and counted; this is the pipeline's only income filter.
     """
     if not profiles:
         raise ValueError("cannot encode an empty profile list")
 
-    kept = list(profiles)
-    dropped = 0
-    if schema.include_income:
-        kept = [p for p in kept if p.income is not None]
-        dropped = len(profiles) - len(kept)
-        if not kept:
-            raise EmptyAfterFiltering(
-                f"income mode dropped all {dropped} rows (no income values)"
-            )
+    kept = [p for p in profiles
+            if p.income is not None or not schema.include_income]
+    dropped = len(profiles) - len(kept)
+    if not kept:
+        raise EmptyAfterFiltering(
+            f"income mode dropped all {dropped} rows (no income values)"
+        )
 
-    if strict_age:
-        for p in kept:
-            if p.age is None:
-                raise MissingAge(f"profile {p.id} has no age")
     if age_median is None:
-        known = [p.age for p in kept if p.age is not None]
-        if not known:
-            raise MissingAge("no ages present; cannot fit an imputation value")
-        age_median = float(np.median(known))
+        age_median = fit_age_median([p.age for p in kept if p.age is not None])
 
     n = len(kept)
     matrix = np.zeros((n, schema.n_columns), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
-    row_ids = []
     for i, p in enumerate(kept):
         matrix[i, 0] = age_median if p.age is None else p.age
         offset = 1
@@ -200,12 +185,19 @@ def encode(
         if schema.include_income:
             matrix[i, offset] = p.income
         labels[i] = p.readmit
-        row_ids.append(p.id)
 
-    dataset = EncodedDataset(matrix=matrix, labels=labels, schema=schema,
-                             row_ids=row_ids)
-    return EncodeResult(dataset=dataset, age_median=age_median,
-                        dropped_missing_income=dropped)
+    return EncodeResult(
+        dataset=EncodedDataset(matrix=matrix, labels=labels, schema=schema),
+        age_median=age_median,
+        dropped_missing_income=dropped,
+    )
+
+
+def fit_age_median(known_ages) -> float:
+    """The imputation value for missing ages: the median of the known ones."""
+    if len(known_ages) == 0:
+        raise MissingAge("no ages present; cannot fit an imputation value")
+    return float(np.median(known_ages))
 
 
 @dataclass(frozen=True)
@@ -250,15 +242,6 @@ def standardize(
     out = (matrix - stats.mean) / stats.scale
     return (
         EncodedDataset(matrix=out, labels=dataset.labels.copy(),
-                       schema=dataset.schema, row_ids=list(dataset.row_ids)),
+                       schema=dataset.schema),
         stats,
     )
-
-
-def destandardize(dataset: EncodedDataset, stats: ColumnStats) -> EncodedDataset:
-    """Invert standardize for the same stats."""
-    if stats.mean.shape[0] != dataset.matrix.shape[1]:
-        raise WidthMismatch("stats width does not match matrix")
-    out = dataset.matrix * stats.scale + stats.mean
-    return EncodedDataset(matrix=out, labels=dataset.labels.copy(),
-                          schema=dataset.schema, row_ids=list(dataset.row_ids))

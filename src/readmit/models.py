@@ -68,7 +68,6 @@ class LogisticParams:
 class TrainConfig:
     gbm: GbmParams = field(default_factory=GbmParams)
     logistic: LogisticParams = field(default_factory=LogisticParams)
-    seed: int = 0
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -39,9 +39,7 @@ class SmoteConfig:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    n_folds: int
     assignments: np.ndarray  # (n_rows,) fold index per row
-    seed: int
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -71,7 +69,7 @@ def stratified_folds(labels, n_folds: int, seed: int) -> FoldPlan:
             )
         rng.shuffle(idx)
         assignments[idx] = np.arange(len(idx)) % n_folds
-    return FoldPlan(n_folds=n_folds, assignments=assignments, seed=seed)
+    return FoldPlan(assignments=assignments)
 
 
 def synthetic_count(minority: int, majority: int, ratio: float | str) -> int:
@@ -109,9 +107,9 @@ def smote_with_trace(
     """Append interpolated minority rows until the target ratio is met.
 
     Original rows come first, bitwise unchanged; synthetic rows carry
-    label 1 and row ids "synthetic-<i>". Each minority row receives an
-    equal share of the synthetic budget; the remainder goes to a seeded
-    draw of rows. Deterministic given (data, config).
+    label 1. Each minority row receives an equal share of the synthetic
+    budget; the remainder goes to a seeded draw of rows. Deterministic
+    given (data, config).
     """
     empty = SmoteTrace(parent_rows=np.empty(0, dtype=np.int64),
                        partner_rows=np.empty(0, dtype=np.int64))
@@ -150,9 +148,7 @@ def smote_with_trace(
 
     matrix = np.vstack([data.matrix, synthetic])
     out_labels = np.concatenate([labels, np.ones(n_syn, dtype=labels.dtype)])
-    row_ids = list(data.row_ids) + [f"synthetic-{i}" for i in range(n_syn)]
-    out = EncodedDataset(matrix=matrix, labels=out_labels,
-                         schema=data.schema, row_ids=row_ids)
+    out = EncodedDataset(matrix=matrix, labels=out_labels, schema=data.schema)
     trace = SmoteTrace(
         parent_rows=minority_idx[parents],
         partner_rows=minority_idx[neighbors[parents, picked]],

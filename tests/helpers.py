@@ -60,5 +60,4 @@ def random_dataset(
         matrix=matrix,
         labels=labels,
         schema=FeatureSchema(),
-        row_ids=[f"r{i}" for i in range(n)],
     )

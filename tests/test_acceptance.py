@@ -140,7 +140,6 @@ def test_criterion_3_smote_geometry():
         data = EncodedDataset(
             matrix=matrix[perm], labels=labels[perm],
             schema=FeatureSchema(),
-            row_ids=[f"r{i}" for i in range(m + majority)],
         )
         out, trace = smote_with_trace(
             data, SmoteConfig(ratio=ratio, k=k, seed=seed)
@@ -175,8 +174,7 @@ def test_criterion_4_model_oracles():
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int64)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        return EncodedDataset(matrix=x, labels=y, schema=FeatureSchema(),
-                              row_ids=[f"r{i}" for i in range(n)])
+        return EncodedDataset(matrix=x, labels=y, schema=FeatureSchema())
 
     # Logistic fit against the independent gradient-descent oracle.
     config = TrainConfig()

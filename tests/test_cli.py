@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -210,6 +211,43 @@ class TestSweep:
         schema = json.loads((out / "schema.json").read_text())
         assert schema["columns"][-1] == "income"
 
+    @pytest.mark.parametrize("extra,config", [
+        (["--folds", "1"], None),
+        (["--folds", "abc"], None),
+        (["--k", "0"], None),
+        (["--n-trees", "2.5"], None),
+        ([], {"folds": "abc"}),
+        ([], {"folds": 2.5}),
+        ([], {"k": True}),
+        ([], {"include_income": "false"}),
+        ([], {"learning_rate": "fast"}),
+    ], ids=["folds-1", "folds-abc", "k-0", "n-trees-2.5", "config-folds-abc",
+            "config-folds-2.5", "config-k-true", "config-income-string",
+            "config-learning-rate-string"])
+    def test_bad_option_value_exits_2(self, tmp_path, small_profiles_file,
+                                      capsys, extra, config):
+        commands = ["sweep"]
+        if "--folds" not in extra and "folds" not in (config or {}):
+            commands.append("train")  # train has no fold count
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            extra = [*extra, "--config", str(path)]
+        for command in commands:
+            code = main([command, "--profiles", str(small_profiles_file),
+                         *extra, "-o", str(tmp_path / command)])
+            err = capsys.readouterr().err
+            assert code == 2, err
+            assert err.startswith("error: ")
+
+    def test_seed_env_must_be_an_integer(self, tmp_path, small_profiles_file,
+                                         monkeypatch, capsys):
+        monkeypatch.setenv("READMIT_SEED", "seven")
+        code = main(["sweep", "--profiles", str(small_profiles_file),
+                     "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert "READMIT_SEED must be int" in capsys.readouterr().err
+
     def test_config_file_defaults_with_flag_override(
         self, tmp_path, small_profiles_file
     ):
@@ -230,6 +268,43 @@ class TestSweep:
                      "-o", str(out2)]) == 0
         payload2 = json.loads((out2 / "report.json").read_text())
         assert payload2["config"]["seed"] == 12
+
+
+def rewrite_cell(profiles: Path, out: Path, row: int, column: str,
+                 value) -> None:
+    """Copy profiles.csv with one cell (file row ``row``) replaced."""
+    with profiles.open(newline="") as fh:
+        lines = list(csv.reader(fh))
+    fields = dict(zip(lines[0], lines[row - 1]))
+    fields[column] = str(value(fields) if callable(value) else value)
+    lines[row - 1] = [fields[c] for c in lines[0]]
+    with out.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(lines)
+
+
+class TestProfileValidation:
+    """A profiles.csv cell that unify could not have written exits 2."""
+
+    @pytest.mark.parametrize("column,value", [
+        ("race", 9),
+        ("readmit", 2),
+        ("readmit", lambda f: 1 - int(f["readmit"])),
+        ("incident_count", -1),
+        ("n_open_episodes", lambda f: int(f["n_episodes"]) + 1),
+    ], ids=["category-code", "readmit-binary", "readmit-vs-episodes",
+            "negative-count", "open-above-episodes"])
+    def test_bad_cell_exits_2_with_row_and_column(
+        self, tmp_path, small_profiles_file, capsys, column, value
+    ):
+        bad = tmp_path / "bad.csv"
+        rewrite_cell(small_profiles_file, bad, 4, column, value)
+        for command in (["sweep", "--folds", "2", "--ratios", "original"],
+                        ["train"]):
+            code = main([*command, "--profiles", str(bad), "--n-trees", "2",
+                         "-o", str(tmp_path / command[0])])
+            err = capsys.readouterr().err
+            assert code == 2, err
+            assert f"row 4, column {column!r}" in err
 
 
 class TestTrainAndReport:

@@ -18,12 +18,10 @@ from readmit.cohort import (
     read_incidents,
     read_profiles,
     split_id_combo,
-    total_length_of_stay,
     unify,
     write_profiles,
 )
 from readmit.errors import (
-    AsOfBeforeEntry,
     EmptyKeyPart,
     MalformedCsv,
     NoEpisodes,
@@ -118,26 +116,6 @@ class TestLabelAndStay:
     def test_no_episodes_raises(self):
         with pytest.raises(NoEpisodes):
             derive_label([])
-
-    def test_single_stay(self):
-        eps = [ResidenceEpisode(date(2020, 1, 1), date(2020, 1, 11))]
-        assert total_length_of_stay(eps, date(2021, 1, 1)) == 10
-
-    def test_sum_of_stays(self):
-        eps = [
-            ResidenceEpisode(date(2020, 1, 1), date(2020, 1, 11)),
-            ResidenceEpisode(date(2020, 3, 1), date(2020, 3, 21)),
-        ]
-        assert total_length_of_stay(eps, date(2021, 1, 1)) == 30
-
-    def test_open_episode_runs_to_as_of(self):
-        eps = [ResidenceEpisode(date(2020, 1, 1))]
-        assert total_length_of_stay(eps, date(2020, 1, 6)) == 5
-
-    def test_as_of_before_open_entry(self):
-        eps = [ResidenceEpisode(date(2020, 5, 1))]
-        with pytest.raises(AsOfBeforeEntry):
-            total_length_of_stay(eps, date(2020, 4, 1))
 
     def test_exit_before_entry_rejected(self):
         with pytest.raises(ValueError):

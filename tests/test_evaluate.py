@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from readmit.errors import (
+    EmptyAfterFiltering,
     EmptyMatrix,
     LengthMismatch,
+    MissingAge,
     NoPositives,
     SingleClass,
 )
@@ -21,8 +25,10 @@ from readmit.evaluate import (
     sweep,
     write_roc_csv,
 )
-from readmit.models import GbmParams, TrainConfig
-from readmit.resample import ORIGINAL, SmoteConfig
+from readmit.features import FeatureSchema, encode, standardize
+from readmit.models import GbmParams, TrainConfig, fit_gbm, predict_proba_gbm
+from readmit.resample import ORIGINAL, SmoteConfig, smote, stratified_folds
+from readmit.seeding import derive_seed
 from readmit.synthgen import CohortSpec, generate
 
 from tests.helpers import make_profile
@@ -204,8 +210,26 @@ class TestCvEvaluate:
             cv_evaluate(self.ten_profiles(), "svm",
                         SmoteConfig(ratio=ORIGINAL), TrainConfig())
 
-    def test_income_mode_requires_prefiltered(self):
-        with pytest.raises(ValueError):
+    def test_income_mode_drops_rows_without_income(self):
+        profiles = [
+            make_profile(pid=f"P{i:02d}", age=float(20 + i), race=i % 4,
+                         income=None if i % 4 == 3 else 1000.0 + 50 * i,
+                         n_episodes=1 + (i % 2))
+            for i in range(16)
+        ]
+        kept = [p for p in profiles if p.income is not None]
+        result = cv_evaluate(profiles, "logistic",
+                             SmoteConfig(ratio=ORIGINAL), TrainConfig(),
+                             n_folds=2, seed=0, include_income=True)
+        assert result.confusion.total == len(kept) == 12
+        assert result.labels.tolist() == [p.readmit for p in kept]
+        prefiltered = cv_evaluate(kept, "logistic",
+                                  SmoteConfig(ratio=ORIGINAL), TrainConfig(),
+                                  n_folds=2, seed=0, include_income=True)
+        assert np.array_equal(result.pooled_scores, prefiltered.pooled_scores)
+
+    def test_income_mode_with_no_income_raises(self):
+        with pytest.raises(EmptyAfterFiltering):
             cv_evaluate(self.ten_profiles(), "logistic",
                         SmoteConfig(ratio=ORIGINAL), TrainConfig(),
                         include_income=True)
@@ -273,6 +297,21 @@ class TestSweep:
                 (row.tp + row.tn) / n, abs=1e-9
             )
 
+    def test_income_mode_reports_dropped_rows(self):
+        profiles = [
+            make_profile(pid=f"P{i:03d}", age=float(20 + i % 40),
+                         race=i % 4, income=None if i % 5 == 0 else 900.0 + i,
+                         n_episodes=1 + (i % 3 == 0))
+            for i in range(60)
+        ]
+        report = sweep(profiles, [ORIGINAL], model_kind="logistic",
+                       n_folds=2, seed=3, include_income=True)
+        assert report.dropped_missing_income == 12
+        row = report.rows[0]
+        assert row.tp + row.fn + row.fp + row.tn == 48
+        assert sweep(profiles, [ORIGINAL], model_kind="logistic", n_folds=2,
+                     seed=3).dropped_missing_income == 0
+
     def test_empty_ratiolist_rejected(self):
         with pytest.raises(ValueError):
             sweep(self.small_profiles(), [])
@@ -281,3 +320,79 @@ class TestSweep:
         assert ratio_label(ORIGINAL) == "original"
         assert ratio_label(0.3) == "0.3"
         assert ratio_label(1.0) == "1.0"
+
+
+class TestFoldAgeImputation:
+    """Each fold imputes missing ages with its own training rows' median.
+
+    The reference re-encodes every fold from its profiles with the public
+    encode (training median passed to the held-out rows), then
+    standardizes, oversamples and fits exactly as a fold does.
+    """
+
+    SEED = 21
+    N_FOLDS = 3
+    SMOTE = SmoteConfig(ratio=1.0, k=3)
+    CONFIG = TrainConfig(gbm=GbmParams(n_trees=8))
+
+    def cohort(self):
+        # Seed 2 gives three fold medians apart from the cohort's.
+        rng = np.random.default_rng(2)
+        return [
+            make_profile(
+                pid=f"P{i:03d}",
+                age=None if rng.random() < 0.3
+                else round(float(rng.uniform(18, 80)), 1),
+                race=int(rng.integers(0, 4)),
+                employment=int(rng.integers(0, 3)),
+                n_episodes=1 + int(rng.random() < 0.35),
+            )
+            for i in range(90)
+        ]
+
+    def plan(self, profiles):
+        labels = [p.readmit for p in profiles]
+        return stratified_folds(labels, self.N_FOLDS,
+                                derive_seed(self.SEED, "folds"))
+
+    def reference_scores(self, profiles):
+        schema = FeatureSchema()
+        plan = self.plan(profiles)
+        pooled = np.empty(len(profiles))
+        medians = []
+        for fold in range(self.N_FOLDS):
+            train_idx = plan.train_indices(fold)
+            test_idx = plan.test_indices(fold)
+            enc_train = encode([profiles[i] for i in train_idx], schema)
+            enc_test = encode([profiles[i] for i in test_idx], schema,
+                              age_median=enc_train.age_median)
+            std_train, stats = standardize(enc_train.dataset)
+            std_test, _ = standardize(enc_test.dataset, stats)
+            train_final = smote(std_train, replace(
+                self.SMOTE, seed=derive_seed(self.SEED, "smote", fold)))
+            model = fit_gbm(train_final, self.CONFIG)
+            pooled[test_idx] = predict_proba_gbm(model, std_test.matrix)
+            medians.append(enc_train.age_median)
+        return pooled, medians
+
+    def test_pooled_scores_match_per_fold_encoding(self):
+        profiles = self.cohort()
+        expected, medians = self.reference_scores(profiles)
+        cohort_median = encode(profiles, FeatureSchema()).age_median
+        assert all(m != cohort_median for m in medians)
+        assert len(set(medians)) == self.N_FOLDS
+
+        result = cv_evaluate(profiles, "gbm", self.SMOTE, self.CONFIG,
+                             n_folds=self.N_FOLDS, seed=self.SEED)
+        assert np.array_equal(result.pooled_scores, expected)
+
+    def test_fold_without_training_ages_raises(self):
+        profiles = self.cohort()
+        # Every age is gone but those fold 1 holds out, so fold 1's
+        # training rows have none; the other folds train on fold 1's rows.
+        ageless = set(self.plan(profiles).train_indices(1).tolist())
+        profiles = [replace(p, age=None) if i in ageless else p
+                    for i, p in enumerate(profiles)]
+        with pytest.raises(MissingAge):
+            cv_evaluate(profiles, "gbm", self.SMOTE, self.CONFIG,
+                        n_folds=self.N_FOLDS, seed=self.SEED)

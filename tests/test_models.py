@@ -30,7 +30,6 @@ def dataset_from(x, y):
         matrix=np.asarray(x, dtype=np.float64),
         labels=np.asarray(y, dtype=np.int64),
         schema=FeatureSchema(),
-        row_ids=[f"r{i}" for i in range(len(y))],
     )
 
 

@@ -183,9 +183,10 @@ def test_workers_exit_when_their_parent_is_killed(tmp_path):
             os.kill(pid, signal.SIGKILL)
 
 
-# What run_fold can raise: encode and standardize (features), smote
-# (resample), and the fits and predictions (models). MalformedCsv, whose
-# args do not rebuild it, is raised only while reading CSVs.
+# What run_fold can raise: age imputation and standardize (features),
+# smote (resample), and the fits and predictions (models); also encode's
+# errors, though encode now runs once in the calling process. MalformedCsv,
+# whose args do not rebuild it, is raised only while reading CSVs.
 FOLD_TASK_ERRORS = [
     errors.UnmappableFamilyType, errors.MissingAge, errors.EmptyAfterFiltering,
     errors.WidthMismatch, errors.MinorityTooSmall, errors.SingleClass,

@@ -27,7 +27,6 @@ def imbalanced_dataset(minority: int, majority: int, d: int, seed: int):
         matrix=matrix[perm],
         labels=labels[perm],
         schema=FeatureSchema(),
-        row_ids=[f"r{i}" for i in range(len(labels))],
     )
 
 
@@ -115,7 +114,6 @@ class TestSmote:
         out = smote(data, SmoteConfig(ratio=0.8, seed=5))
         assert np.array_equal(out.matrix[:75], data.matrix)
         assert np.array_equal(out.labels[:75], data.labels)
-        assert out.row_ids[:75] == data.row_ids
 
     def test_synthetic_rows_inside_parent_box(self):
         for seed in range(20):
@@ -145,7 +143,6 @@ class TestSmote:
         b = smote(data, config)
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.labels, b.labels)
-        assert a.row_ids == b.row_ids
 
     def test_post_ratio_reaches_target(self):
         data = imbalanced_dataset(23, 91, 4, seed=9)
