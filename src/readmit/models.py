@@ -104,8 +104,9 @@ class LogisticModel:
 
 def logistic_nll_grad(
     beta: np.ndarray, x_aug: np.ndarray, y: np.ndarray, ridge: float
-) -> tuple[float, np.ndarray]:
-    """Penalized negative log-likelihood and its gradient.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Penalized negative log-likelihood, its gradient, and the fitted
+    probabilities sigmoid(x_aug @ beta).
 
     beta stacks [intercept, weights]; x_aug carries a leading ones
     column; the ridge penalty excludes the intercept.
@@ -117,7 +118,7 @@ def logistic_nll_grad(
     p = sigmoid(z)
     grad = x_aug.T @ (p - y)
     grad[1:] += ridge * beta[1:]
-    return nll, grad
+    return nll, grad, p
 
 
 def fit_logistic(data: EncodedDataset, config: TrainConfig) -> LogisticModel:
@@ -137,11 +138,10 @@ def fit_logistic(data: EncodedDataset, config: TrainConfig) -> LogisticModel:
     ridge_diag[0] = 0.0
 
     beta = np.zeros(d + 1)
-    nll, grad = logistic_nll_grad(beta, x_aug, y, params.ridge)
+    nll, grad, p = logistic_nll_grad(beta, x_aug, y, params.ridge)
     converged = False
     n_iter = 0
     for n_iter in range(1, params.max_iter + 1):
-        p = sigmoid(x_aug @ beta)
         w = np.clip(p * (1.0 - p), 1e-10, None)
         hess = (x_aug * w[:, None]).T @ x_aug
         hess[np.diag_indices_from(hess)] += ridge_diag
@@ -149,18 +149,22 @@ def fit_logistic(data: EncodedDataset, config: TrainConfig) -> LogisticModel:
 
         step = 1.0
         cand = beta + delta
-        cand_nll, cand_grad = logistic_nll_grad(cand, x_aug, y, params.ridge)
+        cand_nll, cand_grad, cand_p = logistic_nll_grad(
+            cand, x_aug, y, params.ridge
+        )
         for _ in range(60):
             if cand_nll <= nll + 1e-12 * (1.0 + abs(nll)):
                 break
             step *= 0.5
             cand = beta + step * delta
-            cand_nll, cand_grad = logistic_nll_grad(cand, x_aug, y, params.ridge)
+            cand_nll, cand_grad, cand_p = logistic_nll_grad(
+                cand, x_aug, y, params.ridge
+            )
 
         if not np.all(np.isfinite(cand)):
             raise Diverged("IRLS produced non-finite parameters")
         change = float(np.max(np.abs(cand - beta)))
-        beta, nll, grad = cand, cand_nll, cand_grad
+        beta, nll, grad, p = cand, cand_nll, cand_grad, cand_p
         if change < params.tol:
             converged = True
             break

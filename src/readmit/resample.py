@@ -18,6 +18,7 @@ from .errors import ClassTooSmall, MinorityTooSmall
 from .features import EncodedDataset
 
 ORIGINAL = "original"
+NEIGHBOR_BLOCK = 256  # minority rows per neighbor-selection block
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,34 @@ def synthetic_count(minority: int, majority: int, ratio: float | str) -> int:
 def _nearest_minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of each minority row's k nearest minority rows (self excluded).
 
-    Exact pairwise distances; fine at the row counts this pipeline sees.
-    Ties resolve to the lower row index.
+    Squared distances use the expanded form ||a||^2 + ||b||^2 - 2 a.b,
+    so rounding can make two distances that are equal in exact
+    arithmetic differ in the last bits. Each row's neighbors are ordered
+    by computed value; among equal computed values the lower row index
+    comes first. Rows are selected NEIGHBOR_BLOCK at a time, so memory
+    is the one m x m product a.b plus O(NEIGHBOR_BLOCK * m).
     """
+    m = len(points)
     sq = np.sum(points**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    # One product for all rows: per-block products would run different
+    # BLAS kernels (gemv for a 1-row block) with different rounding.
+    gram = points @ points.T
+    out = np.empty((m, k), dtype=np.int64)
+    for a in range(0, m, NEIGHBOR_BLOCK):
+        b = min(a + NEIGHBOR_BLOCK, m)
+        rows = np.arange(b - a)
+        d2 = sq[a:b, None] + sq[None, :] - 2.0 * gram[a:b]
+        d2[rows, rows + a] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+        below = d2 < kth
+        at_kth = d2 == kth
+        # Of the entries tied at the k-th value, keep the lowest-index ones.
+        room = k - np.count_nonzero(below, axis=1, keepdims=True)
+        keep = below | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
+        cols = np.nonzero(keep)[1].reshape(b - a, k)  # ascending per row
+        by_value = np.argsort(d2[rows[:, None], cols], axis=1, kind="stable")
+        out[a:b] = np.take_along_axis(cols, by_value, axis=1)
+    return out
 
 
 @dataclass(frozen=True)

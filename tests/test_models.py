@@ -88,7 +88,7 @@ class TestLogistic:
             n = data.n_rows
             x_aug = np.hstack([np.ones((n, 1)), data.matrix])
             beta = np.concatenate([[model.intercept], model.weights])
-            _, grad = logistic_nll_grad(
+            _, grad, _ = logistic_nll_grad(
                 beta, x_aug, data.labels.astype(float), config.logistic.ridge
             )
             assert np.max(np.abs(grad)) < 1e-6
@@ -110,13 +110,13 @@ class TestLogistic:
             x_aug = np.hstack([np.ones((n, 1)), data.matrix])
             y = data.labels.astype(float)
             beta = rng.normal(size=4)
-            _, grad = logistic_nll_grad(beta, x_aug, y, ridge=1e-3)
+            _, grad, _ = logistic_nll_grad(beta, x_aug, y, ridge=1e-3)
             eps = 1e-6
             for j in range(len(beta)):
                 bump = np.zeros_like(beta)
                 bump[j] = eps
-                lo, _ = logistic_nll_grad(beta - bump, x_aug, y, ridge=1e-3)
-                hi, _ = logistic_nll_grad(beta + bump, x_aug, y, ridge=1e-3)
+                lo, _, _ = logistic_nll_grad(beta - bump, x_aug, y, ridge=1e-3)
+                hi, _, _ = logistic_nll_grad(beta + bump, x_aug, y, ridge=1e-3)
                 assert abs((hi - lo) / (2 * eps) - grad[j]) < 1e-5
 
     def test_zero_model_probability(self):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from readmit import resample
 from readmit.errors import ClassTooSmall, MinorityTooSmall
 from readmit.features import EncodedDataset, FeatureSchema
 from readmit.resample import (
@@ -159,3 +162,67 @@ class TestSmote:
             SmoteConfig(ratio=0.0)
         with pytest.raises(ValueError):
             SmoteConfig(ratio=0.5, k=0)
+
+
+def stable_argsort_neighbors(points, k):
+    """Reference rule: full squared-distance matrix, stable argsort."""
+    sq = np.sum(points**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def tie_heavy_points(kind: str, m: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        return rng.integers(0, 2, size=(m, 4)).astype(np.float64)
+    if kind == "rounded":
+        return np.round(rng.normal(size=(m, 3)), 1)
+    base = rng.normal(size=(max(1, m // 3), 3))  # duplicated rows
+    return base[rng.integers(0, len(base), size=m)]
+
+
+class TestNearestNeighbors:
+    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize("kind", ["binary", "rounded", "duplicated"])
+    def test_blocks_match_stable_argsort(self, monkeypatch, block, kind):
+        monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", block)
+        for m in (block - 1, block, block + 1, 2 * block + 1):
+            if m < 2:
+                continue
+            points = tie_heavy_points(kind, m, seed=10 * block + m)
+            for k in sorted({1, min(2, m - 1), m - 1}):
+                got = resample._nearest_minority_neighbors(points, k)
+                want = stable_argsort_neighbors(points, k)
+                assert np.array_equal(got, want), (m, k)
+
+    @pytest.mark.parametrize("kind", ["binary", "rounded", "duplicated"])
+    def test_many_blocks_match_stable_argsort(self, monkeypatch, kind):
+        monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 3)
+        for seed in range(20):
+            points = tie_heavy_points(kind, 40, seed=seed)
+            for k in (1, 5, 11, 39):
+                got = resample._nearest_minority_neighbors(points, k)
+                want = stable_argsort_neighbors(points, k)
+                assert np.array_equal(got, want), (seed, k)
+
+    def test_default_block_matches_stable_argsort(self):
+        m = resample.NEIGHBOR_BLOCK * 2 + 1
+        points = tie_heavy_points("binary", m, seed=1)
+        got = resample._nearest_minority_neighbors(points, 5)
+        assert np.array_equal(got, stable_argsort_neighbors(points, 5))
+
+    def test_peak_memory_below_one_and_a_half_products(self):
+        m = 3000
+        rng = np.random.default_rng(0)
+        points = np.hstack([
+            np.round(rng.normal(size=(m, 3)), 1),
+            rng.integers(0, 2, size=(m, 17)).astype(np.float64),
+        ])
+        tracemalloc.start()
+        try:
+            resample._nearest_minority_neighbors(points, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m * m * 8, peak / (m * m * 8)
