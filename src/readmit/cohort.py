@@ -400,43 +400,48 @@ def read_incidents(path: str | Path) -> list[IncidentRecord]:
 
 # --- CSV output --------------------------------------------------------------
 
-def write_demographics(records: Sequence[DemographicRecord],
-                       path: str | Path) -> None:
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a header and rows of str fields.
+
+    With "\n" line ends, csv leaves a lone "\r" unquoted, and reading
+    would split the row there; a row holding one is written fully quoted.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DEMOGRAPHICS_HEADER)
-        for r in records:
-            writer.writerow([
-                r.key.cares_id, r.key.family_id, r.key.case_id,
-                format_number(r.age),
-                r.race, r.family_type, r.reason_homeless,
-                r.employment, r.citizenship,
-                format_number(r.income),
-                r.entry_date.isoformat(),
-                "true" if r.admitted else "false",
-            ])
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(header)
+        for row in rows:
+            (quoted if "\r" in "".join(row) else writer).writerow(row)
+
+
+def write_demographics(records: Sequence[DemographicRecord],
+                       path: str | Path) -> None:
+    _write_csv(path, DEMOGRAPHICS_HEADER, (
+        [r.key.cares_id, r.key.family_id, r.key.case_id,
+         format_number(r.age),
+         r.race, r.family_type, r.reason_homeless,
+         r.employment, r.citizenship,
+         format_number(r.income),
+         r.entry_date.isoformat(),
+         "true" if r.admitted else "false"]
+        for r in records
+    ))
 
 
 def write_exits(records: Sequence[ExitRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EXITS_HEADER)
-        for r in records:
-            writer.writerow([
-                r.key.cares_id, r.key.family_id, r.key.case_id,
-                r.exit_date.isoformat(), r.exit_reason,
-            ])
+    _write_csv(path, EXITS_HEADER, (
+        [r.key.cares_id, r.key.family_id, r.key.case_id,
+         r.exit_date.isoformat(), r.exit_reason]
+        for r in records
+    ))
 
 
 def write_incidents(records: Sequence[IncidentRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(INCIDENTS_HEADER)
-        for r in records:
-            writer.writerow([
-                r.key.cares_id, r.key.family_id, r.key.case_id,
-                r.incident_date.isoformat(), r.incident_type,
-            ])
+    _write_csv(path, INCIDENTS_HEADER, (
+        [r.key.cares_id, r.key.family_id, r.key.case_id,
+         r.incident_date.isoformat(), r.incident_type]
+        for r in records
+    ))
 
 
 def format_number(value: float | None) -> str:
@@ -448,23 +453,17 @@ def format_number(value: float | None) -> str:
 
 
 def write_profiles(profiles: Sequence[ClientProfile], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        # With "\n" line ends, csv leaves a lone "\r" unquoted, and reading
-        # would split the row there; a row whose id holds one is quoted.
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(PROFILES_HEADER)
-        for p in profiles:
-            n_open = sum(1 for ep in p.episodes if not ep.closed)
-            (quoted if "\r" in p.id else writer).writerow([
-                p.id,
-                format_number(p.age),
-                p.race, p.family_type, p.reason_homeless,
-                p.employment, p.citizenship,
-                format_number(p.income),
-                len(p.episodes), n_open,
-                p.total_los_days, p.incident_count, p.readmit,
-            ])
+    _write_csv(path, PROFILES_HEADER, (
+        [p.id,
+         format_number(p.age),
+         f"{p.race}", f"{p.family_type}", f"{p.reason_homeless}",
+         f"{p.employment}", f"{p.citizenship}",
+         format_number(p.income),
+         f"{len(p.episodes)}",
+         f"{sum(1 for ep in p.episodes if not ep.closed)}",
+         f"{p.total_los_days}", f"{p.incident_count}", f"{p.readmit}"]
+        for p in profiles
+    ))
 
 
 _UNDATED_CLOSED = ResidenceEpisode(date.min, date.min)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from readmit import models, synthgen
 from readmit.errors import SingleClass, WidthMismatch
-from readmit.features import EncodedDataset, FeatureSchema
+from readmit.features import EncodedDataset, FeatureSchema, encode, standardize
 from readmit.models import (
     GbmModel,
     GbmParams,
@@ -21,6 +25,9 @@ from readmit.models import (
     sigmoid,
 )
 
+from readmit.resample import SmoteConfig, smote
+
+from tests.oracles.gbm_exact import fit_gbm_exact
 from tests.oracles.logistic_gd import fit_logistic_gd
 from tests.oracles.stump import best_stump, stump_leaf_values
 
@@ -261,6 +268,92 @@ class TestGbm:
         if tree.n_nodes > 1:
             rows = data.matrix[:, tree.feature[0]] <= tree.threshold[0]
             assert 15 <= int(rows.sum()) <= 25
+
+
+def tie_heavy_matrix(kind: str, n: int, d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "binary":
+        return rng.integers(0, 2, size=(n, d)).astype(np.float64)
+    if kind == "duplicated":
+        base = rng.normal(size=(n // 4, d))
+        return base[rng.integers(0, len(base), size=n)]
+    rounded = np.round(rng.normal(size=(n, d)), 1)
+    if kind == "nextafter":  # adjacent floats, whose midpoint rounds to one
+        up = rng.random((n, d)) < 0.5
+        return np.where(up, np.nextafter(rounded, np.inf), rounded)
+    if kind == "nan":
+        return np.where(rng.random((n, d)) < 0.1, np.nan, rounded)
+    return rounded
+
+
+def assert_same_fit(got: GbmModel, want: GbmModel) -> None:
+    assert got.train_loss == want.train_loss
+    assert len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def traced_peak(fit, data, config) -> int:
+    tracemalloc.start()
+    try:
+        fit(data, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def ratio_one_training_set():
+    """Like the training matrix of `train --ratio 1.0` on a 2,000-profile
+    cohort: encoded, standardized and oversampled to 3,240 x 20."""
+    spec = synthgen.load_spec(synthgen.default_spec_path())
+    profiles = synthgen.generate(dataclasses.replace(spec, n=2000, seed=7))
+    std, _ = standardize(encode(profiles, FeatureSchema()).dataset)
+    data = smote(std, SmoteConfig(ratio=1.0, seed=3))
+    assert data.matrix.shape == (3240, 20)
+    return data
+
+
+class TestGbmMatchesExactOracle:
+    """fit_gbm searches blocks of columns; tests/oracles/gbm_exact.py is
+    the former column-at-a-time search. Trees and losses must be equal
+    bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 40, 400, None])
+    @pytest.mark.parametrize(
+        "kind", ["binary", "rounded", "duplicated", "nextafter", "nan"])
+    def test_tie_heavy_data(self, monkeypatch, kind, block):
+        # block 1 gives 1-column blocks; 40 gives 1 to 4 columns per block
+        # as nodes shrink; 400 splits only the root; the default block
+        # holds the whole matrix.
+        if block is not None:
+            monkeypatch.setattr(models, "SPLIT_BLOCK", block)
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            x = tie_heavy_matrix(kind, 90, 6, seed)
+            y = (rng.random(90) < 0.3).astype(np.int64)
+            y[:2] = (0, 1)
+            data = dataset_from(x, y)
+            for depth in (1, 3, 6):
+                for leaf in (1, 2, 7):
+                    config = TrainConfig(gbm=GbmParams(
+                        n_trees=4, max_depth=depth, min_samples_leaf=leaf))
+                    assert_same_fit(fit_gbm(data, config),
+                                    fit_gbm_exact(data, config))
+
+    def test_cohort_scale_matrix(self, ratio_one_training_set):
+        config = TrainConfig(gbm=GbmParams(n_trees=10))
+        assert_same_fit(fit_gbm(ratio_one_training_set, config),
+                        fit_gbm_exact(ratio_one_training_set, config))
+
+    def test_peak_memory_within_one_and_a_half_oracle(
+        self, ratio_one_training_set
+    ):
+        config = TrainConfig(gbm=GbmParams(n_trees=3))
+        peak = traced_peak(fit_gbm, ratio_one_training_set, config)
+        oracle = traced_peak(fit_gbm_exact, ratio_one_training_set, config)
+        assert peak <= 1.5 * oracle, peak / oracle
 
 
 class TestConfigValidation:

@@ -1,4 +1,4 @@
-"""Property tests: id keys, the profiles.csv round trip, and linkage order."""
+"""Property tests: id keys, the CSV round trips, and linkage order."""
 
 from __future__ import annotations
 
@@ -16,9 +16,15 @@ from readmit.cohort import (
     IncidentRecord,
     ResidenceEpisode,
     make_id_combo,
+    read_demographics,
+    read_exits,
+    read_incidents,
     read_profiles,
     split_id_combo,
     unify,
+    write_demographics,
+    write_exits,
+    write_incidents,
     write_profiles,
 )
 from readmit.features import CATEGORIES, CATEGORICAL_FIELDS
@@ -75,11 +81,11 @@ def profiles(draw):
     )
 
 
-def csv_round_trip(cohort: list[ClientProfile]) -> list[ClientProfile]:
+def csv_round_trip(records: list, write=write_profiles, read=read_profiles):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "profiles.csv"
-        write_profiles(cohort, path)
-        return read_profiles(path)
+        path = Path(tmp) / "file.csv"
+        write(records, path)
+        return read(path)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,6 +100,37 @@ def test_profiles_csv_round_trip_is_a_fixed_point(cohort):
         assert len(read.episodes) == len(orig.episodes)
         assert ([e.closed for e in read.episodes].count(False)
                 == [e.closed for e in orig.episodes].count(False))
+
+
+# --- raw trio ----------------------------------------------------------------
+
+# Any UTF-8 text, with lone "\r" drawn often. Key parts are trimmed on
+# reading, so they are drawn trimmed.
+raw_text = st.text(st.one_of(st.just("\r"),
+                             st.characters(blacklist_categories=("Cs",))))
+raw_keys = st.builds(ClientKey, *[raw_text.map(str.strip)] * 3)
+
+raw_demographic = st.builds(
+    DemographicRecord, key=raw_keys,
+    age=st.none() | st.floats(0, 120), race=raw_text, family_type=raw_text,
+    reason_homeless=raw_text, employment=raw_text, citizenship=raw_text,
+    income=st.none() | st.floats(allow_nan=False), entry_date=st.dates(),
+    admitted=st.booleans(),
+)
+raw_exit = st.builds(ExitRecord, key=raw_keys, exit_date=st.dates(),
+                     exit_reason=raw_text)
+raw_incident = st.builds(IncidentRecord, key=raw_keys,
+                         incident_date=st.dates(), incident_type=raw_text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(raw_demographic, max_size=6), st.lists(raw_exit, max_size=6),
+       st.lists(raw_incident, max_size=6))
+def test_raw_csv_round_trip(demo, exits, incidents):
+    assert csv_round_trip(demo, write_demographics, read_demographics) == demo
+    assert csv_round_trip(exits, write_exits, read_exits) == exits
+    assert csv_round_trip(incidents, write_incidents,
+                          read_incidents) == incidents
 
 
 # --- unify -------------------------------------------------------------------
