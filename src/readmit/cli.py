@@ -46,19 +46,18 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_COMPUTE = 4
 
+# Model and oversampling defaults are those of the classes that own them.
+_GBM_DEFAULTS = dataclasses.asdict(models_mod.GbmParams())
 DEFAULTS = {
     "seed": 0,
     "folds": 5,
     "model": "gbm",
-    "k": 5,
-    "ratios": "original,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
-    "ratio": "original",
+    "k": SmoteConfig.k,
+    "ratios": ORIGINAL + ",0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+    "ratio": ORIGINAL,
     "include_income": False,
-    "n_trees": 100,
-    "learning_rate": 0.1,
-    "max_depth": 3,
-    "min_samples_leaf": 1,
-    "ridge": 1e-6,
+    "ridge": models_mod.LogisticParams.ridge,
+    **_GBM_DEFAULTS,
 }
 
 
@@ -143,8 +142,8 @@ def _dump_json(payload: dict, path: Path) -> None:
     )
 
 
-_MODEL_KEYS = ("seed", "model", "k", "include_income", "n_trees",
-               "learning_rate", "max_depth", "min_samples_leaf", "ridge")
+_MODEL_KEYS = ("seed", "model", "k", "include_income", "ridge",
+               *_GBM_DEFAULTS)
 
 
 def _fit_configs(
@@ -154,11 +153,7 @@ def _fit_configs(
     try:
         return models_mod.TrainConfig(
             gbm=models_mod.GbmParams(
-                n_trees=resolved["n_trees"],
-                learning_rate=resolved["learning_rate"],
-                max_depth=resolved["max_depth"],
-                min_samples_leaf=resolved["min_samples_leaf"],
-            ),
+                **{key: resolved[key] for key in _GBM_DEFAULTS}),
             logistic=models_mod.LogisticParams(ridge=resolved["ridge"]),
         ), SmoteConfig(ratio=ratio, k=resolved["k"], seed=smote_seed)
     except ValueError as exc:

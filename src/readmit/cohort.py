@@ -10,6 +10,7 @@ two or more distinct episodes, else 0.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -340,6 +341,14 @@ def _parse_optional_number(path, lineno, column, raw: str) -> float | None:
                            f"not a number: {raw!r}") from None
 
 
+def _parse_age(path, lineno, raw: str) -> float | None:
+    age = _parse_optional_number(path, lineno, "age", raw)
+    if age is not None and not (0 <= age <= 120):
+        raise MalformedCsv(str(path), lineno, "age",
+                           f"age {age} outside [0, 120]")
+    return age
+
+
 def _key_from_row(row: dict) -> ClientKey:
     return ClientKey(row["cares_id"].strip(), row["family_id"].strip(),
                      row["case_id"].strip())
@@ -348,10 +357,7 @@ def _key_from_row(row: dict) -> ClientKey:
 def read_demographics(path: str | Path) -> list[DemographicRecord]:
     records = []
     for lineno, row in _read_rows(path, DEMOGRAPHICS_HEADER):
-        age = _parse_optional_number(path, lineno, "age", row["age"])
-        if age is not None and not (0 <= age <= 120):
-            raise MalformedCsv(str(path), lineno, "age",
-                               f"age {age} outside [0, 120]")
+        age = _parse_age(path, lineno, row["age"])
         admitted_raw = row["admitted"].strip().lower()
         if admitted_raw not in ("true", "false"):
             raise MalformedCsv(str(path), lineno, "admitted",
@@ -489,7 +495,8 @@ def _profile_row_problem(v: dict[str, int]) -> tuple[str, str] | None:
 
 
 def read_profiles(path: str | Path) -> list[ClientProfile]:
-    """Load profiles.csv rows, checking codes, counts and labels.
+    """Load profiles.csv rows, checking codes, counts, labels, ages
+    (as read_demographics does) and incomes (finite, >= 0).
 
     The file keeps episode counts but not dates, so each profile comes
     back with that many undated episodes (closed ones first), entered
@@ -507,18 +514,22 @@ def read_profiles(path: str | Path) -> list[ClientProfile]:
         problem = _profile_row_problem(values)
         if problem is not None:
             raise MalformedCsv(str(path), lineno, *problem)
+        age = _parse_age(path, lineno, row["age"])
+        income = _parse_optional_number(path, lineno, "income", row["income"])
+        if income is not None and not (0 <= income < math.inf):
+            raise MalformedCsv(str(path), lineno, "income",
+                               f"income {income} must be finite and >= 0")
         n_closed = values["n_episodes"] - values["n_open_episodes"]
         profiles.append(
             ClientProfile(
                 id=row["id"],
-                age=_parse_optional_number(path, lineno, "age", row["age"]),
+                age=age,
                 race=values["race"],
                 family_type=values["family_type"],
                 reason_homeless=values["reason_homeless"],
                 employment=values["employment"],
                 citizenship=values["citizenship"],
-                income=_parse_optional_number(path, lineno, "income",
-                                              row["income"]),
+                income=income,
                 episodes=(_UNDATED_CLOSED,) * n_closed
                 + (_UNDATED_OPEN,) * values["n_open_episodes"],
                 total_los_days=values["total_los_days"],

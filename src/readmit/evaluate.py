@@ -70,15 +70,14 @@ class RocCurve:
         return list(zip(self.fpr, self.tpr, self.thresholds))
 
 
-def confusion(
-    labels, probabilities, threshold: float = DEFAULT_THRESHOLD
-) -> ConfusionMatrix:
-    """Tally counts at a probability cutoff; p >= threshold is positive."""
+def confusion(labels, probabilities) -> ConfusionMatrix:
+    """Tally counts at the probability cutoff; p >= DEFAULT_THRESHOLD is
+    positive."""
     y = np.asarray(labels)
     p = np.asarray(probabilities)
     if y.shape != p.shape:
         raise LengthMismatch(f"labels {y.shape} vs probabilities {p.shape}")
-    pred = p >= threshold
+    pred = p >= DEFAULT_THRESHOLD
     pos = y == 1
     return ConfusionMatrix(
         tp=int(np.sum(pred & pos)),
@@ -383,7 +382,7 @@ def cv_evaluate(
     profile exactly once (in income mode, every profile with an income).
     Fold assignment and per-fold oversampling seeds derive from ``seed``
     via stable labels, so identical inputs reproduce identical results,
-    whatever the worker count.
+    whatever the worker count; ``smote_config.seed`` is not used.
     """
     results, _ = _cross_validate(
         profiles, model_kind, [(smote_config, seed)], train_config,
@@ -424,7 +423,7 @@ def sweep(
     profiles: Sequence,
     ratios: Sequence[float | str],
     model_kind: str = "gbm",
-    k: int = 5,
+    k: int = SmoteConfig.k,
     train_config: models_mod.TrainConfig | None = None,
     n_folds: int = 5,
     seed: int = 0,
@@ -441,10 +440,8 @@ def sweep(
     if train_config is None:
         train_config = models_mod.TrainConfig()
 
-    runs = []
-    for i, ratio in enumerate(ratios):
-        sub_seed = derive_seed(seed, "ratio", i)
-        runs.append((SmoteConfig(ratio=ratio, k=k, seed=sub_seed), sub_seed))
+    runs = [(SmoteConfig(ratio=ratio, k=k), derive_seed(seed, "ratio", i))
+            for i, ratio in enumerate(ratios)]
     results, dropped = _cross_validate(
         profiles, model_kind, runs, train_config, n_folds, include_income,
     )

@@ -38,6 +38,8 @@ from .features import EncodedDataset
 LEAF_VALUE_LIMIT = 10.0
 LEAF_HESSIAN_FLOOR = 1e-12
 PROB_EPS = 1e-12
+IRLS_TOL = 1e-8  # converged once no parameter moves by this much
+IRLS_MAX_ITER = 100
 SPLIT_BLOCK = 16384  # (column, row) elements per split-search block
 
 
@@ -66,8 +68,6 @@ class GbmParams:
 @dataclass(frozen=True)
 class LogisticParams:
     ridge: float = 1e-6
-    tol: float = 1e-8
-    max_iter: int = 100
 
     def __post_init__(self):
         if self.ridge < 0:
@@ -136,46 +136,42 @@ def fit_logistic(data: EncodedDataset, config: TrainConfig) -> LogisticModel:
 
     Each Newton step is halved until the objective stops increasing;
     convergence is declared when the largest parameter change drops
-    below config.logistic.tol.
+    below IRLS_TOL, within IRLS_MAX_ITER steps.
     """
     _check_two_classes(data.labels)
-    params = config.logistic
+    ridge = config.logistic.ridge
     x = data.matrix
     y = data.labels.astype(np.float64)
     n, d = x.shape
     x_aug = np.hstack([np.ones((n, 1)), x])
-    ridge_diag = np.full(d + 1, params.ridge)
+    ridge_diag = np.full(d + 1, ridge)
     ridge_diag[0] = 0.0
 
     beta = np.zeros(d + 1)
-    nll, grad, p = logistic_nll_grad(beta, x_aug, y, params.ridge)
+    nll, grad, p = logistic_nll_grad(beta, x_aug, y, ridge)
     converged = False
     n_iter = 0
-    for n_iter in range(1, params.max_iter + 1):
+    for n_iter in range(1, IRLS_MAX_ITER + 1):
         w = np.clip(p * (1.0 - p), 1e-10, None)
         hess = (x_aug * w[:, None]).T @ x_aug
         hess[np.diag_indices_from(hess)] += ridge_diag
         delta = np.linalg.solve(hess, -grad)
 
+        # Steps 1, 1/2, ..., 2**-60; the last is kept if none is accepted.
         step = 1.0
-        cand = beta + delta
-        cand_nll, cand_grad, cand_p = logistic_nll_grad(
-            cand, x_aug, y, params.ridge
-        )
-        for _ in range(60):
+        for _ in range(61):
+            cand = beta + step * delta
+            cand_nll, cand_grad, cand_p = logistic_nll_grad(cand, x_aug, y,
+                                                            ridge)
             if cand_nll <= nll + 1e-12 * (1.0 + abs(nll)):
                 break
             step *= 0.5
-            cand = beta + step * delta
-            cand_nll, cand_grad, cand_p = logistic_nll_grad(
-                cand, x_aug, y, params.ridge
-            )
 
         if not np.all(np.isfinite(cand)):
             raise Diverged("IRLS produced non-finite parameters")
         change = float(np.max(np.abs(cand - beta)))
         beta, nll, grad, p = cand, cand_nll, cand_grad, cand_p
-        if change < params.tol:
+        if change < IRLS_TOL:
             converged = True
             break
 

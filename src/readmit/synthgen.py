@@ -211,22 +211,21 @@ def generate(spec: CohortSpec) -> list[ClientProfile]:
     rng = np.random.default_rng(derive_seed(spec.seed, "cohort"))
     n = spec.n
 
-    race = rng.choice(4, n, p=spec._weights_array("race", spec.race_weights))
-    family = rng.choice(
-        3, n, p=spec._weights_array("family_type", spec.family_weights)
-    )
-    reason = rng.choice(
-        5, n, p=spec._weights_array("reason_homeless", spec.reason_weights)
-    )
-    emp_p = [
+    def draw_codes(weights) -> np.ndarray:
+        return rng.choice(len(weights), n, p=weights)
+
+    race = draw_codes(spec._weights_array("race", spec.race_weights))
+    family = draw_codes(
+        spec._weights_array("family_type", spec.family_weights))
+    reason = draw_codes(
+        spec._weights_array("reason_homeless", spec.reason_weights))
+    employment = draw_codes([
         1.0 - spec.employed_rate - spec.unknown_employment_rate,
         spec.employed_rate,
         spec.unknown_employment_rate,
-    ]
-    employment = rng.choice(3, n, p=emp_p)
-    citizenship = rng.choice(
-        4, n, p=spec._weights_array("citizenship", spec.citizenship_weights)
-    )
+    ])
+    citizenship = draw_codes(
+        spec._weights_array("citizenship", spec.citizenship_weights))
     age = np.round(
         _truncated_normal(rng, n, spec.age_mean, spec.age_sd,
                           spec.age_min, spec.age_max)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -8,6 +10,9 @@ import pytest
 
 from readmit.cli import main, parse_ratio_token, parse_ratios, UsageError
 from readmit.cohort import read_profiles, write_profiles
+from readmit.evaluate import sweep
+from readmit.models import GbmParams, LogisticParams
+from readmit.resample import SmoteConfig
 from readmit.synthgen import CohortSpec, generate
 
 from tests.helpers import LINKAGE_SMALL
@@ -291,8 +296,13 @@ class TestProfileValidation:
         ("readmit", lambda f: 1 - int(f["readmit"])),
         ("incident_count", -1),
         ("n_open_episodes", lambda f: int(f["n_episodes"]) + 1),
+        ("age", "inf"),
+        ("age", "nan"),
+        ("age", -40),
+        ("income", "inf"),
     ], ids=["category-code", "readmit-binary", "readmit-vs-episodes",
-            "negative-count", "open-above-episodes"])
+            "negative-count", "open-above-episodes", "age-inf", "age-nan",
+            "age-negative", "income-inf"])
     def test_bad_cell_exits_2_with_row_and_column(
         self, tmp_path, small_profiles_file, capsys, column, value
     ):
@@ -353,3 +363,39 @@ class TestTrainAndReport:
     def test_report_missing_file_exits_3(self, tmp_path):
         assert main(["report",
                      "--report", str(tmp_path / "none.json")]) == 3
+
+
+class TestDefaults:
+    """With no model flags the CLI fits with the library's defaults."""
+
+    @pytest.fixture(autouse=True)
+    def no_seed_env(self, monkeypatch):
+        monkeypatch.delenv("READMIT_SEED", raising=False)
+
+    def test_sweep_rows_equal_library_sweep(self, tmp_path,
+                                            small_profiles_file):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--profiles", str(small_profiles_file),
+                     "--ratios", "original,1.0", "--seed", "6",
+                     "-o", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        report = sweep(read_profiles(small_profiles_file), ["original", 1.0],
+                       seed=6)
+        assert rows == [row.to_dict() for row in report.rows]
+
+    def test_train_config_is_the_library_defaults(self, tmp_path,
+                                                  small_profiles_file):
+        out = tmp_path / "fit"
+        assert main(["train", "--profiles", str(small_profiles_file),
+                     "-o", str(out)]) == 0
+        config = json.loads((out / "model.json").read_text())["config"]
+        sweep_defaults = inspect.signature(sweep).parameters
+        assert config == {
+            "seed": sweep_defaults["seed"].default,
+            "model": sweep_defaults["model_kind"].default,
+            "include_income": sweep_defaults["include_income"].default,
+            "k": SmoteConfig().k,
+            "ratio": SmoteConfig().ratio,
+            "ridge": LogisticParams().ridge,
+            **dataclasses.asdict(GbmParams()),
+        }

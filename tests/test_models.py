@@ -29,6 +29,7 @@ from readmit.resample import SmoteConfig, smote
 
 from tests.oracles.gbm_exact import fit_gbm_exact
 from tests.oracles.logistic_gd import fit_logistic_gd
+from tests.oracles.logistic_irls import fit_logistic_irls
 from tests.oracles.stump import best_stump, stump_leaf_values
 
 
@@ -152,6 +153,72 @@ class TestLogistic:
         b = fit_logistic(data, TrainConfig())
         assert a.intercept == b.intercept
         assert np.array_equal(a.weights, b.weights)
+
+
+def cauchy_dataset(seed):
+    """10 rows of heavy-tailed features: separable, and for the seeds
+    below some Newton steps raise the objective, so IRLS halves them."""
+    x = np.random.default_rng(seed).standard_cauchy((10, 4))
+    return dataset_from(x, np.arange(10) % 2)
+
+
+def separable_dataset(seed):
+    data = logistic_like_dataset(60, 3, seed)
+    return dataset_from(data.matrix, data.matrix[:, 0] > 0)
+
+
+class TestLogisticMatchesIrlsOracle:
+    """fit_logistic evaluates each step-halving candidate at one site;
+    tests/oracles/logistic_irls.py is the former two-site loop. Fits and
+    the number of objective evaluations must be equal."""
+
+    def assert_same_fit(self, monkeypatch, data, config=TrainConfig(),
+                        penalty=0.0):
+        """Fit both ways, counting objective evaluations; candidates
+        (any non-zero beta) score ``penalty`` worse. Returns the number
+        of halving evaluations fit_logistic made."""
+        real = models.logistic_nll_grad
+        calls = []
+
+        def nll_grad(beta, x_aug, y, ridge):
+            calls.append(1)
+            nll, grad, p = real(beta, x_aug, y, ridge)
+            return nll + (penalty if beta.any() else 0.0), grad, p
+
+        monkeypatch.setattr(models, "logistic_nll_grad", nll_grad)
+        got = fit_logistic(data, config)
+        n_got = len(calls)
+        calls.clear()
+        want = fit_logistic_irls(data, config)
+        assert (np.r_[got.intercept, got.weights].tobytes()
+                == np.r_[want.intercept, want.weights].tobytes())
+        assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
+        assert n_got == len(calls)
+        return n_got - 1 - got.n_iter
+
+    @pytest.mark.parametrize("seed", [21, 22, 43, 48, 228, 331, 358])
+    def test_halving_steps(self, monkeypatch, seed):
+        assert self.assert_same_fit(monkeypatch, cauchy_dataset(seed)) > 0
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-6])
+    def test_separable(self, monkeypatch, ridge):
+        config = TrainConfig(logistic=LogisticParams(ridge=ridge))
+        self.assert_same_fit(monkeypatch,
+                             dataset_from([[1.0], [-1.0]], [1, 0]), config)
+        for seed in range(3):
+            self.assert_same_fit(monkeypatch, separable_dataset(seed), config)
+
+    def test_oversampled_one_hot_design(self, monkeypatch,
+                                        ratio_one_training_set):
+        self.assert_same_fit(monkeypatch, ratio_one_training_set)
+
+    def test_keeps_last_candidate_when_none_is_accepted(self, monkeypatch):
+        """Every candidate of the first step is rejected: 61 of them are
+        evaluated and the one at step 2**-60 is kept."""
+        data = logistic_like_dataset(50, 4, seed=12)
+        halvings = self.assert_same_fit(monkeypatch, data, penalty=1e6)
+        assert fit_logistic(data, TrainConfig()).n_iter == 1
+        assert halvings == 60
 
 
 class TestGbmStump:
