@@ -160,6 +160,11 @@ def _fit_configs(
         raise UsageError(str(exc)) from None
 
 
+def _warn_unconverged(where: str) -> None:
+    print(f"warning: {where}logistic fit stopped unconverged after "
+          f"{models_mod.IRLS_MAX_ITER} IRLS steps", file=sys.stderr)
+
+
 # --- commands ------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
@@ -263,6 +268,10 @@ def cmd_sweep(args) -> int:
     )
     for label, curve in report.curves.items():
         eval_mod.write_roc_csv(curve, out_dir / f"roc_{label}.csv")
+    for label, traces in report.traces.items():
+        for trace in traces:
+            if not trace.converged:
+                _warn_unconverged(f"ratio {label}, fold {trace.fold}: ")
     print(f"report: {out_dir / 'report.json'} ({len(report.rows)} rows)")
     return EXIT_OK
 
@@ -278,6 +287,8 @@ def cmd_train(args) -> int:
     enc = encode(profiles, schema, age_median=float("nan"))
     model = eval_mod.fit_model(enc.dataset, resolved["model"], smote_config,
                                train_config).model
+    if not getattr(model, "converged", True):
+        _warn_unconverged("")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -349,6 +349,14 @@ def _parse_age(path, lineno, raw: str) -> float | None:
     return age
 
 
+def _parse_income(path, lineno, raw: str) -> float | None:
+    income = _parse_optional_number(path, lineno, "income", raw)
+    if income is not None and not (0 <= income < math.inf):
+        raise MalformedCsv(str(path), lineno, "income",
+                           f"income {income} must be finite and >= 0")
+    return income
+
+
 def _key_from_row(row: dict) -> ClientKey:
     return ClientKey(row["cares_id"].strip(), row["family_id"].strip(),
                      row["case_id"].strip())
@@ -371,8 +379,7 @@ def read_demographics(path: str | Path) -> list[DemographicRecord]:
                 reason_homeless=row["reason_homeless"],
                 employment=row["employment"],
                 citizenship=row["citizenship"],
-                income=_parse_optional_number(path, lineno, "income",
-                                              row["income"]),
+                income=_parse_income(path, lineno, row["income"]),
                 entry_date=_parse_date(path, lineno, "entry_date",
                                        row["entry_date"]),
                 admitted=admitted_raw == "true",
@@ -496,7 +503,7 @@ def _profile_row_problem(v: dict[str, int]) -> tuple[str, str] | None:
 
 def read_profiles(path: str | Path) -> list[ClientProfile]:
     """Load profiles.csv rows, checking codes, counts, labels, ages
-    (as read_demographics does) and incomes (finite, >= 0).
+    and incomes (finite, >= 0) as read_demographics does.
 
     The file keeps episode counts but not dates, so each profile comes
     back with that many undated episodes (closed ones first), entered
@@ -515,10 +522,7 @@ def read_profiles(path: str | Path) -> list[ClientProfile]:
         if problem is not None:
             raise MalformedCsv(str(path), lineno, *problem)
         age = _parse_age(path, lineno, row["age"])
-        income = _parse_optional_number(path, lineno, "income", row["income"])
-        if income is not None and not (0 <= income < math.inf):
-            raise MalformedCsv(str(path), lineno, "income",
-                               f"income {income} must be finite and >= 0")
+        income = _parse_income(path, lineno, row["income"])
         n_closed = values["n_episodes"] - values["n_open_episodes"]
         profiles.append(
             ClientProfile(

@@ -148,6 +148,7 @@ class FoldTrace:
     n_train: int
     n_test: int
     n_synthetic: int
+    converged: bool  # False when a logistic fit stopped at IRLS_MAX_ITER
 
 
 @dataclass
@@ -238,7 +239,8 @@ def run_fold(inputs: CvInputs, task: FoldTask) -> tuple[np.ndarray, FoldTrace]:
                     task.smote_config, inputs.train_config,
                     held_out=_rows(inputs.data, task.test_idx))
     return fit.scores, FoldTrace(task.fold, len(task.train_idx),
-                                 len(task.test_idx), fit.n_synthetic)
+                                 len(task.test_idx), fit.n_synthetic,
+                                 getattr(fit.model, "converged", True))
 
 
 def _fold_tasks(labels, smote_config: SmoteConfig, n_folds: int,
@@ -412,6 +414,7 @@ class SweepRow:
 class SweepReport:
     rows: list[SweepRow]
     curves: dict[str, RocCurve]
+    traces: dict[str, list[FoldTrace]]
     dropped_missing_income: int
 
 
@@ -448,6 +451,7 @@ def sweep(
 
     rows: list[SweepRow] = []
     curves: dict[str, RocCurve] = {}
+    traces: dict[str, list[FoldTrace]] = {}
     for ratio, result in zip(ratios, results):
         label = ratio_label(ratio)
         cm = result.confusion
@@ -464,5 +468,6 @@ def sweep(
             )
         )
         curves[label] = result.curve
-    return SweepReport(rows=rows, curves=curves,
+        traces[label] = result.traces
+    return SweepReport(rows=rows, curves=curves, traces=traces,
                        dropped_missing_income=dropped)

@@ -99,6 +99,15 @@ class FeatureSchema:
         return cols
 
     @property
+    def one_hot_groups(self) -> list[slice]:
+        """Column slices of the one-hot groups, in canonical field order."""
+        groups, start = [], 1
+        for fname in CATEGORICAL_FIELDS:
+            groups.append(slice(start, start + len(CATEGORIES[fname])))
+            start += len(CATEGORIES[fname])
+        return groups
+
+    @property
     def continuous_columns(self) -> list[str]:
         return ["age"] + (["income"] if self.include_income else [])
 
@@ -172,18 +181,16 @@ def encode(
     n = len(kept)
     matrix = np.zeros((n, schema.n_columns), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
+    groups = list(zip(CATEGORICAL_FIELDS, schema.one_hot_groups))
     for i, p in enumerate(kept):
         matrix[i, 0] = age_median if p.age is None else p.age
-        offset = 1
-        for fname in CATEGORICAL_FIELDS:
+        for fname, group in groups:
             code = getattr(p, fname)
-            table = CATEGORIES[fname]
-            if code not in table:
+            if code not in CATEGORIES[fname]:
                 raise ValueError(f"profile {p.id}: bad {fname} code {code!r}")
-            matrix[i, offset + code] = 1.0
-            offset += len(table)
+            matrix[i, group.start + code] = 1.0
         if schema.include_income:
-            matrix[i, offset] = p.income
+            matrix[i, -1] = p.income
         labels[i] = p.readmit
 
     return EncodeResult(

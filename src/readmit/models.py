@@ -5,6 +5,18 @@ Two fitters share the EncodedDataset input contract:
 * fit_logistic: ridge-penalized logistic regression solved by damped
   iteratively reweighted least squares (Newton steps with objective-
   based step halving, so near-separable data cannot diverge).
+
+  A full one-hot group sums to 1 on every row, as the intercept column
+  does, so the intercept plus all five groups has five exact linear
+  dependencies. IRLS then never converges along them, and BLAS rounding
+  (which depends on the thread count) moves the weights. The fit
+  therefore uses reference coding: each group whose columns sum to
+  exactly 1.0 on every row drops its first column, which leaves the
+  column space unchanged. The solved weights are mapped back to the full
+  width by centring: a group's reference weight is 0, then its mean
+  weight moves from the group to the intercept. Each group's weights
+  sum to zero, as at the full design's ridge optimum, and the
+  probabilities are those of the reduced fit.
 * fit_gbm: gradient-boosted regression trees on the binary log-loss.
   Each round fits a squared-error tree to the residuals y - p and sets
   leaf values by a Newton step sum(y-p)/sum(p(1-p)), then updates the
@@ -33,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import Diverged, SingleClass, WidthMismatch
-from .features import EncodedDataset
+from .features import EncodedDataset, FeatureSchema
 
 LEAF_VALUE_LIMIT = 10.0
 LEAF_HESSIAN_FLOOR = 1e-12
@@ -131,10 +143,23 @@ def logistic_nll_grad(
     return nll, grad, p
 
 
+def reference_groups(x: np.ndarray, schema: FeatureSchema) -> list[slice]:
+    """The one-hot groups of ``schema`` whose columns in x sum to exactly
+    1.0 on every row; none unless x is as wide as the schema. Only these
+    may drop a column: with the intercept, their first column is then a
+    linear combination of the others."""
+    if x.shape[1] != schema.n_columns:
+        return []
+    return [g for g in schema.one_hot_groups
+            if np.all(x[:, g].sum(axis=1) == 1.0)]
+
+
 def fit_logistic(data: EncodedDataset, config: TrainConfig) -> LogisticModel:
     """Damped IRLS on the ridge-penalized Bernoulli likelihood.
 
-    Each Newton step is halved until the objective stops increasing;
+    Solved on the reference-coded columns (see the module docstring) and
+    mapped back to the full width by centring each reduced group. Each
+    Newton step is halved until the objective stops increasing;
     convergence is declared when the largest parameter change drops
     below IRLS_TOL, within IRLS_MAX_ITER steps.
     """
@@ -143,11 +168,18 @@ def fit_logistic(data: EncodedDataset, config: TrainConfig) -> LogisticModel:
     x = data.matrix
     y = data.labels.astype(np.float64)
     n, d = x.shape
-    x_aug = np.hstack([np.ones((n, 1)), x])
-    ridge_diag = np.full(d + 1, ridge)
+    groups = reference_groups(x, data.schema)
+    refs = [g.start for g in groups]
+    x_aug = np.empty((n, 1 + d - len(refs)))
+    x_aug[:, 0] = 1.0
+    at = 1  # copy each run of columns between two reference columns
+    for start, stop in zip([0] + [r + 1 for r in refs], refs + [d]):
+        x_aug[:, at:at + stop - start] = x[:, start:stop]
+        at += stop - start
+    ridge_diag = np.full(x_aug.shape[1], ridge)
     ridge_diag[0] = 0.0
 
-    beta = np.zeros(d + 1)
+    beta = np.zeros(x_aug.shape[1])
     nll, grad, p = logistic_nll_grad(beta, x_aug, y, ridge)
     converged = False
     n_iter = 0
@@ -175,9 +207,16 @@ def fit_logistic(data: EncodedDataset, config: TrainConfig) -> LogisticModel:
             converged = True
             break
 
+    weights = np.zeros(d)
+    weights[np.delete(np.arange(d), refs)] = beta[1:]
+    intercept = float(beta[0])
+    for g in groups:
+        mean = weights[g].mean()
+        weights[g] -= mean
+        intercept += mean
     return LogisticModel(
-        weights=beta[1:].copy(),
-        intercept=float(beta[0]),
+        weights=weights,
+        intercept=float(intercept),
         converged=converged,
         n_iter=n_iter,
     )

@@ -3,10 +3,12 @@
 The former implementation of readmit.models.fit_logistic, kept to check
 the single-loop step halving bit for bit. It evaluates the full Newton
 step, then halves and re-evaluates at most 60 times, keeping the last
-candidate if none lowers the objective. Weights, intercept, n_iter and
-converged must equal fit_logistic's exactly. The objective is looked up
-as models.logistic_nll_grad at call time, as fit_logistic does, so a
-test can replace it for both.
+candidate if none lowers the objective. It fits every column it is
+given. Weights, intercept, n_iter and converged must equal
+fit_logistic's exactly: as they are on a matrix fit_logistic does not
+reference-code, and after the same reduction and centring on one it
+does. The objective is looked up as models.logistic_nll_grad at call
+time, as fit_logistic does, so a test can replace it for both.
 """
 
 from __future__ import annotations

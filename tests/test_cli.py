@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from readmit import models
 from readmit.cli import main, parse_ratio_token, parse_ratios, UsageError
 from readmit.cohort import read_profiles, write_profiles
 from readmit.evaluate import sweep
@@ -137,6 +138,19 @@ class TestUnify:
                      str(LINKAGE_SMALL / "incidents.csv"),
                      "-o", str(tmp_path / "p.csv")])
         assert code == 3
+
+    def test_negative_income_exits_2_with_row_and_column(self, tmp_path,
+                                                         capsys):
+        demo = tmp_path / "demographics.csv"
+        rewrite_cell(LINKAGE_SMALL / "demographics.csv", demo, 2, "income",
+                     -5)
+        code = main(["unify", str(demo),
+                     str(LINKAGE_SMALL / "exits.csv"),
+                     str(LINKAGE_SMALL / "incidents.csv"),
+                     "-o", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "row 2, column 'income'" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "demo.csv"
@@ -315,6 +329,43 @@ class TestProfileValidation:
             err = capsys.readouterr().err
             assert code == 2, err
             assert f"row 4, column {column!r}" in err
+
+
+class TestUnconvergedWarnings:
+    """A logistic fit that stops at IRLS_MAX_ITER is reported on stderr;
+    the artifacts do not record it."""
+
+    def test_train_warns_once(self, tmp_path, small_profiles_file,
+                              monkeypatch, capsys):
+        monkeypatch.setattr(models, "IRLS_MAX_ITER", 1)
+        assert main(["train", "--profiles", str(small_profiles_file),
+                     "--model", "logistic", "-o", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "unconverged after 1 IRLS steps" in err
+
+    def test_sweep_warns_per_ratio_and_fold(self, tmp_path,
+                                            small_profiles_file,
+                                            monkeypatch, capsys):
+        args = ["sweep", "--profiles", str(small_profiles_file),
+                "--model", "logistic", "--ratios", "original,0.5",
+                "--folds", "2"]
+        assert main([*args, "-o", str(tmp_path / "a")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        monkeypatch.setattr(models, "IRLS_MAX_ITER", 1)
+        assert main([*args, "-o", str(tmp_path / "b")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert [w.split(":")[1] for w in warnings] == [
+            " ratio original, fold 0", " ratio original, fold 1",
+            " ratio 0.5, fold 0", " ratio 0.5, fold 1"]
+
+    def test_gbm_never_warns(self, tmp_path, small_profiles_file,
+                             monkeypatch, capsys):
+        monkeypatch.setattr(models, "IRLS_MAX_ITER", 1)
+        assert main(["train", "--profiles", str(small_profiles_file),
+                     "--n-trees", "2", "-o", str(tmp_path)]) == 0
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestTrainAndReport:

@@ -74,6 +74,17 @@ class TestSchema:
         assert cols[1] == "race=White"
         assert cols[-1] == "citizenship=Undocumented"
 
+    @pytest.mark.parametrize("include_income", [False, True])
+    def test_one_hot_groups_cover_each_field(self, include_income):
+        schema = FeatureSchema(include_income=include_income)
+        cols = schema.columns
+        groups = schema.one_hot_groups
+        assert [cols[g][0].split("=")[0] for g in groups] == \
+            list(CATEGORICAL_FIELDS)
+        assert all(c.startswith(cols[g][0].split("=")[0] + "=")
+                   for g in groups for c in cols[g])
+        assert sum(g.stop - g.start for g in groups) == 19
+
 
 class TestEncode:
     def test_single_profile_one_hot_arithmetic(self):

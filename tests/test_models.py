@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from readmit import models, synthgen
 from readmit.errors import SingleClass, WidthMismatch
-from readmit.features import EncodedDataset, FeatureSchema, encode, standardize
+from readmit.features import (CATEGORIES, EncodedDataset, FeatureSchema,
+                              encode, standardize)
 from readmit.models import (
     GbmModel,
     GbmParams,
@@ -31,6 +36,7 @@ from tests.oracles.gbm_exact import fit_gbm_exact
 from tests.oracles.logistic_gd import fit_logistic_gd
 from tests.oracles.logistic_irls import fit_logistic_irls
 from tests.oracles.stump import best_stump, stump_leaf_values
+from tests.helpers import make_profile
 
 
 def dataset_from(x, y):
@@ -167,16 +173,89 @@ def separable_dataset(seed):
     return dataset_from(data.matrix, data.matrix[:, 0] > 0)
 
 
+def reference_coded_oracle_fit(data, config, groups):
+    """fit_logistic_irls without each group's first column, its weights
+    put back at full width (0 at those columns) and centred per group,
+    the group's mean weight moved to the intercept."""
+    d = data.matrix.shape[1]
+    kept = np.delete(np.arange(d), [g.start for g in groups])
+    # In C order, as fit_logistic's x_aug: a column-gathered matrix is in
+    # F order, and the BLAS products' rounding depends on the layout.
+    reduced = np.ascontiguousarray(data.matrix[:, kept])
+    fit = fit_logistic_irls(dataclasses.replace(data, matrix=reduced), config)
+    weights = np.zeros(d)
+    weights[kept] = fit.weights
+    intercept = fit.intercept
+    for g in groups:
+        mean = weights[g].mean()
+        weights[g] -= mean
+        intercept += mean
+    return dataclasses.replace(fit, weights=weights, intercept=intercept)
+
+
+class TestReferenceGroups:
+    def test_other_widths_are_not_reduced(self):
+        x = np.zeros((4, 21))
+        x[:, 1] = x[:, 5] = x[:, 8] = x[:, 13] = x[:, 16] = 1.0
+        assert models.reference_groups(x, FeatureSchema()) == []
+        assert models.reference_groups(x[:, :8], FeatureSchema()) == []
+
+    def test_a_group_off_one_on_any_row_is_not_reduced(self):
+        x = np.zeros((4, 20))
+        x[:, 1] = x[:, 5] = x[:, 8] = x[:, 13] = x[:, 16] = 1.0
+        x[2, 8] = 1.0 - 2.0 ** -52
+        groups = FeatureSchema().one_hot_groups
+        assert (models.reference_groups(x, FeatureSchema())
+                == [g for g in groups if g.start != 8])
+
+    def test_random_matrix_of_schema_width_is_fitted_unreduced(self):
+        """Without a reduced group, fit_logistic is the oracle's fit."""
+        data = logistic_like_dataset(200, 20, seed=3)
+        assert models.reference_groups(data.matrix, data.schema) == []
+        got = fit_logistic(data, TrainConfig())
+        want = fit_logistic_irls(data, TrainConfig())
+        assert (np.r_[got.intercept, got.weights].tobytes()
+                == np.r_[want.intercept, want.weights].tobytes())
+
+    def test_centred_weights_match_the_full_design_fit(self):
+        """Centring gives the weights of the full one-hot design's ridge
+        optimum, not just its probabilities. The two penalties differ by
+        O(ridge), so agreement is to that order."""
+        rng = np.random.default_rng(4)
+        codes = [rng.integers(len(CATEGORIES[f]), size=600)
+                 for f in CATEGORIES]
+        profiles = [make_profile(age=float(a), race=int(codes[0][i]),
+                                 family_type=int(codes[1][i]),
+                                 reason_homeless=int(codes[2][i]),
+                                 employment=int(codes[3][i]),
+                                 citizenship=int(codes[4][i]))
+                    for i, a in enumerate(rng.integers(18, 70, size=600))]
+        data = standardize(encode(profiles, FeatureSchema()).dataset)[0]
+        data.labels[:] = rng.random(600) < sigmoid(
+            data.matrix[:, 0] + data.matrix[:, 2] - data.matrix[:, 9])
+        config = TrainConfig(logistic=LogisticParams(ridge=1e-3))
+        got = fit_logistic(data, config)
+        intercept, weights = fit_logistic_gd(
+            data.matrix, data.labels.astype(np.float64), 1e-3)
+        assert got.converged
+        assert abs(got.intercept - intercept) < 1e-4
+        assert np.max(np.abs(got.weights - weights)) < 1e-3
+        assert np.max(np.abs(predict_proba_logistic(got, data.matrix)
+                             - sigmoid(intercept + data.matrix @ weights))
+                      ) < 1e-4
+
+
 class TestLogisticMatchesIrlsOracle:
     """fit_logistic evaluates each step-halving candidate at one site;
     tests/oracles/logistic_irls.py is the former two-site loop. Fits and
     the number of objective evaluations must be equal."""
 
     def assert_same_fit(self, monkeypatch, data, config=TrainConfig(),
-                        penalty=0.0):
+                        penalty=0.0, groups=()):
         """Fit both ways, counting objective evaluations; candidates
-        (any non-zero beta) score ``penalty`` worse. Returns the number
-        of halving evaluations fit_logistic made."""
+        (any non-zero beta) score ``penalty`` worse. The oracle fits
+        ``groups`` reference-coded. Returns the number of halving
+        evaluations fit_logistic made."""
         real = models.logistic_nll_grad
         calls = []
 
@@ -189,7 +268,7 @@ class TestLogisticMatchesIrlsOracle:
         got = fit_logistic(data, config)
         n_got = len(calls)
         calls.clear()
-        want = fit_logistic_irls(data, config)
+        want = reference_coded_oracle_fit(data, config, groups)
         assert (np.r_[got.intercept, got.weights].tobytes()
                 == np.r_[want.intercept, want.weights].tobytes())
         assert (got.n_iter, got.converged) == (want.n_iter, want.converged)
@@ -210,7 +289,16 @@ class TestLogisticMatchesIrlsOracle:
 
     def test_oversampled_one_hot_design(self, monkeypatch,
                                         ratio_one_training_set):
-        self.assert_same_fit(monkeypatch, ratio_one_training_set)
+        """Every one-hot group is reference-coded: the fit converges in
+        a few steps and each group's weights sum to zero."""
+        data = ratio_one_training_set
+        groups = FeatureSchema().one_hot_groups
+        assert models.reference_groups(data.matrix, data.schema) == groups
+        self.assert_same_fit(monkeypatch, data, groups=groups)
+        model = fit_logistic(data, TrainConfig())
+        assert model.converged and model.n_iter <= 10
+        for g in groups:
+            assert abs(model.weights[g].sum()) <= 1e-12
 
     def test_keeps_last_candidate_when_none_is_accepted(self, monkeypatch):
         """Every candidate of the first step is rejected: 61 of them are
@@ -370,16 +458,42 @@ def traced_peak(fit, data, config) -> int:
         tracemalloc.stop()
 
 
-@pytest.fixture(scope="module")
-def ratio_one_training_set():
+def build_ratio_one_training_set() -> EncodedDataset:
     """Like the training matrix of `train --ratio 1.0` on a 2,000-profile
     cohort: encoded, standardized and oversampled to 3,240 x 20."""
     spec = synthgen.load_spec(synthgen.default_spec_path())
     profiles = synthgen.generate(dataclasses.replace(spec, n=2000, seed=7))
     std, _ = standardize(encode(profiles, FeatureSchema()).dataset)
-    data = smote(std, SmoteConfig(ratio=1.0, seed=3))
+    return smote(std, SmoteConfig(ratio=1.0, seed=3))
+
+
+@pytest.fixture(scope="module")
+def ratio_one_training_set():
+    data = build_ratio_one_training_set()
     assert data.matrix.shape == (3240, 20)
     return data
+
+
+_FIT_BYTES_SCRIPT = """
+from readmit.models import TrainConfig, fit_logistic
+from tests.test_models import build_ratio_one_training_set
+model = fit_logistic(build_ratio_one_training_set(), TrainConfig())
+print(model.intercept.hex(), *(w.hex() for w in model.weights.tolist()))
+"""
+
+
+def test_logistic_fit_is_the_same_at_one_and_two_blas_threads():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(models.__file__).parents[1]), str(root)]))
+    fits = [
+        subprocess.run([sys.executable, "-c", _FIT_BYTES_SCRIPT], cwd=root,
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, text=True, check=True).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(fits[0].split()) == 21
+    assert fits[0] == fits[1]
 
 
 class TestGbmMatchesExactOracle:

@@ -105,7 +105,8 @@ def test_profiles_csv_round_trip_is_a_fixed_point(cohort):
 # --- raw trio ----------------------------------------------------------------
 
 # Any UTF-8 text, with lone "\r" drawn often. Key parts are trimmed on
-# reading, so they are drawn trimmed.
+# reading, so they are drawn trimmed; ages and incomes are drawn from the
+# ranges read_demographics accepts.
 raw_text = st.text(st.one_of(st.just("\r"),
                              st.characters(blacklist_categories=("Cs",))))
 raw_keys = st.builds(ClientKey, *[raw_text.map(str.strip)] * 3)
@@ -114,7 +115,8 @@ raw_demographic = st.builds(
     DemographicRecord, key=raw_keys,
     age=st.none() | st.floats(0, 120), race=raw_text, family_type=raw_text,
     reason_homeless=raw_text, employment=raw_text, citizenship=raw_text,
-    income=st.none() | st.floats(allow_nan=False), entry_date=st.dates(),
+    income=st.none() | st.floats(min_value=0, allow_infinity=False),
+    entry_date=st.dates(),
     admitted=st.booleans(),
 )
 raw_exit = st.builds(ExitRecord, key=raw_keys, exit_date=st.dates(),
