@@ -73,8 +73,8 @@ def _load_config_file(path: str | None) -> dict:
         raise UsageError(f"config file not found: {p}")
     try:
         payload = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {p} is not valid JSON: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file {p} is not UTF-8 JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError(f"config file {p} must hold a JSON object")
     return payload
@@ -172,11 +172,14 @@ def cmd_synth(args) -> int:
     spec_path = args.spec or cfg.get("spec")
     if spec_path is None:
         spec_path = synthgen.default_spec_path()
+    elif not isinstance(spec_path, str):
+        raise UsageError(f"config key 'spec' must be str, got {spec_path!r}")
     elif not Path(spec_path).exists():
         raise UsageError(f"spec file not found: {spec_path}")
     try:
         spec = synthgen.load_spec(spec_path)
-    except (json.JSONDecodeError, InfeasibleSpec, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, InfeasibleSpec,
+            TypeError) as exc:
         raise UsageError(f"bad spec {spec_path}: {exc}") from None
 
     seed = spec.seed
@@ -284,17 +287,17 @@ def cmd_train(args) -> int:
     profiles = cohort_mod.read_profiles(args.profiles)
 
     schema = FeatureSchema(include_income=resolved["include_income"])
-    enc = encode(profiles, schema, age_median=float("nan"))
-    model = eval_mod.fit_model(enc.dataset, resolved["model"], smote_config,
-                               train_config).model
-    if not getattr(model, "converged", True):
+    pipeline = eval_mod.fit_model(encode(profiles, schema).dataset,
+                                  resolved["model"], smote_config,
+                                  train_config)
+    if not pipeline.converged:
         _warn_unconverged("")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved["ratio"] = eval_mod.ratio_label(ratio)
     models_mod.save_model(
-        model,
+        pipeline.model,
         out_dir / "model.json",
         extra={"version": __version__, "config": resolved,
                "columns": schema.columns},
@@ -321,7 +324,8 @@ def cmd_report(args) -> int:
         payload = json.loads(path.read_text(encoding="utf-8"))
         rows = payload["rows"]
         labels = [row["ratio"] for row in rows]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
+            TypeError) as exc:
         raise UsageError(f"bad report file {path}: {exc}") from None
 
     header = ["Ratio"] + labels

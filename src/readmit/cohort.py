@@ -302,6 +302,13 @@ PROFILES_HEADER = [
 
 def _read_rows(path: str | Path, expected_header: list[str]):
     path = Path(path)
+    try:
+        yield from _read_utf8_rows(path, expected_header)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _read_utf8_rows(path: Path, expected_header: list[str]):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -320,6 +327,20 @@ def _read_rows(path: str | Path, expected_header: list[str]):
                     f"expected {len(expected_header)} fields, got {len(row)}",
                 )
             yield lineno, dict(zip(expected_header, row))
+
+
+def _not_utf8(path: Path) -> MalformedCsv:
+    """The error for a file that is not UTF-8, at the line of its first
+    bad byte (the text reader decodes ahead, so its position is not the
+    row's)."""
+    data = path.read_bytes()
+    bad = len(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+    return MalformedCsv(str(path), data.count(b"\n", 0, bad) + 1, None,
+                        f"byte {data[bad:bad + 1]!r} is not UTF-8")
 
 
 def _parse_date(path, lineno, column, raw: str) -> date:

@@ -2,10 +2,12 @@
 
 Evaluation protocol: stratified k-fold CV with pooled out-of-fold
 predictions, so one confusion matrix covers every input row exactly
-once. The cohort is encoded once; each fold's age imputation,
-standardization statistics and synthetic oversampling are fitted on its
-training rows only (fit_model, which ``readmit train`` uses too), and
-held-out rows stay untouched.
+once. The cohort is encoded once, missing ages left NaN. fit_model
+fits a Pipeline on a fold's training rows only: their age median,
+their standardization statistics, and a model fitted on them plus the
+synthetic rows oversampling adds. Its predict scores the held-out rows
+with that median and those statistics. ``readmit train`` fits through
+the same fit_model.
 
 Each (ratio, fold) fit is one task (run_fold) with its seeds fixed in
 advance. GBM tasks run in a pool of forked worker processes, one per
@@ -31,8 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from . import models as models_mod
-from .errors import EmptyMatrix, LengthMismatch, NoPositives, SingleClass
-from .features import (EncodedDataset, FeatureSchema, encode, fit_age_median,
+from .errors import (EmptyMatrix, LengthMismatch, MissingAge, NoPositives,
+                     SingleClass)
+from .features import (ColumnStats, EncodedDataset, FeatureSchema, encode,
                        standardize)
 from .resample import ORIGINAL, SmoteConfig, smote, stratified_folds
 from .seeding import derive_seed
@@ -181,10 +184,30 @@ class FoldTask:
 
 
 @dataclass(frozen=True)
-class FittedModel:
+class Pipeline:
+    """One fit with the preprocessing it was fitted with: the training
+    rows' age median and column statistics, the model fitted on the
+    standardized, oversampled training rows, and how many synthetic
+    rows oversampling added."""
+
+    age_median: float
+    stats: ColumnStats
     model: models_mod.LogisticModel | models_mod.GbmModel
     n_synthetic: int
-    scores: np.ndarray | None  # of the held-out rows, when fit_model had some
+
+    @property
+    def converged(self) -> bool:
+        """False when a logistic fit stopped at IRLS_MAX_ITER."""
+        return (not isinstance(self.model, models_mod.LogisticModel)
+                or self.model.converged)
+
+    def predict(self, data: EncodedDataset) -> np.ndarray:
+        """Probabilities for encoded rows: missing (NaN) ages take the
+        training median and columns the training statistics."""
+        std, _ = standardize(_with_age(data, self.age_median), self.stats)
+        if isinstance(self.model, models_mod.LogisticModel):
+            return models_mod.predict_proba_logistic(self.model, std.matrix)
+        return models_mod.predict_proba_gbm(self.model, std.matrix)
 
 
 def _with_age(data: EncodedDataset, age_median: float) -> EncodedDataset:
@@ -198,34 +221,27 @@ def fit_model(
     model_kind: str,
     smote_config: SmoteConfig,
     train_config: models_mod.TrainConfig,
-    held_out: EncodedDataset | None = None,
-) -> FittedModel:
+) -> Pipeline:
     """Impute, standardize, oversample and fit on encoded training rows.
 
-    Missing (NaN) ages take the training rows' median, standardization
-    statistics are fitted on the training rows, and oversampling adds to
-    the training rows only. Held-out rows, when given, are imputed and
-    standardized with the training rows' values and scored.
+    Missing (NaN) ages take the training rows' median (MissingAge when
+    none has an age), standardization statistics are fitted on the
+    training rows, and oversampling adds to the training rows only.
     """
-    if model_kind == "gbm":
-        fit, predict = models_mod.fit_gbm, models_mod.predict_proba_gbm
-    elif model_kind == "logistic":
-        fit = models_mod.fit_logistic
-        predict = models_mod.predict_proba_logistic
-    else:
+    fit = {"gbm": models_mod.fit_gbm,
+           "logistic": models_mod.fit_logistic}.get(model_kind)
+    if fit is None:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
     ages = train.matrix[:, 0]
-    age_median = fit_age_median(ages[~np.isnan(ages)])
+    known = ages[~np.isnan(ages)]
+    if len(known) == 0:
+        raise MissingAge("no training row has an age to impute from")
+    age_median = float(np.median(known))
     std_train, stats = standardize(_with_age(train, age_median))
     train_final = smote(std_train, smote_config)
-    model = fit(train_final, train_config)
-    scores = None
-    if held_out is not None:
-        std_test, _ = standardize(_with_age(held_out, age_median), stats)
-        scores = predict(model, std_test.matrix)
-    return FittedModel(model=model,
-                       n_synthetic=train_final.n_rows - std_train.n_rows,
-                       scores=scores)
+    return Pipeline(age_median=age_median, stats=stats,
+                    model=fit(train_final, train_config),
+                    n_synthetic=train_final.n_rows - std_train.n_rows)
 
 
 def _rows(data: EncodedDataset, idx: np.ndarray) -> EncodedDataset:
@@ -234,13 +250,14 @@ def _rows(data: EncodedDataset, idx: np.ndarray) -> EncodedDataset:
 
 
 def run_fold(inputs: CvInputs, task: FoldTask) -> tuple[np.ndarray, FoldTrace]:
-    """fit_model on one fold's training rows, scoring its held-out rows."""
-    fit = fit_model(_rows(inputs.data, task.train_idx), inputs.model_kind,
-                    task.smote_config, inputs.train_config,
-                    held_out=_rows(inputs.data, task.test_idx))
-    return fit.scores, FoldTrace(task.fold, len(task.train_idx),
-                                 len(task.test_idx), fit.n_synthetic,
-                                 getattr(fit.model, "converged", True))
+    """fit_model on one fold's training rows, then predict its held-out
+    rows."""
+    pipeline = fit_model(_rows(inputs.data, task.train_idx),
+                         inputs.model_kind, task.smote_config,
+                         inputs.train_config)
+    return (pipeline.predict(_rows(inputs.data, task.test_idx)),
+            FoldTrace(task.fold, len(task.train_idx), len(task.test_idx),
+                      pipeline.n_synthetic, pipeline.converged))
 
 
 def _fold_tasks(labels, smote_config: SmoteConfig, n_folds: int,
@@ -339,8 +356,7 @@ def _cross_validate(
     independent task. GBM tasks run on worker_count processes, logistic
     tasks in this process.
     """
-    enc = encode(profiles, FeatureSchema(include_income=include_income),
-                 age_median=float("nan"))
+    enc = encode(profiles, FeatureSchema(include_income=include_income))
     labels = enc.dataset.labels
     inputs = CvInputs(data=enc.dataset, model_kind=model_kind,
                       train_config=train_config)

@@ -15,12 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyAfterFiltering,
-    MissingAge,
-    UnmappableFamilyType,
-    WidthMismatch,
-)
+from .errors import EmptyAfterFiltering, UnmappableFamilyType, WidthMismatch
 
 if TYPE_CHECKING:
     from .cohort import ClientProfile
@@ -147,22 +142,17 @@ class EncodedDataset:
 @dataclass
 class EncodeResult:
     dataset: EncodedDataset
-    age_median: float
     dropped_missing_income: int
 
 
-def encode(
-    profiles: Sequence["ClientProfile"],
-    schema: FeatureSchema,
-    age_median: float | None = None,
-) -> EncodeResult:
+def encode(profiles: Sequence["ClientProfile"],
+           schema: FeatureSchema) -> EncodeResult:
     """Build the design matrix for a set of profiles.
 
-    Missing ages are imputed with ``age_median`` when given (apply mode)
-    or with the median age of these profiles (fit mode). An age_median
-    of NaN leaves them NaN, for a fit to impute from its own training
-    rows. With income enabled, rows without an income value are dropped
-    and counted; this is the pipeline's only income filter.
+    Missing ages stay NaN, for each fit to impute from its own training
+    rows (evaluate.fit_model). With income enabled, rows without an
+    income value are dropped and counted; this is the pipeline's only
+    income filter.
     """
     if not profiles:
         raise ValueError("cannot encode an empty profile list")
@@ -175,15 +165,12 @@ def encode(
             f"income mode dropped all {dropped} rows (no income values)"
         )
 
-    if age_median is None:
-        age_median = fit_age_median([p.age for p in kept if p.age is not None])
-
     n = len(kept)
     matrix = np.zeros((n, schema.n_columns), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
     groups = list(zip(CATEGORICAL_FIELDS, schema.one_hot_groups))
     for i, p in enumerate(kept):
-        matrix[i, 0] = age_median if p.age is None else p.age
+        matrix[i, 0] = np.nan if p.age is None else p.age
         for fname, group in groups:
             code = getattr(p, fname)
             if code not in CATEGORIES[fname]:
@@ -195,16 +182,8 @@ def encode(
 
     return EncodeResult(
         dataset=EncodedDataset(matrix=matrix, labels=labels, schema=schema),
-        age_median=age_median,
         dropped_missing_income=dropped,
     )
-
-
-def fit_age_median(known_ages) -> float:
-    """The imputation value for missing ages: the median of the known ones."""
-    if len(known_ages) == 0:
-        raise MissingAge("no ages present; cannot fit an imputation value")
-    return float(np.median(known_ages))
 
 
 @dataclass(frozen=True)

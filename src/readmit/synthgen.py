@@ -60,6 +60,17 @@ def _weights_dict(fname: str, values: tuple[float, ...]) -> dict[str, float]:
     return {table[code]: values[code] for code in sorted(table)}
 
 
+def _has_type_of(value, default) -> bool:
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, dict):
+        return isinstance(value, dict) and all(
+            _has_type_of(w, 0.0) for w in value.values())
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 @dataclass(frozen=True)
 class CohortSpec:
     """Marginal rates, planted-signal strength, and the cohort seed."""
@@ -97,6 +108,14 @@ class CohortSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        """Raise InfeasibleSpec unless every field has its default's type
+        (a bool is not an int, an int is a valid float, and weights are
+        numbers) and the rates, weights and age bounds are feasible."""
+        for name, default in asdict(CohortSpec()).items():
+            value = getattr(self, name)
+            if not _has_type_of(value, default):
+                raise InfeasibleSpec(
+                    f"{name} must be {type(default).__name__}, got {value!r}")
         if self.n < 100:
             raise InfeasibleSpec(f"n must be >= 100, got {self.n}")
         rates = {

@@ -99,6 +99,29 @@ class TestSynth:
         assert main(["synth", "--spec", str(spec),
                      "-o", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"n": 150.5}, "n must be int, got 150.5"),
+        ({"seed": "x"}, "seed must be int, got 'x'"),
+    ], ids=["float-n", "string-seed"])
+    def test_wrong_typed_spec_field_exits_2(self, tmp_path, capsys, payload,
+                                            message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        code = main(["synth", "--spec", str(spec),
+                     "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert message in err
+
+    def test_non_string_config_spec_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"spec": 5}))
+        code = main(["synth", "--config", str(config),
+                     "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "config key 'spec' must be str, got 5" in err
+
 
 class TestUnify:
     def test_golden_output_and_summary(self, tmp_path, capsys):
@@ -329,6 +352,45 @@ class TestProfileValidation:
             err = capsys.readouterr().err
             assert code == 2, err
             assert f"row 4, column {column!r}" in err
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 exits 2 naming the file, and in a CSV
+    the line of that byte."""
+
+    @pytest.mark.parametrize("case",
+                             ["profiles", "demographics", "config", "spec",
+                              "report"])
+    def test_bad_byte_exits_2_naming_the_file(self, tmp_path, capsys, case):
+        raw = [tmp_path / n for n in
+               ("demographics.csv", "exits.csv", "incidents.csv")]
+        for path in raw:
+            path.write_bytes((LINKAGE_SMALL / path.name).read_bytes())
+        profiles = tmp_path / "profiles.csv"
+        profiles.write_bytes(
+            (LINKAGE_SMALL / "profiles_golden.csv").read_bytes())
+        json_file = tmp_path / f"{case}.json"
+        json_file.write_text('{"seed": 1}\n')
+        out = ["-o", str(tmp_path / "out")]
+        bad, line, argv = {
+            "profiles": (profiles, 3,
+                         ["train", "--profiles", str(profiles), *out]),
+            "demographics": (raw[0], 4, ["unify", *map(str, raw), *out]),
+            "config": (json_file, 1, ["train", "--profiles", str(profiles),
+                                      "--config", str(json_file), *out]),
+            "spec": (json_file, 1, ["synth", "--spec", str(json_file), *out]),
+            "report": (json_file, 1, ["report", "--report", str(json_file)]),
+        }[case]
+        lines = bad.read_bytes().split(b"\n")
+        lines[line - 1] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(bad) in err
+        if bad.suffix == ".csv":
+            assert f"{bad}, row {line}:" in err
 
 
 class TestUnconvergedWarnings:

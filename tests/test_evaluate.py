@@ -13,12 +13,14 @@ from readmit.errors import (
     NoPositives,
     SingleClass,
 )
+from readmit import models
 from readmit.evaluate import (
     ConfusionMatrix,
     accuracy,
     auc,
     confusion,
     cv_evaluate,
+    fit_model,
     ratio_label,
     roc_curve,
     sensitivity,
@@ -322,12 +324,84 @@ class TestSweep:
         assert ratio_label(1.0) == "1.0"
 
 
+class TestPipeline:
+    """fit_model imputes missing ages from its training rows alone, and
+    the Pipeline it returns carries that median to held-out rows."""
+
+    def profiles(self, ages, start=0):
+        return [make_profile(pid=f"P{start + i:03d}", age=age, race=i % 4,
+                             n_episodes=1 + i % 2)
+                for i, age in enumerate(ages)]
+
+    def fit(self, profiles, model_kind="logistic", ratio=ORIGINAL):
+        return fit_model(encode(profiles, FeatureSchema()).dataset,
+                         model_kind, SmoteConfig(ratio=ratio, k=2),
+                         TrainConfig(gbm=GbmParams(n_trees=4)))
+
+    def test_age_median_from_training_rows_only(self):
+        train = self.profiles([20.0, None, 30.0, 50.0, None, 70.0, 60.0, 25.0])
+        held_out = self.profiles([90.0, 95.0, 99.0], start=8)
+        pipeline = self.fit(train)
+        assert pipeline.age_median == 40.0  # of 20, 25, 30, 50, 60, 70
+        all_known = [p.age for p in train + held_out if p.age is not None]
+        assert float(np.median(all_known)) != 40.0
+        # The column statistics see the imputed training ages.
+        imputed = [20.0, 40.0, 30.0, 50.0, 40.0, 70.0, 60.0, 25.0]
+        assert pipeline.stats.mean[0] == np.mean(imputed)
+        assert pipeline.stats.scale[0] == np.std(imputed, ddof=1)
+
+    @pytest.mark.parametrize("model_kind", ["logistic", "gbm"])
+    def test_held_out_missing_ages_take_training_median(self, model_kind):
+        pipeline = self.fit(
+            self.profiles([20.0, None, 30.0, 50.0, 44.0, 70.0, 60.0, 25.0]),
+            model_kind)
+        held_out = [make_profile(pid="A", age=None),
+                    make_profile(pid="B", age=pipeline.age_median),
+                    make_profile(pid="C", age=80.0)]
+        scores = pipeline.predict(encode(held_out, FeatureSchema()).dataset)
+        assert scores[0] == scores[1]
+        assert np.all(np.isfinite(scores))
+
+    def test_no_training_age_raises(self):
+        with pytest.raises(MissingAge):
+            self.fit(self.profiles([None] * 6))
+
+    @pytest.mark.parametrize("model_kind", ["logistic", "gbm"])
+    def test_no_missing_values_ever(self, model_kind, monkeypatch):
+        seen = []
+        fit_name = f"fit_{model_kind}"
+        predict_name = f"predict_proba_{model_kind}"
+        real_fit = getattr(models, fit_name)
+        real_predict = getattr(models, predict_name)
+
+        def fit(data, config):
+            seen.append(data.matrix)
+            return real_fit(data, config)
+
+        def predict(model, rows):
+            seen.append(rows)
+            return real_predict(model, rows)
+
+        monkeypatch.setattr(models, fit_name, fit)
+        monkeypatch.setattr(models, predict_name, predict)
+        rng = np.random.default_rng(5)
+        ages = [None if rng.random() < 0.3 else float(rng.integers(18, 80))
+                for _ in range(60)]
+        pipeline = self.fit(self.profiles(ages[:50]), model_kind, ratio=1.0)
+        pipeline.predict(
+            encode(self.profiles(ages[50:], start=50),
+                   FeatureSchema()).dataset)
+        assert len(seen) == 2
+        assert all(np.all(np.isfinite(m)) for m in seen)
+
+
 class TestFoldAgeImputation:
     """Each fold imputes missing ages with its own training rows' median.
 
-    The reference re-encodes every fold from its profiles with the public
-    encode (training median passed to the held-out rows), then
-    standardizes, oversamples and fits exactly as a fold does.
+    The reference takes np.median of each fold's known training ages,
+    writes it into that fold's ageless profiles, encodes the fold's
+    training and held-out rows, then standardizes, oversamples and fits
+    exactly as a fold does.
     """
 
     SEED = 21
@@ -355,6 +429,10 @@ class TestFoldAgeImputation:
         return stratified_folds(labels, self.N_FOLDS,
                                 derive_seed(self.SEED, "folds"))
 
+    @staticmethod
+    def median_age(profiles):
+        return float(np.median([p.age for p in profiles if p.age is not None]))
+
     def reference_scores(self, profiles):
         schema = FeatureSchema()
         plan = self.plan(profiles)
@@ -363,22 +441,26 @@ class TestFoldAgeImputation:
         for fold in range(self.N_FOLDS):
             train_idx = plan.train_indices(fold)
             test_idx = plan.test_indices(fold)
-            enc_train = encode([profiles[i] for i in train_idx], schema)
-            enc_test = encode([profiles[i] for i in test_idx], schema,
-                              age_median=enc_train.age_median)
-            std_train, stats = standardize(enc_train.dataset)
-            std_test, _ = standardize(enc_test.dataset, stats)
+            median = self.median_age([profiles[i] for i in train_idx])
+
+            def imputed(idx):
+                return encode([replace(profiles[i], age=median)
+                               if profiles[i].age is None else profiles[i]
+                               for i in idx], schema).dataset
+
+            std_train, stats = standardize(imputed(train_idx))
+            std_test, _ = standardize(imputed(test_idx), stats)
             train_final = smote(std_train, replace(
                 self.SMOTE, seed=derive_seed(self.SEED, "smote", fold)))
             model = fit_gbm(train_final, self.CONFIG)
             pooled[test_idx] = predict_proba_gbm(model, std_test.matrix)
-            medians.append(enc_train.age_median)
+            medians.append(median)
         return pooled, medians
 
     def test_pooled_scores_match_per_fold_encoding(self):
         profiles = self.cohort()
         expected, medians = self.reference_scores(profiles)
-        cohort_median = encode(profiles, FeatureSchema()).age_median
+        cohort_median = self.median_age(profiles)
         assert all(m != cohort_median for m in medians)
         assert len(set(medians)) == self.N_FOLDS
 

@@ -5,7 +5,6 @@ import pytest
 
 from readmit.errors import (
     EmptyAfterFiltering,
-    MissingAge,
     UnmappableFamilyType,
     WidthMismatch,
 )
@@ -131,48 +130,11 @@ class TestEncode:
             encode([make_profile(income=None)],
                    FeatureSchema(include_income=True))
 
-    def test_missing_age_imputed_with_fit_median(self):
-        profiles = [
-            make_profile(pid="A", age=20.0),
-            make_profile(pid="B", age=40.0),
-            make_profile(pid="C", age=None),
-        ]
-        result = encode(profiles, FeatureSchema())
-        assert result.age_median == 30.0
-        assert result.dataset.matrix[2, 0] == 30.0
-
-    def test_missing_age_uses_supplied_median(self):
-        result = encode([make_profile(age=None)], FeatureSchema(),
-                        age_median=37.0)
-        assert result.dataset.matrix[0, 0] == 37.0
-
-    def test_no_known_age_raises(self):
-        with pytest.raises(MissingAge):
-            encode([make_profile(age=None)], FeatureSchema())
-
-    def test_nan_median_leaves_missing_ages_nan(self):
+    def test_missing_ages_stay_nan(self):
         result = encode([make_profile(pid="A", age=None),
-                         make_profile(pid="B", age=41.0)], FeatureSchema(),
-                        age_median=float("nan"))
+                         make_profile(pid="B", age=41.0)], FeatureSchema())
         assert np.isnan(result.dataset.matrix[0, 0])
         assert result.dataset.matrix[1, 0] == 41.0
-
-    def test_no_missing_values_ever(self):
-        rng = np.random.default_rng(5)
-        profiles = [
-            make_profile(
-                pid=f"P{i}",
-                age=None if rng.random() < 0.3 else float(rng.integers(18, 80)),
-                race=int(rng.integers(0, 4)),
-                family_type=int(rng.integers(0, 3)),
-                reason_homeless=int(rng.integers(0, 5)),
-                employment=int(rng.integers(0, 3)),
-                citizenship=int(rng.integers(0, 4)),
-            )
-            for i in range(50)
-        ]
-        matrix = encode(profiles, FeatureSchema()).dataset.matrix
-        assert np.all(np.isfinite(matrix))
 
     def test_labels_follow_readmit(self):
         profiles = [make_profile(pid="A"), make_profile(pid="B", n_episodes=2)]

@@ -10,16 +10,23 @@ Both the GBM and the logistic artifacts are pinned. The logistic fit is
 solved on reference-coded, full-rank columns, so it converges in a few
 IRLS steps and its weights do not depend on the BLAS thread count; CI
 runs this file at one OpenBLAS thread as well as at the default.
+
+Synthetic cohorts never leave an age blank, so the same runs are pinned
+once more on a copy of the cohort with 15% of its ages blanked:
+those digests cover each fit's imputation from its training rows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from readmit.cli import main
+from readmit.cohort import read_profiles, write_profiles
 
 GOLDEN = {
     "sweep/report.json":
@@ -47,6 +54,33 @@ GOLDEN_LOGISTIC = {
         "682773898485a55200ab665181c25e8f8d66a3fae7c9470fc5dd110f9c225df5",
 }
 
+BLANKED_AGE_GOLDEN = {
+    "gbm": {
+        "sweep/report.json":
+            "7f1a8cad3d0b9e3b5eff2bd73ebe528a0c15bfa17b24303a64901e4ef5a3f172",
+        "sweep/roc_original.csv":
+            "12171c1ea9fdab4c52d8cd20050833b9915c8ef183fc7f3b79d1a092f16f3d94",
+        "sweep/roc_0.5.csv":
+            "c7f3dbfc77a7d02adadf5555daf1e31b87adbbfbe67bf04b9c2f105a953a247d",
+        "sweep/roc_1.0.csv":
+            "b7148f5f077dfa9a089aba50ce7f21d0c33aeb5243dee5021439b476003113b2",
+        "fit/model.json":
+            "c0c3b87e553fefeb8a38734a396efbc9aad2a846bad033e4280ae8f984297f13",
+    },
+    "logistic": {
+        "sweep/report.json":
+            "a74741a7250f26bff1958cc79759b5fe779c79d80d150d82cf760281b5c981b5",
+        "sweep/roc_original.csv":
+            "651d20b0ccd23cbd383da07377cb706c3cc959bb42604efbd7dbc0ec00f333e2",
+        "sweep/roc_0.5.csv":
+            "51ba4d4e9201415e73bdf762335ba183907ee033f7cc9687a3d1c563db77a67d",
+        "sweep/roc_1.0.csv":
+            "9a5b0508a77285c02f63c1d1718f65d48728eda989dc0c06e2c8691e13a5b5b3",
+        "fit/model.json":
+            "48d6fb8d35c612845c5ad342695a0e21b11b1946551714da91f4f8f67893042e",
+    },
+}
+
 
 @pytest.fixture(scope="module")
 def profiles(tmp_path_factory):
@@ -61,6 +95,19 @@ def profiles(tmp_path_factory):
     assert main(["unify", str(data / "demographics.csv"),
                  str(data / "exits.csv"), str(data / "incidents.csv"),
                  "-o", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def blanked_profiles(profiles, tmp_path_factory):
+    """The same cohort with 15% of its ages blanked, the rows drawn by
+    numpy seed 15."""
+    rows = read_profiles(profiles)
+    blank = set(np.random.default_rng(15).choice(
+        len(rows), size=round(0.15 * len(rows)), replace=False).tolist())
+    out = tmp_path_factory.mktemp("blanked") / "profiles.csv"
+    write_profiles([dataclasses.replace(p, age=None) if i in blank else p
+                    for i, p in enumerate(rows)], out)
     return out
 
 
@@ -92,3 +139,13 @@ def test_small_logistic_run_matches_golden_digests(tmp_path, profiles,
     digests = run_digests(tmp_path, profiles, ["--model", "logistic"])
     assert "warning" not in capsys.readouterr().err
     assert digests == GOLDEN_LOGISTIC
+
+
+@pytest.mark.parametrize("model_args", [
+    ["--model", "gbm", "--n-trees", "15"], ["--model", "logistic"],
+], ids=["gbm", "logistic"])
+def test_blanked_age_run_matches_golden_digests(tmp_path, blanked_profiles,
+                                                model_args, capsys):
+    digests = run_digests(tmp_path, blanked_profiles, model_args)
+    assert "warning" not in capsys.readouterr().err
+    assert digests == BLANKED_AGE_GOLDEN[model_args[1]]

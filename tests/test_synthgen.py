@@ -67,6 +67,15 @@ class TestGenerate:
         ages = [p.age for p in cohort]
         assert spec.age_min <= min(ages) and max(ages) <= spec.age_max
 
+    def test_field_types_follow_the_defaults(self):
+        CohortSpec(age_mean=35).validate()  # an int is a valid float
+        for bad in ({"n": True}, {"n": 300.0}, {"seed": "1"},
+                    {"age_sd": "12"},
+                    {"race_weights": {"White": "1", "Black": 0,
+                                      "Hispanic": 0, "Other": 0}}):
+            with pytest.raises(InfeasibleSpec, match=next(iter(bad))):
+                CohortSpec(**bad).validate()
+
     def test_infeasible_rates_rejected(self):
         with pytest.raises(InfeasibleSpec):
             generate(small_spec(minority_rate=0.0))
