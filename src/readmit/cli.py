@@ -174,6 +174,8 @@ def cmd_synth(args) -> int:
         spec_path = synthgen.default_spec_path()
     elif not isinstance(spec_path, str):
         raise UsageError(f"config key 'spec' must be str, got {spec_path!r}")
+    elif not spec_path:
+        raise UsageError("config key 'spec' must name a spec file, got ''")
     elif not Path(spec_path).exists():
         raise UsageError(f"spec file not found: {spec_path}")
     try:
@@ -220,7 +222,13 @@ def cmd_unify(args) -> int:
         print("warning: no exit records; every episode will be open",
               file=sys.stderr)
 
-    result = cohort_mod.unify(demo, exits, incidents)
+    try:
+        result = cohort_mod.unify(demo, exits, incidents)
+    except EmptyKeyPart:
+        raise cohort_mod.locate_blank_key([
+            (args.demographics, demo), (args.exits, exits),
+            (args.incidents, incidents),
+        ]) from None
     out_path = Path(args.out)
     if out_path.parent and not out_path.parent.exists():
         out_path.parent.mkdir(parents=True, exist_ok=True)

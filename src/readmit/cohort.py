@@ -10,7 +10,9 @@ two or more distinct episodes, else 0.
 from __future__ import annotations
 
 import csv
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -130,6 +132,23 @@ class UnifyResult:
     removed_not_admitted: int = 0
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while records are built.
+
+    Records, keys, episodes and profiles hold no reference cycles, so
+    the collector's passes over them, which grow with the row count,
+    would free nothing; reference counting frees what is dropped.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _escape_part(part: str) -> str:
     return part.replace("\\", "\\\\").replace("|", "\\|")
 
@@ -142,13 +161,23 @@ def make_id_combo(key: ClientKey) -> IdCombo:
     triples can never collide.
     """
     parts = (key.cares_id.strip(), key.family_id.strip(), key.case_id.strip())
-    if any(not p for p in parts):
+    if not all(parts):
         raise EmptyKeyPart(f"blank key part in {key}")
-    return "|".join(_escape_part(p) for p in parts)
+    combo = "|".join(parts)
+    if "\\" in combo or combo.count("|") != 2:
+        combo = "|".join(_escape_part(p) for p in parts)
+    return combo
 
 
 def split_id_combo(combo: IdCombo) -> ClientKey:
     """Invert make_id_combo, honoring the escape sequences."""
+    parts = _split_escaped(combo) if "\\" in combo else combo.split("|")
+    if len(parts) != 3:
+        raise ValueError(f"id combo {combo!r} does not have three parts")
+    return ClientKey(*parts)
+
+
+def _split_escaped(combo: IdCombo) -> list[str]:
     parts: list[str] = []
     current: list[str] = []
     it = iter(combo)
@@ -164,9 +193,7 @@ def split_id_combo(combo: IdCombo) -> ClientKey:
         else:
             current.append(ch)
     parts.append("".join(current))
-    if len(parts) != 3:
-        raise ValueError(f"id combo {combo!r} does not have three parts")
-    return ClientKey(*parts)
+    return parts
 
 
 def derive_label(episodes: Sequence[ResidenceEpisode]) -> int:
@@ -212,6 +239,7 @@ def _record_sort_key(rec: DemographicRecord):
     return (rec.entry_date, tuple(str(getattr(rec, f)) for f in _DEMO_FIELDS))
 
 
+@_collector_paused()
 def unify(
     demo: Iterable[DemographicRecord],
     exits: Iterable[ExitRecord],
@@ -243,17 +271,21 @@ def unify(
     profiles: list[ClientProfile] = []
     warnings: list[ConflictWarning] = []
     for combo in sorted(kept):
-        records = sorted(kept[combo], key=_record_sort_key)
+        records = kept[combo]
+        # A lone record needs no ordering and cannot conflict.
+        if len(records) > 1:
+            records.sort(key=_record_sort_key)
+            for fname in _DEMO_FIELDS:
+                values = [getattr(r, fname) for r in records]
+                distinct = sorted({str(v): v for v in values}.values(),
+                                  key=str)
+                if len(distinct) > 1:
+                    warnings.append(
+                        ConflictWarning(combo, fname,
+                                        getattr(records[-1], fname),
+                                        tuple(distinct))
+                    )
         latest = records[-1]
-
-        for fname in _DEMO_FIELDS:
-            values = [getattr(r, fname) for r in records]
-            distinct = sorted({str(v): v for v in values}.values(), key=str)
-            if len(distinct) > 1:
-                warnings.append(
-                    ConflictWarning(combo, fname, getattr(latest, fname),
-                                    tuple(distinct))
-                )
 
         episodes = _pair_episodes(
             [r.entry_date for r in records], exits_by_id.get(combo, [])
@@ -282,6 +314,29 @@ def unify(
                        removed_not_admitted=removed)
 
 
+_KEY_COLUMNS = ("cares_id", "family_id", "case_id")
+
+
+def locate_blank_key(sources: Sequence[tuple[str | Path, Sequence]]
+                     ) -> MalformedCsv:
+    """The error naming the file, row and column of the first record, in
+    unify's order, whose key has a blank part.
+
+    sources are (path, records as read from it) pairs for the
+    demographics, exits and incidents files, in that order. Like unify,
+    this skips non-admitted demographic records, which are never linked.
+    """
+    for path, records in sources:
+        for row, rec in enumerate(records, start=2):
+            if isinstance(rec, DemographicRecord) and not rec.admitted:
+                continue
+            for column in _KEY_COLUMNS:
+                if not getattr(rec.key, column).strip():
+                    return MalformedCsv(str(path), row, column,
+                                        "blank key part")
+    raise ValueError("no linked record has a blank key part")
+
+
 # --- CSV input -------------------------------------------------------------
 
 DEMOGRAPHICS_HEADER = [
@@ -301,6 +356,8 @@ PROFILES_HEADER = [
 
 
 def _read_rows(path: str | Path, expected_header: list[str]):
+    """Yield (row number, fields) for each row, the fields in header
+    order; the header and every row's width are checked first."""
     path = Path(path)
     try:
         yield from _read_utf8_rows(path, expected_header)
@@ -320,13 +377,14 @@ def _read_utf8_rows(path: Path, expected_header: list[str]):
                 str(path), 0, None,
                 f"header {header!r} != expected {expected_header!r}",
             )
+        width = len(expected_header)
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
+            if len(row) != width:
                 raise MalformedCsv(
                     str(path), lineno, None,
-                    f"expected {len(expected_header)} fields, got {len(row)}",
+                    f"expected {width} fields, got {len(row)}",
                 )
-            yield lineno, dict(zip(expected_header, row))
+            yield lineno, row
 
 
 def _not_utf8(path: Path) -> MalformedCsv:
@@ -378,58 +436,48 @@ def _parse_income(path, lineno, raw: str) -> float | None:
     return income
 
 
-def _key_from_row(row: dict) -> ClientKey:
-    return ClientKey(row["cares_id"].strip(), row["family_id"].strip(),
-                     row["case_id"].strip())
+def _key(cares_id: str, family_id: str, case_id: str) -> ClientKey:
+    return ClientKey(cares_id.strip(), family_id.strip(), case_id.strip())
 
 
+@_collector_paused()
 def read_demographics(path: str | Path) -> list[DemographicRecord]:
     records = []
-    for lineno, row in _read_rows(path, DEMOGRAPHICS_HEADER):
-        age = _parse_age(path, lineno, row["age"])
-        admitted_raw = row["admitted"].strip().lower()
-        if admitted_raw not in ("true", "false"):
+    for lineno, (cares_id, family_id, case_id, age, race, family_type,
+                 reason_homeless, employment, citizenship, income,
+                 entry_date, admitted) in _read_rows(path, DEMOGRAPHICS_HEADER):
+        age_years = _parse_age(path, lineno, age)
+        flag = admitted.strip().lower()
+        if flag not in ("true", "false"):
             raise MalformedCsv(str(path), lineno, "admitted",
-                               f"expected true/false, got {row['admitted']!r}")
-        records.append(
-            DemographicRecord(
-                key=_key_from_row(row),
-                age=age,
-                race=row["race"],
-                family_type=row["family_type"],
-                reason_homeless=row["reason_homeless"],
-                employment=row["employment"],
-                citizenship=row["citizenship"],
-                income=_parse_income(path, lineno, row["income"]),
-                entry_date=_parse_date(path, lineno, "entry_date",
-                                       row["entry_date"]),
-                admitted=admitted_raw == "true",
-            )
-        )
+                               f"expected true/false, got {admitted!r}")
+        income_amount = _parse_income(path, lineno, income)
+        entry = _parse_date(path, lineno, "entry_date", entry_date)
+        records.append(DemographicRecord(
+            _key(cares_id, family_id, case_id), age_years, race, family_type,
+            reason_homeless, employment, citizenship, income_amount, entry,
+            flag == "true"))
+    return records
+
+
+@_collector_paused()
+def _read_dated(path: str | Path, header: list[str], record_type):
+    """Rows of key, date and one text cell, as record_type(key, date, text)."""
+    records = []
+    for lineno, (cares_id, family_id, case_id, day, text) in _read_rows(
+            path, header):
+        records.append(record_type(
+            _key(cares_id, family_id, case_id),
+            _parse_date(path, lineno, header[3], day), text))
     return records
 
 
 def read_exits(path: str | Path) -> list[ExitRecord]:
-    return [
-        ExitRecord(
-            key=_key_from_row(row),
-            exit_date=_parse_date(path, lineno, "exit_date", row["exit_date"]),
-            exit_reason=row["exit_reason"],
-        )
-        for lineno, row in _read_rows(path, EXITS_HEADER)
-    ]
+    return _read_dated(path, EXITS_HEADER, ExitRecord)
 
 
 def read_incidents(path: str | Path) -> list[IncidentRecord]:
-    return [
-        IncidentRecord(
-            key=_key_from_row(row),
-            incident_date=_parse_date(path, lineno, "incident_date",
-                                      row["incident_date"]),
-            incident_type=row["incident_type"],
-        )
-        for lineno, row in _read_rows(path, INCIDENTS_HEADER)
-    ]
+    return _read_dated(path, INCIDENTS_HEADER, IncidentRecord)
 
 
 # --- CSV output --------------------------------------------------------------
@@ -506,22 +554,28 @@ _COUNT_FIELDS = ("n_episodes", "n_open_episodes", "total_los_days",
                  "incident_count")
 
 
-def _profile_row_problem(v: dict[str, int]) -> tuple[str, str] | None:
-    """(column, reason) of the first rule a profiles.csv row breaks."""
-    for f in features.CATEGORICAL_FIELDS:
-        if v[f] not in features.CATEGORIES[f]:
-            return f, f"unknown {f} code {v[f]}"
-    for f in _COUNT_FIELDS:
-        if v[f] < 0:
-            return f, f"negative count {v[f]}"
-    n = v["n_episodes"]
-    if v["n_open_episodes"] > n:
+# profiles.csv's integer columns, in file order.
+_INT_COLUMNS = features.CATEGORICAL_FIELDS + _COUNT_FIELDS + ("readmit",)
+
+
+def _profile_row_problem(values: list[int]) -> tuple[str, str] | None:
+    """(column, reason) of the first rule a profiles.csv row breaks,
+    given its integer cells in _INT_COLUMNS order."""
+    for f, code in zip(features.CATEGORICAL_FIELDS, values):
+        if code not in features.CATEGORIES[f]:
+            return f, f"unknown {f} code {code}"
+    for f, count in zip(_COUNT_FIELDS, values[5:]):
+        if count < 0:
+            return f, f"negative count {count}"
+    n, n_open, readmit = values[5], values[6], values[9]
+    if n_open > n:
         return "n_open_episodes", f"more open episodes than {n} episodes"
-    if v["readmit"] != (n >= 2):
+    if readmit != (n >= 2):
         return "readmit", f"must be {int(n >= 2)} with {n} episodes"
     return None
 
 
+@_collector_paused()
 def read_profiles(path: str | Path) -> list[ClientProfile]:
     """Load profiles.csv rows, checking codes, counts, labels, ages
     and incomes (finite, >= 0) as read_demographics does.
@@ -532,35 +586,24 @@ def read_profiles(path: str | Path) -> list[ClientProfile]:
     """
     profiles = []
     for lineno, row in _read_rows(path, PROFILES_HEADER):
-        values = {}
-        for f in features.CATEGORICAL_FIELDS + _COUNT_FIELDS + ("readmit",):
+        values = []
+        for column, cell in zip(_INT_COLUMNS, row[2:7] + row[8:]):
             try:
-                values[f] = int(row[f])
+                values.append(int(cell))
             except ValueError:
-                raise MalformedCsv(str(path), lineno, f,
-                                   f"not an integer: {row[f]!r}") from None
+                raise MalformedCsv(str(path), lineno, column,
+                                   f"not an integer: {cell!r}") from None
         problem = _profile_row_problem(values)
         if problem is not None:
             raise MalformedCsv(str(path), lineno, *problem)
-        age = _parse_age(path, lineno, row["age"])
-        income = _parse_income(path, lineno, row["income"])
-        n_closed = values["n_episodes"] - values["n_open_episodes"]
-        profiles.append(
-            ClientProfile(
-                id=row["id"],
-                age=age,
-                race=values["race"],
-                family_type=values["family_type"],
-                reason_homeless=values["reason_homeless"],
-                employment=values["employment"],
-                citizenship=values["citizenship"],
-                income=income,
-                episodes=(_UNDATED_CLOSED,) * n_closed
-                + (_UNDATED_OPEN,) * values["n_open_episodes"],
-                total_los_days=values["total_los_days"],
-                incident_count=values["incident_count"],
-                readmit=values["readmit"],
-            )
-        )
+        age = _parse_age(path, lineno, row[1])
+        income = _parse_income(path, lineno, row[7])
+        (race, family_type, reason_homeless, employment, citizenship,
+         n_episodes, n_open, total_los_days, incident_count, readmit) = values
+        episodes = ((_UNDATED_CLOSED,) * (n_episodes - n_open)
+                    + (_UNDATED_OPEN,) * n_open)
+        profiles.append(ClientProfile(
+            row[0], age, race, family_type, reason_homeless, employment,
+            citizenship, income, episodes, total_los_days, incident_count,
+            readmit))
     return profiles
-

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import csv
+import random
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from readmit.cohort import ClientProfile, ResidenceEpisode
+from readmit.cohort import (
+    DEMOGRAPHICS_HEADER,
+    EXITS_HEADER,
+    INCIDENTS_HEADER,
+    ClientProfile,
+    ResidenceEpisode,
+)
+from readmit.features import CATEGORIES
 from readmit.features import EncodedDataset, FeatureSchema
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -61,3 +70,76 @@ def random_dataset(
         labels=labels,
         schema=FeatureSchema(),
     )
+
+
+def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_linkage_trio(out_dir: Path, n: int = 400, seed: int = 9) -> None:
+    """Write demographics.csv, exits.csv and incidents.csv for n clients
+    that meet every linkage path: keys holding "|", "\\" or padding,
+    raw category spellings, blank ages and incomes, non-admitted rows
+    (some for clients never admitted), conflicting demographics, entries
+    with no exit, same-day stays and two exits on one day."""
+    rng = random.Random(seed)
+    labels = {f: list(table.values()) for f, table in CATEGORIES.items()}
+    demo, exits, incidents = [], [], []
+    for i in range(n):
+        key = [f"C{i:04d}", f"F{i // 3:04d}", f"K{i:04d}"]
+        if i % 29 == 0:
+            key[0] = f"C|{i}"
+        if i % 31 == 0:
+            key[1] = f"F\\{i}|"
+        if i % 37 == 0:
+            key[2] = f" K{i} "
+        race = rng.choice(labels["race"] + ["martian", " WHITE "])
+        family = rng.choice(labels["family_type"])
+        reason = rng.choice(labels["reason_homeless"] + ["flood"])
+        employment = rng.choice(labels["employment"] + ["retired"])
+        citizenship = rng.choice(labels["citizenship"] + ["citizen"])
+        age = "" if rng.random() < 0.05 else str(rng.choice(
+            [rng.randint(18, 80), round(rng.uniform(18, 80), 1)]))
+        income = "" if rng.random() < 0.3 else str(rng.randint(0, 4000))
+        n_eps = rng.choices([1, 2, 3], weights=[0.7, 0.2, 0.1])[0]
+        entry = date(2014, 1, 1) + timedelta(days=rng.randrange(1200))
+        same_day = n_eps >= 2 and i % 11 == 0
+        for e in range(n_eps):
+            stay = 0 if rng.random() < 0.05 else rng.randint(1, 200)
+            if same_day:
+                stay = 40
+            row = [*key, age, race, family, reason, employment, citizenship,
+                   income, entry.isoformat(), "true"]
+            if e and i % 13 == 0:
+                row[7] = rng.choice(labels["employment"])
+            if e and i % 17 == 0:
+                row[3] = str(rng.randint(18, 80))
+            demo.append(row)
+            if rng.random() < 0.08:
+                demo.append(row[:-1] + ["false"])
+            if rng.random() > 0.1:
+                reason_out = rng.choice(["Other", "Curfew Violation",
+                                         "Independent Living"])
+                exits.append([*key, (entry + timedelta(days=stay)).isoformat(),
+                              reason_out])
+            if not same_day:
+                entry += timedelta(days=stay + rng.randint(1, 300))
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):
+            incidents.append([*key, entry.isoformat(),
+                              rng.choice(["Altercation", "Medical"])])
+    for i in range(n // 20):
+        key = [f"N{i:04d}", f"G{i:04d}", f"M{i:04d}"]
+        demo.append([*key, "40", "Black", "Single", "Eviction", "Employed",
+                     "Citizen", "", "2015-05-05", "false"])
+        exits.append([*key, "2015-06-06", "Other"])
+        incidents.append([*key, "2015-05-20", "Medical"])
+    for rows in (demo, exits, incidents):
+        rng.shuffle(rows)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_rows(out_dir / "demographics.csv", DEMOGRAPHICS_HEADER, demo)
+    _write_rows(out_dir / "exits.csv", EXITS_HEADER, exits)
+    _write_rows(out_dir / "incidents.csv", INCIDENTS_HEADER, incidents)

@@ -122,6 +122,15 @@ class TestSynth:
         assert code == 2, err
         assert "config key 'spec' must be str, got 5" in err
 
+    def test_empty_config_spec_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"spec": ""}))
+        code = main(["synth", "--config", str(config),
+                     "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "config key 'spec' must name a spec file, got ''" in err
+
 
 class TestUnify:
     def test_golden_output_and_summary(self, tmp_path, capsys):
@@ -174,6 +183,56 @@ class TestUnify:
         assert code == 2
         assert "row 2, column 'income'" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+    @staticmethod
+    def unify_with(tmp_path, name, row, column, value):
+        """unify the small fixture with one cell of one file replaced."""
+        files = [LINKAGE_SMALL / f
+                 for f in ("demographics.csv", "exits.csv", "incidents.csv")]
+        edited = tmp_path / name
+        rewrite_cell(LINKAGE_SMALL / name, edited, row, column, value)
+        files = [edited if f.name == name else f for f in files]
+        return main(["unify", *map(str, files),
+                     "-o", str(tmp_path / "p.csv")]), edited
+
+    @pytest.mark.parametrize("name,column", [
+        ("demographics.csv", "family_id"),
+        ("exits.csv", "case_id"),
+        ("incidents.csv", "cares_id"),
+    ])
+    def test_blank_key_part_exits_2_with_file_row_and_column(
+            self, tmp_path, capsys, name, column):
+        code, edited = self.unify_with(tmp_path, name, 3, column, " ")
+        assert code == 2
+        assert (f"{edited}, row 3, column {column!r}: blank key part"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_blank_key_is_reported_after_every_other_cell(self, tmp_path,
+                                                          capsys):
+        # Row 3 has a blank key part and a bad date: the date is reported,
+        # as is a bad cell in a file read after the blank key's.
+        demo = tmp_path / "demographics.csv"
+        rewrite_cell(LINKAGE_SMALL / "demographics.csv", demo, 2,
+                     "case_id", "")
+        exits = tmp_path / "exits.csv"
+        rewrite_cell(LINKAGE_SMALL / "exits.csv", exits, 3, "case_id", "")
+        rewrite_cell(exits, exits, 3, "exit_date", "2014-02-30")
+        code = main(["unify", str(demo), str(exits),
+                     str(LINKAGE_SMALL / "incidents.csv"),
+                     "-o", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert (f"{exits}, row 3, column 'exit_date'"
+                in capsys.readouterr().err)
+
+    def test_blank_key_part_of_non_admitted_row_is_dropped(self, tmp_path,
+                                                           capsys):
+        code, _ = self.unify_with(tmp_path, "demographics.csv", 7,
+                                  "cares_id", "")
+        assert code == 0
+        assert "removed: 5" in capsys.readouterr().out
+        assert (tmp_path / "p.csv").read_bytes() == \
+            (LINKAGE_SMALL / "profiles_golden.csv").read_bytes()
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "demo.csv"

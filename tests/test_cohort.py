@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import random
 from datetime import date
 
 import pytest
 
+from readmit import cohort
+from readmit.cli import main
 from readmit.cohort import (
     ClientKey,
     DemographicRecord,
@@ -27,7 +31,7 @@ from readmit.errors import (
     NoEpisodes,
 )
 
-from tests.helpers import LINKAGE_SMALL
+from tests.helpers import LINKAGE_SMALL, write_linkage_trio
 
 
 def demo_record(key, entry, admitted=True, age=30.0, employment="Employed",
@@ -260,6 +264,66 @@ class TestLinkageGolden:
         warned = {(w.id.split("|")[0], w.field) for w in result.warnings}
         assert ("C018", "employment") in warned
         assert ("C020", "age") in warned
+
+
+# Recorded on the dict-per-row readers and the full-scan unify (the
+# reference in tests/oracles/linkage.py); the positional readers and the
+# single-record shortcuts must reproduce them byte for byte.
+TRIO_GOLDEN = {
+    "profiles.csv":
+        "0bd484191d37ea4a79237ae4a19d5f9331eb56dc79a7151aedeb322d143ca790",
+    "profiles.csv.warnings.log":
+        "db5502f6c1f16c13449953495cda5f0ddcfc50b3a381653b70c41ce77f884a31",
+}
+
+
+class TestTrioGolden:
+    def test_unify_digests_and_counts(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        write_linkage_trio(raw)
+        out = tmp_path / "out" / "profiles.csv"
+        assert main(["unify", str(raw / "demographics.csv"),
+                     str(raw / "exits.csv"), str(raw / "incidents.csv"),
+                     "-o", str(out)]) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[:2] == ["profiles: 400", "removed: 57"]
+        assert stdout[2].startswith("warnings: 10 -> ")
+        digests = {name: hashlib.sha256((out.parent / name).read_bytes())
+                   .hexdigest() for name in TRIO_GOLDEN}
+        assert digests == TRIO_GOLDEN
+
+
+class TestCollectorPause:
+    def link(self, raw):
+        result = unify(read_demographics(raw / "demographics.csv"),
+                       read_exits(raw / "exits.csv"),
+                       read_incidents(raw / "incidents.csv"))
+        write_profiles(result.profiles, raw / "profiles.csv")
+        read_profiles(raw / "profiles.csv")
+
+    def test_collector_off_while_reading_and_linking(self, tmp_path,
+                                                     monkeypatch):
+        write_linkage_trio(tmp_path)
+        states = {}
+        for module, name in ((cohort, "_parse_age"), (cohort, "_parse_date"),
+                             (cohort.features, "canonicalize")):
+            def spy(*args, _fn=getattr(module, name), _name=name):
+                states.setdefault(_name, set()).add(gc.isenabled())
+                return _fn(*args)
+            monkeypatch.setattr(module, name, spy)
+        self.link(tmp_path)
+        assert states == {"_parse_age": {False}, "_parse_date": {False},
+                          "canonicalize": {False}}
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, tmp_path):
+        write_linkage_trio(tmp_path)
+        gc.disable()
+        try:
+            self.link(tmp_path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestCsvValidation:

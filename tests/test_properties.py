@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from readmit import cohort
 from readmit.cohort import (
+    DEMOGRAPHICS_HEADER,
+    EXITS_HEADER,
+    INCIDENTS_HEADER,
+    PROFILES_HEADER,
     ClientKey,
     ClientProfile,
     DemographicRecord,
@@ -27,7 +33,10 @@ from readmit.cohort import (
     write_incidents,
     write_profiles,
 )
+from readmit.errors import EmptyKeyPart, MalformedCsv, UnmappableFamilyType
 from readmit.features import CATEGORIES, CATEGORICAL_FIELDS
+
+from tests.oracles import linkage
 
 # Key parts are trimmed before joining, so a part that round-trips has no
 # surrounding whitespace; pipes and backslashes are drawn often.
@@ -179,3 +188,160 @@ def test_unify_is_invariant_to_row_order(demo, exits, incidents, rng):
     assert shuffled.profiles == expected.profiles
     assert shuffled.warnings == expected.warnings
     assert shuffled.removed_not_admitted == expected.removed_not_admitted
+
+
+# --- readers and unify against the reference -----------------------------------
+
+# Drawn CSV cells. Each file's rows come from a pool of good cells, and,
+# when the example allows bad cells, from a pool with bad ones as well,
+# so a row can have two bad cells. Key parts hold "|", "\\" and padding,
+# from pools small enough that individuals have several rows; a blank
+# part is drawn only when the example allows one, except on non-admitted
+# demographic rows, which unify never links.
+KEY_PARTS = (["C1", " C1 ", "C|2", "C\\3"], ["F1", "F|\\"], ["K1", "K\\"])
+GOOD = {
+    "age": ["", "30", " 41.5 ", "0", "120"],
+    "race": ["White", " black ", "unlisted", ""],
+    "family_type": ["Single", "adult families", " Families with Children"],
+    "reason": ["Eviction", "Discord", "other", "flood"],
+    "employment": ["Employed", "unemployed", "Unknown", "retired"],
+    "citizenship": ["Citizen", "Non-Resident", "x"],
+    "income": ["", "0", "1200", " 35.5 "],
+    "date": ["2014-01-01", "2014-01-02", " 2014-01-03 ", "2014-01-09"],
+    "admitted": ["true", "false", " TRUE ", "False"],
+    "text": ["Other", "Housed", ""],
+}
+BAD = {
+    "key": ["", "  "],
+    "age": ["121", "-1", "abc", "nan", "inf"],
+    "family_type": ["Martian"],
+    "income": ["-5", "inf", "x", "nan"],
+    "date": ["2014-02-30", "bad", ""],
+    "admitted": ["maybe", ""],
+}
+
+
+@st.composite
+def raw_rows(draw, cells, bad: bool):
+    """Rows of drawn cells; with bad, a row may also lose its last cell."""
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        row = [draw(st.sampled_from(pool)) for pool in cells(draw)]
+        if bad and draw(st.integers(0, 15)) == 0:
+            row = row[:-1]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def raw_trios(draw):
+    blank, bad = draw(st.booleans()), draw(st.booleans())
+
+    def pool(kind):
+        return GOOD[kind] + (BAD.get(kind, []) if bad else [])
+
+    def key_pools(admitted="true"):
+        linked = admitted.strip().lower() != "false"
+        extra = BAD["key"] if blank or not linked else []
+        return [parts + extra for parts in KEY_PARTS]
+
+    def demo_cells(draw):
+        admitted = draw(st.sampled_from(pool("admitted")))
+        return [*key_pools(admitted), pool("age"), pool("race"),
+                pool("family_type"), pool("reason"), pool("employment"),
+                pool("citizenship"), pool("income"), pool("date"), [admitted]]
+
+    def dated_cells(draw):
+        return [*key_pools(), pool("date"), pool("text")]
+
+    return (draw(raw_rows(demo_cells, bad)),
+            draw(raw_rows(dated_cells, bad)),
+            draw(raw_rows(dated_cells, bad)))
+
+
+def link(module, paths):
+    """What reading and linking the trio with module gives: the records,
+    profiles, warnings and removed count, or the error that stopped it."""
+    try:
+        records = [read(path) for read, path in zip(
+            (module.read_demographics, module.read_exits,
+             module.read_incidents), paths)]
+    except MalformedCsv as exc:
+        return "malformed", exc.path, exc.row, exc.column, str(exc)
+    try:
+        result = module.unify(*records)
+    except (EmptyKeyPart, UnmappableFamilyType) as exc:
+        return type(exc).__name__, str(exc), records
+    return "linked", records, result.profiles, result.warnings, \
+        result.removed_not_admitted
+
+
+def first_blank_key(paths, trio):
+    """(path, row, column) of the first row unify links whose key has a
+    blank part, in unify's order: demographics, exits, incidents."""
+    for path, rows in zip(paths, trio):
+        for row, cells in enumerate(rows, start=2):
+            if path.name == "demographics.csv" and \
+                    cells[-1].strip().lower() == "false":
+                continue
+            for column, part in zip(("cares_id", "family_id", "case_id"),
+                                    cells):
+                if not part.strip():
+                    return str(path), row, column
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_trios())
+def test_linkage_matches_the_reference(trio):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in
+                 ("demographics.csv", "exits.csv", "incidents.csv")]
+        headers = (DEMOGRAPHICS_HEADER, EXITS_HEADER, INCIDENTS_HEADER)
+        for path, header, rows in zip(paths, headers, trio):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+        expected = link(linkage, paths)
+        assert link(cohort, paths) == expected
+        if expected[0] == "EmptyKeyPart":
+            records = expected[2]
+            error = cohort.locate_blank_key(list(zip(paths, records)))
+            path, row, column = first_blank_key(paths, trio)
+            assert (error.path, error.row, error.column) == (path, row,
+                                                             column)
+            assert str(records[paths.index(Path(path))][row - 2].key) \
+                in expected[1]
+
+
+profile_cells = [
+    ["C1|F1|K1", "C\\\\2|F\\||K", ""],
+    ["", "30", "41.5", "121", "x", "nan"],
+    *[[*map(str, sorted(CATEGORIES[f])), "9", "-1", "a"]
+      for f in CATEGORICAL_FIELDS],
+    ["", "0", "1200", "-5", "inf"],
+    ["0", "1", "2", "3", "-1", "1.5"],
+    ["0", "1", "2", "-1"],
+    ["0", "30", "-3", " 7 "],
+    ["0", "2", "-1", "z"],
+    ["0", "1", "2"],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*map(st.sampled_from, profile_cells)), max_size=6))
+def test_read_profiles_matches_the_reference(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profiles.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(PROFILES_HEADER)
+            writer.writerows(rows)
+        outcomes = []
+        for read in (linkage.read_profiles, read_profiles):
+            try:
+                outcomes.append(read(path))
+            except MalformedCsv as exc:
+                outcomes.append((exc.path, exc.row, exc.column, str(exc)))
+        assert outcomes[0] == outcomes[1]
