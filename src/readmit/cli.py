@@ -10,6 +10,10 @@ flags > config file > defaults, with READMIT_SEED as a seed fallback,
 and each must have its default's type (see DEFAULTS).
 JSON artifacts embed the tool version and the fully resolved
 configuration; re-running with the same inputs is byte-identical.
+
+Only synth, sweep and train load numpy, inside the command: unify,
+report, --help and --version run on the pure-Python modules cohort and
+schema, and so start faster.
 """
 
 from __future__ import annotations
@@ -24,9 +28,6 @@ from pathlib import Path
 
 from . import __version__
 from . import cohort as cohort_mod
-from . import evaluate as eval_mod
-from . import models as models_mod
-from . import synthgen
 from .errors import (
     EmptyKeyPart,
     InfeasibleSpec,
@@ -34,11 +35,15 @@ from .errors import (
     ReadmitError,
     UnmappableFamilyType,
 )
-# standardize and smote are not called here (train fits through
-# evaluate.fit_model) but stay bound: the benchmark's traced pass wraps
-# readmit.cli.standardize and readmit.cli.smote by name.
-from .features import FeatureSchema, encode, standardize  # noqa: F401
-from .resample import ORIGINAL, SmoteConfig, smote  # noqa: F401
+from .schema import (
+    MODEL_KINDS,
+    ORIGINAL,
+    FeatureSchema,
+    GbmParams,
+    LogisticParams,
+    SmoteConfig,
+    TrainConfig,
+)
 from .seeding import derive_seed
 
 EXIT_OK = 0
@@ -47,7 +52,7 @@ EXIT_IO = 3
 EXIT_COMPUTE = 4
 
 # Model and oversampling defaults are those of the classes that own them.
-_GBM_DEFAULTS = dataclasses.asdict(models_mod.GbmParams())
+_GBM_DEFAULTS = dataclasses.asdict(GbmParams())
 DEFAULTS = {
     "seed": 0,
     "folds": 5,
@@ -56,13 +61,27 @@ DEFAULTS = {
     "ratios": ORIGINAL + ",0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
     "ratio": ORIGINAL,
     "include_income": False,
-    "ridge": models_mod.LogisticParams.ridge,
+    "ridge": LogisticParams.ridge,
     **_GBM_DEFAULTS,
 }
 
 
 class UsageError(Exception):
     pass
+
+
+def __getattr__(name: str):
+    # The benchmark's traced pass wraps readmit.cli.encode, .standardize
+    # and .smote by name. They resolve here, on first access, so that
+    # importing the CLI loads no numpy; drop this once the benchmark
+    # reads trace.jsonl (ROADMAP item 3).
+    if name in ("encode", "standardize"):
+        from . import features
+        return getattr(features, name)
+    if name == "smote":
+        from . import resample
+        return resample.smote
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -109,7 +128,7 @@ def _resolve(args, cfg: dict, key: str):
 def _resolve_all(args, keys: tuple[str, ...]) -> dict:
     cfg = _load_config_file(args.config)
     resolved = {key: _resolve(args, cfg, key) for key in keys}
-    if resolved["model"] not in eval_mod.MODEL_KINDS:
+    if resolved["model"] not in MODEL_KINDS:
         raise UsageError(f"unknown model {resolved['model']!r}")
     return resolved
 
@@ -148,34 +167,39 @@ _MODEL_KEYS = ("seed", "model", "k", "include_income", "ridge",
 
 def _fit_configs(
     resolved: dict, ratio: float | str = ORIGINAL, smote_seed: int = 0
-) -> tuple[models_mod.TrainConfig, SmoteConfig]:
+) -> tuple[TrainConfig, SmoteConfig]:
     """The fit settings; an out-of-range value is a usage error."""
     try:
-        return models_mod.TrainConfig(
-            gbm=models_mod.GbmParams(
-                **{key: resolved[key] for key in _GBM_DEFAULTS}),
-            logistic=models_mod.LogisticParams(ridge=resolved["ridge"]),
+        return TrainConfig(
+            gbm=GbmParams(**{key: resolved[key] for key in _GBM_DEFAULTS}),
+            logistic=LogisticParams(ridge=resolved["ridge"]),
         ), SmoteConfig(ratio=ratio, k=resolved["k"], seed=smote_seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _warn_unconverged(where: str) -> None:
+    from .models import IRLS_MAX_ITER
     print(f"warning: {where}logistic fit stopped unconverged after "
-          f"{models_mod.IRLS_MAX_ITER} IRLS steps", file=sys.stderr)
+          f"{IRLS_MAX_ITER} IRLS steps", file=sys.stderr)
 
 
 # --- commands ------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    from . import synthgen
+
     cfg = _load_config_file(args.config)
-    spec_path = args.spec or cfg.get("spec")
+    if args.spec is not None:
+        spec_path, where = args.spec, "--spec"
+    else:
+        spec_path, where = cfg.get("spec"), "config key 'spec'"
     if spec_path is None:
         spec_path = synthgen.default_spec_path()
     elif not isinstance(spec_path, str):
-        raise UsageError(f"config key 'spec' must be str, got {spec_path!r}")
+        raise UsageError(f"{where} must be str, got {spec_path!r}")
     elif not spec_path:
-        raise UsageError("config key 'spec' must name a spec file, got ''")
+        raise UsageError(f"{where} must name a spec file, got ''")
     elif not Path(spec_path).exists():
         raise UsageError(f"spec file not found: {spec_path}")
     try:
@@ -246,6 +270,8 @@ def cmd_unify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import evaluate as eval_mod
+
     resolved = _resolve_all(args, _MODEL_KEYS + ("folds", "ratios"))
     ratios = parse_ratios(resolved["ratios"])
     if resolved["folds"] < 2:
@@ -288,6 +314,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import evaluate as eval_mod
+    from . import models as models_mod
+
     resolved = _resolve_all(args, _MODEL_KEYS + ("ratio",))
     ratio = parse_ratio_token(resolved["ratio"])
     train_config, smote_config = _fit_configs(
@@ -295,9 +324,11 @@ def cmd_train(args) -> int:
     profiles = cohort_mod.read_profiles(args.profiles)
 
     schema = FeatureSchema(include_income=resolved["include_income"])
-    pipeline = eval_mod.fit_model(encode(profiles, schema).dataset,
-                                  resolved["model"], smote_config,
-                                  train_config)
+    # evaluate's name for encode: a call site the traced benchmark wraps.
+    # The encoded rows are an argument only, freed once the fit returns.
+    pipeline = eval_mod.fit_model(
+        eval_mod.encode(profiles, schema).dataset, resolved["model"],
+        smote_config, train_config)
     if not pipeline.converged:
         _warn_unconverged("")
 
@@ -335,6 +366,10 @@ def cmd_report(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
             TypeError) as exc:
         raise UsageError(f"bad report file {path}: {exc}") from None
+    for label in labels:
+        if not isinstance(label, str):
+            raise UsageError(
+                f"bad report file {path}: ratio must be str, got {label!r}")
 
     header = ["Ratio"] + labels
     table = [header]
@@ -388,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_unify.set_defaults(func=cmd_unify)
 
     def add_model_opts(p):
-        p.add_argument("--model", choices=list(eval_mod.MODEL_KINDS))
+        p.add_argument("--model", choices=list(MODEL_KINDS))
         p.add_argument("--k", help="oversampling neighbor count")
         p.add_argument("--include-income", action="store_true", default=None)
         p.add_argument("--n-trees")

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import EmptyKeyPart, MalformedCsv, NoEpisodes
-from . import features
+from . import schema
 
 # IdCombo: the unique-individual key, a delimited concatenation of the
 # three client key parts (see make_id_combo).
@@ -93,7 +93,7 @@ class ResidenceEpisode:
 class ClientProfile:
     """One unique individual with canonical predictors and derived label.
 
-    Category fields hold canonical integer codes (see features module).
+    Category fields hold canonical integer codes (see readmit.schema).
     total_los_days sums closed episodes only; open stays add nothing.
     """
 
@@ -295,13 +295,13 @@ def unify(
             ClientProfile(
                 id=combo,
                 age=latest.age,
-                race=features.canonicalize(latest.race, "race"),
-                family_type=features.canonicalize(latest.family_type, "family_type"),
-                reason_homeless=features.canonicalize(
+                race=schema.canonicalize(latest.race, "race"),
+                family_type=schema.canonicalize(latest.family_type, "family_type"),
+                reason_homeless=schema.canonicalize(
                     latest.reason_homeless, "reason_homeless"
                 ),
-                employment=features.canonicalize(latest.employment, "employment"),
-                citizenship=features.canonicalize(latest.citizenship, "citizenship"),
+                employment=schema.canonicalize(latest.employment, "employment"),
+                citizenship=schema.canonicalize(latest.citizenship, "citizenship"),
                 income=latest.income,
                 episodes=episodes,
                 total_los_days=total_los,
@@ -555,14 +555,14 @@ _COUNT_FIELDS = ("n_episodes", "n_open_episodes", "total_los_days",
 
 
 # profiles.csv's integer columns, in file order.
-_INT_COLUMNS = features.CATEGORICAL_FIELDS + _COUNT_FIELDS + ("readmit",)
+_INT_COLUMNS = schema.CATEGORICAL_FIELDS + _COUNT_FIELDS + ("readmit",)
 
 
 def _profile_row_problem(values: list[int]) -> tuple[str, str] | None:
     """(column, reason) of the first rule a profiles.csv row breaks,
     given its integer cells in _INT_COLUMNS order."""
-    for f, code in zip(features.CATEGORICAL_FIELDS, values):
-        if code not in features.CATEGORIES[f]:
+    for f, code in zip(schema.CATEGORICAL_FIELDS, values):
+        if code not in schema.CATEGORIES[f]:
             return f, f"unknown {f} code {code}"
     for f, count in zip(_COUNT_FIELDS, values[5:]):
         if count < 0:

@@ -35,13 +35,13 @@ import numpy as np
 from . import models as models_mod
 from .errors import (EmptyMatrix, LengthMismatch, MissingAge, NoPositives,
                      SingleClass)
-from .features import (ColumnStats, EncodedDataset, FeatureSchema, encode,
-                       standardize)
-from .resample import ORIGINAL, SmoteConfig, smote, stratified_folds
+from .features import ColumnStats, EncodedDataset, encode, standardize
+from .resample import smote, stratified_folds
+from .schema import (MODEL_KINDS, ORIGINAL, FeatureSchema, SmoteConfig,
+                     TrainConfig)
 from .seeding import derive_seed
 
 DEFAULT_THRESHOLD = 0.5
-MODEL_KINDS = ("logistic", "gbm")
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ class CvInputs:
 
     data: EncodedDataset  # the whole cohort, encoded once; missing ages NaN
     model_kind: str
-    train_config: models_mod.TrainConfig
+    train_config: TrainConfig
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def fit_model(
     train: EncodedDataset,
     model_kind: str,
     smote_config: SmoteConfig,
-    train_config: models_mod.TrainConfig,
+    train_config: TrainConfig,
 ) -> Pipeline:
     """Impute, standardize, oversample and fit on encoded training rows.
 
@@ -344,7 +344,7 @@ def _cross_validate(
     profiles: Sequence,
     model_kind: str,
     runs: Sequence[tuple[SmoteConfig, int]],
-    train_config: models_mod.TrainConfig,
+    train_config: TrainConfig,
     n_folds: int,
     include_income: bool,
 ) -> tuple[list[CvResult], int]:
@@ -389,7 +389,7 @@ def cv_evaluate(
     profiles: Sequence,
     model_kind: str,
     smote_config: SmoteConfig,
-    train_config: models_mod.TrainConfig,
+    train_config: TrainConfig,
     n_folds: int = 5,
     seed: int = 0,
     include_income: bool = False,
@@ -443,7 +443,7 @@ def sweep(
     ratios: Sequence[float | str],
     model_kind: str = "gbm",
     k: int = SmoteConfig.k,
-    train_config: models_mod.TrainConfig | None = None,
+    train_config: TrainConfig | None = None,
     n_folds: int = 5,
     seed: int = 0,
     include_income: bool = False,
@@ -457,7 +457,7 @@ def sweep(
     if not ratios:
         raise ValueError("ratios must be non-empty")
     if train_config is None:
-        train_config = models_mod.TrainConfig()
+        train_config = TrainConfig()
 
     runs = [(SmoteConfig(ratio=ratio, k=k), derive_seed(seed, "ratio", i))
             for i, ratio in enumerate(ratios)]

@@ -1,129 +1,30 @@
-"""Predictor schema and design-matrix construction.
+"""Design-matrix construction and standardization.
 
-Five categorical predictors with fixed canonical codes, one continuous
-age column, and an optional income column. Categoricals are one-hot
-encoded (the integer codes are nominal, not ordinal), so the encoded
-space is also the interpolation space used by the oversampler.
+The predictor schema (declared in readmit.schema) has five categorical
+predictors with fixed canonical codes, one continuous age column, and
+an optional income column. Categoricals are one-hot encoded (the
+integer codes are nominal, not ordinal), so the encoded space is also
+the interpolation space used by the oversampler.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import EmptyAfterFiltering, UnmappableFamilyType, WidthMismatch
+from .errors import EmptyAfterFiltering, WidthMismatch
+from .schema import (  # noqa: F401
+    CATEGORICAL_FIELDS,
+    CATEGORIES,
+    FeatureSchema,
+    canonicalize,
+    category_label,
+)
 
 if TYPE_CHECKING:
     from .cohort import ClientProfile
-
-# Canonical category tables. Code 0..k-1 per field; order is load-bearing
-# (column order, CSV emission, residual mapping) and must never change.
-CATEGORIES: dict[str, dict[int, str]] = {
-    "race": {0: "White", 1: "Black", 2: "Hispanic", 3: "Other"},
-    "family_type": {0: "Single", 1: "Adult Families", 2: "Families with Children"},
-    "reason_homeless": {
-        0: "Eviction",
-        1: "Discord",
-        2: "Domestic Violence",
-        3: "Overcrowding",
-        4: "Other",
-    },
-    "employment": {0: "Unemployed", 1: "Employed", 2: "Unknown"},
-    "citizenship": {0: "Unknown", 1: "Citizen", 2: "Non-Resident", 3: "Undocumented"},
-}
-
-CATEGORICAL_FIELDS = tuple(CATEGORIES)
-
-# Residual bucket for raw values that match no canonical label.
-# family_type has no residual category, so unmatched values are an error.
-_RESIDUAL_CODE = {
-    "race": 3,
-    "reason_homeless": 4,
-    "employment": 2,
-    "citizenship": 0,
-}
-
-_LOOKUP = {
-    fname: {label.lower(): code for code, label in table.items()}
-    for fname, table in CATEGORIES.items()
-}
-
-
-def canonicalize(raw: str, fname: str) -> int:
-    """Map a raw category string to its canonical code.
-
-    Matching is case-insensitive after trimming. Unmatched values fall
-    into the field's residual bucket, except family_type which has none.
-    """
-    if fname not in CATEGORIES:
-        raise KeyError(f"unknown categorical field {fname!r}")
-    code = _LOOKUP[fname].get(raw.strip().lower())
-    if code is not None:
-        return code
-    if fname == "family_type":
-        raise UnmappableFamilyType(f"family_type has no bucket for {raw!r}")
-    return _RESIDUAL_CODE[fname]
-
-
-def category_label(fname: str, code: int) -> str:
-    return CATEGORIES[fname][code]
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Column layout of the encoded design matrix.
-
-    Age first, then the one-hot groups in canonical field order, then
-    income when enabled. Deterministic across runs and platforms.
-    """
-
-    include_income: bool = False
-
-    @property
-    def columns(self) -> list[str]:
-        cols = ["age"]
-        for fname in CATEGORICAL_FIELDS:
-            table = CATEGORIES[fname]
-            cols.extend(f"{fname}={table[code]}" for code in sorted(table))
-        if self.include_income:
-            cols.append("income")
-        return cols
-
-    @property
-    def one_hot_groups(self) -> list[slice]:
-        """Column slices of the one-hot groups, in canonical field order."""
-        groups, start = [], 1
-        for fname in CATEGORICAL_FIELDS:
-            groups.append(slice(start, start + len(CATEGORIES[fname])))
-            start += len(CATEGORIES[fname])
-        return groups
-
-    @property
-    def continuous_columns(self) -> list[str]:
-        return ["age"] + (["income"] if self.include_income else [])
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.columns)
-
-    def to_json(self) -> str:
-        payload = {
-            "columns": self.columns,
-            "continuous": self.continuous_columns,
-            "categories": {
-                fname: {str(code): label for code, label in table.items()}
-                for fname, table in CATEGORIES.items()
-            },
-            "include_income": self.include_income,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
 
 
 @dataclass

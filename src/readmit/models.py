@@ -39,13 +39,19 @@ Both fits are deterministic: no subsampling, no randomized tie-breaks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import Diverged, SingleClass, WidthMismatch
-from .features import EncodedDataset, FeatureSchema
+from .features import EncodedDataset
+from .schema import (  # noqa: F401
+    FeatureSchema,
+    GbmParams,
+    LogisticParams,
+    TrainConfig,
+)
 
 LEAF_VALUE_LIMIT = 10.0
 LEAF_HESSIAN_FLOOR = 1e-12
@@ -53,43 +59,6 @@ PROB_EPS = 1e-12
 IRLS_TOL = 1e-8  # converged once no parameter moves by this much
 IRLS_MAX_ITER = 100
 SPLIT_BLOCK = 16384  # (column, row) elements per split-search block
-
-
-@dataclass(frozen=True)
-class GbmParams:
-    n_trees: int = 100
-    learning_rate: float = 0.1
-    max_depth: int = 3
-    min_samples_leaf: int = 1
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if not (0.0 < self.learning_rate <= 1.0):
-            raise ValueError(
-                f"learning_rate must be in (0, 1], got {self.learning_rate}"
-            )
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_samples_leaf < 1:
-            raise ValueError(
-                f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}"
-            )
-
-
-@dataclass(frozen=True)
-class LogisticParams:
-    ridge: float = 1e-6
-
-    def __post_init__(self):
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    gbm: GbmParams = field(default_factory=GbmParams)
-    logistic: LogisticParams = field(default_factory=LogisticParams)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

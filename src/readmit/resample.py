@@ -16,26 +16,9 @@ import numpy as np
 
 from .errors import ClassTooSmall, MinorityTooSmall
 from .features import EncodedDataset
+from .schema import ORIGINAL, SmoteConfig
 
-ORIGINAL = "original"
 NEIGHBOR_BLOCK = 256  # minority rows per neighbor-selection block
-
-
-@dataclass(frozen=True)
-class SmoteConfig:
-    """ratio: target minority/majority ratio in (0, 1], or "original"."""
-
-    ratio: float | str = ORIGINAL
-    k: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.ratio != ORIGINAL:
-            r = float(self.ratio)
-            if not (0.0 < r <= 1.0):
-                raise ValueError(f"ratio must be in (0, 1], got {self.ratio!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)

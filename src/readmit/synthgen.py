@@ -38,8 +38,8 @@ from .cohort import (
     write_incidents,
 )
 from .errors import InfeasibleSpec
-from .features import CATEGORIES, category_label
 from .models import sigmoid
+from .schema import CATEGORIES, category_label
 from .seeding import derive_seed
 
 ENTRY_WINDOW_START = date(2013, 1, 1)

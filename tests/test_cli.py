@@ -4,11 +4,15 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from readmit import models
+import readmit
+from readmit import cli, features, models, resample
 from readmit.cli import main, parse_ratio_token, parse_ratios, UsageError
 from readmit.cohort import read_profiles, write_profiles
 from readmit.evaluate import sweep
@@ -130,6 +134,14 @@ class TestSynth:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "config key 'spec' must name a spec file, got ''" in err
+
+    def test_empty_spec_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["synth", "--spec", "", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "--spec must name a spec file, got ''" in err
+        assert not out.exists()
 
 
 class TestUnify:
@@ -535,6 +547,87 @@ class TestTrainAndReport:
     def test_report_missing_file_exits_3(self, tmp_path):
         assert main(["report",
                      "--report", str(tmp_path / "none.json")]) == 3
+
+    def test_report_non_string_ratio_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps({"rows": [dict(REPORT_ROW, ratio=0.5)]}))
+        code = main(["report", "--report", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"bad report file {bad}: ratio must be str, got 0.5" in err
+
+
+REPORT_ROW = {"ratio": "original", "accuracy": 0.9, "tp": 1, "fn": 2,
+              "fp": 3, "tn": 4, "auc": 0.7, "sensitivity": 0.333}
+
+
+def run_fresh(body: str) -> dict:
+    """Run body (which may set rc) in a new interpreter; return rc and
+    whether numpy was loaded."""
+    src = str(Path(readmit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import json, sys\nrc = 0\n" + body +
+              "\nprint(json.dumps({'rc': rc, "
+              "'numpy': 'numpy' in sys.modules}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def cli_call(argv: list[str]) -> str:
+    return ("from readmit.cli import main\n"
+            f"try:\n    rc = main({argv!r})\n"
+            "except SystemExit as exc:\n    rc = exc.code\n")
+
+
+class TestNumpyFreeStart:
+    """Linkage, the report and argument parsing load no numpy."""
+
+    @pytest.mark.parametrize("module", ["readmit.cli", "readmit.cohort"])
+    def test_import(self, module):
+        assert run_fresh(f"import {module}") == {"rc": 0, "numpy": False}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["sweep", "--help"]])
+    def test_parse_only(self, argv):
+        assert run_fresh(cli_call(argv)) == {"rc": 0, "numpy": False}
+
+    def test_unify(self, tmp_path):
+        out = tmp_path / "profiles.csv"
+        argv = ["unify", *(str(LINKAGE_SMALL / f"{name}.csv") for name in
+                           ("demographics", "exits", "incidents")),
+                "-o", str(out)]
+        assert run_fresh(cli_call(argv)) == {"rc": 0, "numpy": False}
+        assert out.read_bytes() == \
+            (LINKAGE_SMALL / "profiles_golden.csv").read_bytes()
+
+    def test_report(self, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"rows": [REPORT_ROW]}))
+        argv = ["report", "--report", str(report)]
+        assert run_fresh(cli_call(argv)) == {"rc": 0, "numpy": False}
+
+    def test_train_loads_numpy(self, tmp_path, small_profiles_file):
+        argv = ["train", "--profiles", str(small_profiles_file),
+                "--model", "logistic", "-o", str(tmp_path / "fit")]
+        assert run_fresh(cli_call(argv)) == {"rc": 0, "numpy": True}
+
+
+class TestLazyCliNames:
+    """readmit.cli.encode, .standardize and .smote resolve on access."""
+
+    def test_resolve_to_the_pipeline_functions(self):
+        assert cli.encode is features.encode
+        assert cli.standardize is features.standardize
+        assert cli.smote is resample.smote
+
+    @pytest.mark.parametrize("name", ["fit_model", "sweep", "Encode"])
+    def test_other_missing_names_raise(self, name):
+        with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+            getattr(cli, name)
 
 
 class TestDefaults:

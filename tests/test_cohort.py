@@ -306,7 +306,7 @@ class TestCollectorPause:
         write_linkage_trio(tmp_path)
         states = {}
         for module, name in ((cohort, "_parse_age"), (cohort, "_parse_date"),
-                             (cohort.features, "canonicalize")):
+                             (cohort.schema, "canonicalize")):
             def spy(*args, _fn=getattr(module, name), _name=name):
                 states.setdefault(_name, set()).add(gc.isenabled())
                 return _fn(*args)
