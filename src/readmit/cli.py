@@ -88,8 +88,8 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {p}")
+    if not p.is_file():
+        raise UsageError(f"config file not found or not a file: {p}")
     try:
         payload = json.loads(p.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -200,8 +200,8 @@ def cmd_synth(args) -> int:
         raise UsageError(f"{where} must be str, got {spec_path!r}")
     elif not spec_path:
         raise UsageError(f"{where} must name a spec file, got ''")
-    elif not Path(spec_path).exists():
-        raise UsageError(f"spec file not found: {spec_path}")
+    elif not Path(spec_path).is_file():
+        raise UsageError(f"spec file not found or not a file: {spec_path}")
     try:
         spec = synthgen.load_spec(spec_path)
     except (json.JSONDecodeError, UnicodeDecodeError, InfeasibleSpec,
@@ -370,6 +370,8 @@ def cmd_report(args) -> int:
         if not isinstance(label, str):
             raise UsageError(
                 f"bad report file {path}: ratio must be str, got {label!r}")
+    if not labels:
+        raise UsageError(f"bad report file {path}: rows is empty")
 
     header = ["Ratio"] + labels
     table = [header]

@@ -63,36 +63,79 @@ def synthetic_count(minority: int, majority: int, ratio: float | str) -> int:
     return max(0, math.ceil(float(ratio) * majority) - minority)
 
 
+def _distance_blocks(points: np.ndarray):
+    """Yield (start, d2) for each NEIGHBOR_BLOCK rows of points, where
+    d2[i, j] is the squared distance from row start + i to row j.
+
+    d2 is one reused buffer: the next block overwrites it. A column
+    whose values are all exactly 0.0 or 1.0 is binary (the one-hot
+    columns of encoded rows). The distance starts from the binary
+    part ones_a + ones_b - 2 bits_a.bits_b, a small integer that any
+    BLAS kernel and block shape computes exactly, and then adds
+    (a_c - b_c)**2 for each other column c in column order, each a
+    correctly rounded elementwise operation. So every distance is
+    fixed by the points alone, d2(a, b) and d2(b, a) are the same
+    bits, and duplicated rows are at distance exactly 0. A matrix
+    with no binary column gets the plain sum of squared differences.
+    """
+    m = len(points)
+    binary = np.all((points == 0.0) | (points == 1.0), axis=0)
+    bits = points[:, binary]
+    ones = bits.sum(axis=1)
+    # [bits, ones, 1] @ [-2 bits; 1; ones]^T is the binary part in one
+    # product; every entry and partial sum is an integer.
+    left = np.column_stack([bits, ones, np.ones(m)])
+    right = np.vstack([-2.0 * bits.T, np.ones(m), ones])
+    other = np.ascontiguousarray(points[:, ~binary].T)
+    d2_buf = np.empty((min(NEIGHBOR_BLOCK, m), m))
+    diff_buf = np.empty_like(d2_buf)
+    for a in range(0, m, NEIGHBOR_BLOCK):
+        b = min(a + NEIGHBOR_BLOCK, m)
+        d2 = d2_buf[: b - a]
+        diff = diff_buf[: b - a]
+        np.matmul(left[a:b], right, out=d2)
+        for col in other:
+            np.subtract(col[a:b, None], col, out=diff)
+            np.square(diff, out=diff)
+            d2 += diff
+        yield a, d2
+
+
 def _nearest_minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of each minority row's k nearest minority rows (self excluded).
 
-    Squared distances use the expanded form ||a||^2 + ||b||^2 - 2 a.b,
-    so rounding can make two distances that are equal in exact
-    arithmetic differ in the last bits. Each row's neighbors are ordered
-    by computed value; among equal computed values the lower row index
-    comes first. Rows are selected NEIGHBOR_BLOCK at a time, so memory
-    is the one m x m product a.b plus O(NEIGHBOR_BLOCK * m).
+    Distances follow _distance_blocks, so they are exact in the sense
+    given there and never depend on the BLAS kernel. Each row's
+    neighbors are the k smallest distances, ordered by value; among
+    equal values the lower row index comes first. Rows are handled
+    NEIGHBOR_BLOCK at a time, so memory is O(NEIGHBOR_BLOCK * m).
     """
     m = len(points)
-    sq = np.sum(points**2, axis=1)
-    # One product for all rows: per-block products would run different
-    # BLAS kernels (gemv for a 1-row block) with different rounding.
-    gram = points @ points.T
     out = np.empty((m, k), dtype=np.int64)
-    for a in range(0, m, NEIGHBOR_BLOCK):
-        b = min(a + NEIGHBOR_BLOCK, m)
-        rows = np.arange(b - a)
-        d2 = sq[a:b, None] + sq[None, :] - 2.0 * gram[a:b]
+    part_buf = np.empty((min(NEIGHBOR_BLOCK, m), m))
+    for a, d2 in _distance_blocks(points):
+        n = len(d2)
+        rows = np.arange(n)
         d2[rows, rows + a] = np.inf
-        kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+        part = part_buf[:n]
+        np.copyto(part, d2)
+        part.partition(k - 1, axis=1)
+        kth = part[:, k - 1 : k]
         below = d2 < kth
-        at_kth = d2 == kth
-        # Of the entries tied at the k-th value, keep the lowest-index ones.
-        room = k - np.count_nonzero(below, axis=1, keepdims=True)
-        keep = below | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
-        cols = np.nonzero(keep)[1].reshape(b - a, k)  # ascending per row
+        tied = d2 == kth
+        room = k - np.count_nonzero(below, axis=1)
+        keep = np.logical_or(below, tied, out=below)
+        # Where more entries tie at the k-th value than there are free
+        # slots, keep the lowest-index ones.
+        crowded = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
+        if crowded.size:
+            excess = tied[crowded]
+            excess &= (np.cumsum(excess, axis=1, dtype=np.int32)
+                       > room[crowded, None])
+            keep[crowded] ^= excess
+        cols = np.nonzero(keep)[1].reshape(n, k)  # ascending per row
         by_value = np.argsort(d2[rows[:, None], cols], axis=1, kind="stable")
-        out[a:b] = np.take_along_axis(cols, by_value, axis=1)
+        out[a : a + n] = np.take_along_axis(cols, by_value, axis=1)
     return out
 
 

@@ -143,6 +143,20 @@ class TestSynth:
         assert "--spec must name a spec file, got ''" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--spec", "--config"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_path_not_a_file_exits_2(self, tmp_path, capsys, flag, kind):
+        path = tmp_path / "named.json"
+        if kind == "directory":
+            path.mkdir()
+        out = tmp_path / "out"
+        code = main(["synth", flag, str(path), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        what = flag.lstrip("-")
+        assert f"{what} file not found or not a file: {path}" in err
+        assert not out.exists()
+
 
 class TestUnify:
     def test_golden_output_and_summary(self, tmp_path, capsys):
@@ -555,6 +569,15 @@ class TestTrainAndReport:
         err = capsys.readouterr().err
         assert code == 2, err
         assert f"bad report file {bad}: ratio must be str, got 0.5" in err
+
+    def test_report_empty_rows_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps({"rows": []}))
+        code = main(["report", "--report", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert f"bad report file {bad}: rows is empty" in captured.err
+        assert captured.out == ""
 
 
 REPORT_ROW = {"ratio": "original", "accuracy": 0.9, "tp": 1, "fn": 2,

@@ -14,6 +14,11 @@ runs this file at one OpenBLAS thread as well as at the default.
 Synthetic cohorts never leave an age blank, so the same runs are pinned
 once more on a copy of the cohort with 15% of its ages blanked:
 those digests cover each fit's imputation from its training rows.
+
+The SMOTE neighbour lists of the cohort's standardized minority rows
+are pinned too, and recomputed under other OpenBLAS and numpy kernels:
+neighbour distances are exact, so no kernel may move them. CI runs that
+test once more with OPENBLAS_CORETYPE=Haswell for the whole process.
 """
 
 from __future__ import annotations
@@ -21,65 +26,87 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import readmit
 from readmit.cli import main
 from readmit.cohort import read_profiles, write_profiles
 
 GOLDEN = {
     "sweep/report.json":
-        "4756936e93bc8ac46fd8e52740d1c56636de74d0bc22342dad273abdef4a734f",
+        "903d9a2f3f159b0033762b7bd58da0aebefabf45bdec7d76f8db1e1a791a5159",
     "sweep/roc_original.csv":
         "5b236617644c479cbb7585330b6feaa070904551474214451970043dabdc3abd",
     "sweep/roc_0.5.csv":
-        "7d61420ee57d763269f16601cf95d420197fca5e691c92cffa0d9034707ea5dd",
+        "9609f21c13af87784e2cb448065c9af6962f55becbc57be8d09576f539f33faa",
     "sweep/roc_1.0.csv":
-        "4ff48f8708a424c335e8c02ec8f11ecc50dd665ccf8a0e42861797207b691fd9",
+        "e4e746ec27b4ce64a2c66dc3c35449c83d5791e84bbf333851d551f59e9ab1d9",
     "fit/model.json":
-        "749cf7ae54faeae417d0f23dc3aba23e34e8b5e0a3b3dbec62fb1789d82f599d",
+        "957e2b041a2459ba3cf90f210f10cb9a23ad7b420932c34f0eca17e0056ee7ce",
 }
 
 GOLDEN_LOGISTIC = {
     "sweep/report.json":
-        "6f9f886e47053dc2275dfbccff36f80b000c3d084916aea8487b82e6fac8c6a8",
+        "8eac5166da829ba8cd022697a3f8fc62d219b25311ae6127d4f1c762097a2f18",
     "sweep/roc_original.csv":
         "ed5d0822213bd59b6aecfa59e50805ba04b0ee2a77adeae2cfabebcbe5251df3",
     "sweep/roc_0.5.csv":
-        "2cd14177953b79845ca982df945dfbd0e6ead195e0ccb300243d9b8c9146b0d3",
+        "ef47e631c599deb29457ba97c8e71660c7ae2af09191fa20a37de60a47597762",
     "sweep/roc_1.0.csv":
-        "2f4fe62b7591d9969d28e5e125664b72429c380ad8b5909d15b1d7ea9132b5b2",
+        "880f97f9c871a83f8ea75c7a93e9d57e29b52227661b1d531ed373a0a7cf5fbf",
     "fit/model.json":
-        "682773898485a55200ab665181c25e8f8d66a3fae7c9470fc5dd110f9c225df5",
+        "92e66f8910b67347a7d4c99324c661f355fb2294a47cf762a8c8e64fd2281db7",
 }
 
 BLANKED_AGE_GOLDEN = {
     "gbm": {
         "sweep/report.json":
-            "7f1a8cad3d0b9e3b5eff2bd73ebe528a0c15bfa17b24303a64901e4ef5a3f172",
+            "2457e43ff686aa058d5b8735da307d78a4982ab1a073aaf152185a9b0e9c4d04",
         "sweep/roc_original.csv":
             "12171c1ea9fdab4c52d8cd20050833b9915c8ef183fc7f3b79d1a092f16f3d94",
         "sweep/roc_0.5.csv":
-            "c7f3dbfc77a7d02adadf5555daf1e31b87adbbfbe67bf04b9c2f105a953a247d",
+            "d0e6b35fcf3f617dd59484f2e3fa742b23790d146a62828fa807d09476cd0332",
         "sweep/roc_1.0.csv":
-            "b7148f5f077dfa9a089aba50ce7f21d0c33aeb5243dee5021439b476003113b2",
+            "2e4f8a5108e37ba186cca75894f29b4e3e29d09c9d3365a8b175a511d7a81b29",
         "fit/model.json":
-            "c0c3b87e553fefeb8a38734a396efbc9aad2a846bad033e4280ae8f984297f13",
+            "0e658482bb324a1be841d4e08e35704f92fdff4a4d941c3d4d398d37d7e3fb53",
     },
     "logistic": {
         "sweep/report.json":
-            "a74741a7250f26bff1958cc79759b5fe779c79d80d150d82cf760281b5c981b5",
+            "675e643e338f4cc0d5abf44ebc72d05d8942c2065b5d912868ad1b4c41f17ae5",
         "sweep/roc_original.csv":
             "651d20b0ccd23cbd383da07377cb706c3cc959bb42604efbd7dbc0ec00f333e2",
         "sweep/roc_0.5.csv":
-            "51ba4d4e9201415e73bdf762335ba183907ee033f7cc9687a3d1c563db77a67d",
+            "9ea6960acd1128efdbdb11c4220476db3e1db88ed4dda0637fc407016fe5dbb4",
         "sweep/roc_1.0.csv":
-            "9a5b0508a77285c02f63c1d1718f65d48728eda989dc0c06e2c8691e13a5b5b3",
+            "726b7683d1f97ec85eb67f3372e72837bbb1c5be1bbebee0837c65bb8af1edac",
         "fit/model.json":
-            "48d6fb8d35c612845c5ad342695a0e21b11b1946551714da91f4f8f67893042e",
+            "87f21b327ccea9d4a9242468b73d5f30bd5ab160f0bd1c6935e143263b4d509a",
     },
 }
+
+
+# sha256 of the k=5 neighbour lists (little-endian int64) of the golden
+# cohort's standardized minority rows.
+NEIGHBOR_DIGEST = (
+    "e04324028ca8778b76916a842a6716c96d80224abe97720e6b007356e4fa7ad6")
+
+NEIGHBOR_SCRIPT = """
+import hashlib, sys
+from readmit.cohort import read_profiles
+from readmit.features import FeatureSchema, encode, standardize
+from readmit.resample import _nearest_minority_neighbors
+data, _ = standardize(encode(read_profiles(sys.argv[1]),
+                             FeatureSchema()).dataset)
+neighbors = _nearest_minority_neighbors(data.matrix[data.labels == 1], 5)
+print(hashlib.sha256(neighbors.astype("<i8").tobytes()).hexdigest())
+"""
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +176,32 @@ def test_blanked_age_run_matches_golden_digests(tmp_path, blanked_profiles,
     digests = run_digests(tmp_path, blanked_profiles, model_args)
     assert "warning" not in capsys.readouterr().err
     assert digests == BLANKED_AGE_GOLDEN[model_args[1]]
+
+
+def numpy_kernels_above_x86_v3() -> str:
+    """The numpy kernels this CPU runs beyond X86_V3 (AVX2), named as
+    numpy's own dispatch list names them: it rejects other names."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    dispatch = list(umath.__cpu_dispatch__)
+    v3 = "X86_V3" if "X86_V3" in dispatch else "AVX2"
+    above = dispatch[dispatch.index(v3) + 1:] if v3 in dispatch else []
+    return " ".join(f for f in above if umath.__cpu_features__.get(f))
+
+
+@pytest.mark.parametrize("kernel_env", [
+    {}, {"OPENBLAS_CORETYPE": "Prescott"},
+    {"NPY_DISABLE_CPU_FEATURES": numpy_kernels_above_x86_v3()},
+], ids=["inherited", "openblas-prescott", "numpy-avx2"])
+def test_smote_neighbors_match_golden_digest(profiles, kernel_env):
+    src = str(Path(readmit.__file__).resolve().parents[1])
+    env = dict(os.environ, **kernel_env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NEIGHBOR_SCRIPT,
+                           str(profiles)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [NEIGHBOR_DIGEST]

@@ -164,10 +164,32 @@ class TestSmote:
             SmoteConfig(ratio=0.5, k=0)
 
 
+def brute_force_sq_distances(points):
+    """Reference distance rule, one pair at a time: the binary columns
+    (every value exactly 0.0 or 1.0) give the integer
+    ones_a + ones_b - 2 bits_a.bits_b, then each other column c adds
+    (a_c - b_c)**2 in column order."""
+    binary = [c for c in range(points.shape[1])
+              if all(v in (0.0, 1.0) for v in points[:, c])]
+    other = [c for c in range(points.shape[1]) if c not in binary]
+    rows = points.tolist()
+    d2 = np.empty((len(rows), len(rows)))
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            ones_a = sum(a[c] == 1.0 for c in binary)
+            ones_b = sum(b[c] == 1.0 for c in binary)
+            both = sum(a[c] == b[c] == 1.0 for c in binary)
+            total = float(ones_a + ones_b - 2 * both)
+            for c in other:
+                diff = a[c] - b[c]
+                total += diff * diff
+            d2[i, j] = total
+    return d2
+
+
 def stable_argsort_neighbors(points, k):
-    """Reference rule: full squared-distance matrix, stable argsort."""
-    sq = np.sum(points**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    """Reference selection: brute-force distances, stable argsort."""
+    d2 = brute_force_sq_distances(points)
     np.fill_diagonal(d2, np.inf)
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
@@ -178,13 +200,19 @@ def tie_heavy_points(kind: str, m: int, seed: int) -> np.ndarray:
         return rng.integers(0, 2, size=(m, 4)).astype(np.float64)
     if kind == "rounded":
         return np.round(rng.normal(size=(m, 3)), 1)
+    if kind == "mixed":  # like encoded rows: continuous, then one-hot
+        return np.hstack([np.round(rng.normal(size=(m, 2)), 1),
+                          rng.integers(0, 2, size=(m, 3)).astype(np.float64)])
     base = rng.normal(size=(max(1, m // 3), 3))  # duplicated rows
     return base[rng.integers(0, len(base), size=m)]
 
 
+KINDS = ["binary", "rounded", "duplicated", "mixed"]
+
+
 class TestNearestNeighbors:
     @pytest.mark.parametrize("block", [2, 3])
-    @pytest.mark.parametrize("kind", ["binary", "rounded", "duplicated"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_blocks_match_stable_argsort(self, monkeypatch, block, kind):
         monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", block)
         for m in (block - 1, block, block + 1, 2 * block + 1):
@@ -196,7 +224,7 @@ class TestNearestNeighbors:
                 want = stable_argsort_neighbors(points, k)
                 assert np.array_equal(got, want), (m, k)
 
-    @pytest.mark.parametrize("kind", ["binary", "rounded", "duplicated"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_many_blocks_match_stable_argsort(self, monkeypatch, kind):
         monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 3)
         for seed in range(20):
@@ -212,8 +240,23 @@ class TestNearestNeighbors:
         got = resample._nearest_minority_neighbors(points, 5)
         assert np.array_equal(got, stable_argsort_neighbors(points, 5))
 
-    def test_peak_memory_below_one_and_a_half_products(self):
-        m = 3000
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_distances_are_exact_and_symmetric(self, monkeypatch,
+                                                      kind):
+        monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 3)
+        points = tie_heavy_points(kind, 31, seed=4)  # last block: 1 row
+        d2 = np.vstack([block.copy() for _, block
+                        in resample._distance_blocks(points)])
+        want = brute_force_sq_distances(points)
+        assert d2.tobytes() == want.tobytes()
+        assert d2.tobytes() == np.ascontiguousarray(d2.T).tobytes()
+        same = (points[:, None, :] == points[None, :, :]).all(axis=2)
+        if kind == "duplicated":
+            assert same.sum() > len(points)  # some rows repeat
+        assert np.all(d2[same] == 0.0)
+
+    @pytest.mark.parametrize("m", [3000, 6000])
+    def test_peak_memory_linear_in_rows(self, m):
         rng = np.random.default_rng(0)
         points = np.hstack([
             np.round(rng.normal(size=(m, 3)), 1),
@@ -225,4 +268,5 @@ class TestNearestNeighbors:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * m * m * 8, peak / (m * m * 8)
+        block_bytes = resample.NEIGHBOR_BLOCK * m * 8
+        assert peak < 6 * block_bytes, peak / block_bytes
