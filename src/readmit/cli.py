@@ -96,6 +96,9 @@ def _load_config_file(path: str | None) -> dict:
         raise UsageError(f"config file {p} is not UTF-8 JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise UsageError(f"config file {p} must hold a JSON object")
+    for key in payload:
+        if key not in DEFAULTS and key != "spec":
+            raise UsageError(f"config file {p}: unknown key {key!r}")
     return payload
 
 
@@ -152,7 +155,11 @@ def parse_ratios(tokens: str) -> list[float | str]:
     parts = [t for t in tokens.split(",") if t.strip()]
     if not parts:
         raise UsageError("empty ratio list")
-    return [parse_ratio_token(t) for t in parts]
+    ratios = [parse_ratio_token(t) for t in parts]
+    for i, ratio in enumerate(ratios):
+        if ratio in ratios[:i]:
+            raise UsageError(f"ratio {parts[i].strip()!r} given twice")
+    return ratios
 
 
 def _dump_json(payload: dict, path: Path) -> None:
@@ -176,6 +183,14 @@ def _fit_configs(
         ), SmoteConfig(ratio=ratio, k=resolved["k"], seed=smote_seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _read_profiles(path: str) -> list[cohort_mod.ClientProfile]:
+    """profiles.csv's rows; a file with none is a usage error."""
+    profiles = cohort_mod.read_profiles(path)
+    if not profiles:
+        raise UsageError(f"profiles file {path} has no rows")
+    return profiles
 
 
 def _warn_unconverged(where: str) -> None:
@@ -277,11 +292,11 @@ def cmd_sweep(args) -> int:
     if resolved["folds"] < 2:
         raise UsageError(f"folds must be >= 2, got {resolved['folds']}")
     train_config, _ = _fit_configs(resolved)  # also rejects a bad k here
-    profiles = cohort_mod.read_profiles(args.profiles)
+    profiles = _read_profiles(args.profiles)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = eval_mod.sweep(
+    results, dropped = eval_mod.sweep(
         profiles,
         ratios,
         model_kind=resolved["model"],
@@ -296,20 +311,20 @@ def cmd_sweep(args) -> int:
     payload = {
         "version": __version__,
         "config": resolved,
-        "dropped_missing_income": report.dropped_missing_income,
-        "rows": [row.to_dict() for row in report.rows],
+        "dropped_missing_income": dropped,
+        "rows": [result.row() for result in results],
     }
     _dump_json(payload, out_dir / "report.json")
     FeatureSchema(include_income=resolved["include_income"]).write(
         out_dir / "schema.json"
     )
-    for label, curve in report.curves.items():
-        eval_mod.write_roc_csv(curve, out_dir / f"roc_{label}.csv")
-    for label, traces in report.traces.items():
-        for trace in traces:
+    for result in results:
+        eval_mod.write_roc_csv(result.curve,
+                               out_dir / f"roc_{result.ratio}.csv")
+        for trace in result.traces:
             if not trace.converged:
-                _warn_unconverged(f"ratio {label}, fold {trace.fold}: ")
-    print(f"report: {out_dir / 'report.json'} ({len(report.rows)} rows)")
+                _warn_unconverged(f"ratio {result.ratio}, fold {trace.fold}: ")
+    print(f"report: {out_dir / 'report.json'} ({len(results)} rows)")
     return EXIT_OK
 
 
@@ -321,7 +336,7 @@ def cmd_train(args) -> int:
     ratio = parse_ratio_token(resolved["ratio"])
     train_config, smote_config = _fit_configs(
         resolved, ratio, derive_seed(resolved["seed"], "smote"))
-    profiles = cohort_mod.read_profiles(args.profiles)
+    profiles = _read_profiles(args.profiles)
 
     schema = FeatureSchema(include_income=resolved["include_income"])
     # evaluate's name for encode: a call site the traced benchmark wraps.

@@ -9,6 +9,10 @@ synthetic rows oversampling adds. Its predict scores the held-out rows
 with that median and those statistics. ``readmit train`` fits through
 the same fit_model.
 
+A sweep returns one CvResult per ratio, in the order given: the ratio's
+label, the pooled confusion matrix, AUC and ROC curve, and one
+FoldTrace per fold. CvResult.row() is that ratio's report.json row.
+
 Each (ratio, fold) fit is one task (run_fold) with its seeds fixed in
 advance. GBM tasks run in a pool of forked worker processes, one per
 CPU in this process's affinity mask; with a single CPU (for example
@@ -25,7 +29,7 @@ import csv
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -156,12 +160,24 @@ class FoldTrace:
 
 @dataclass
 class CvResult:
+    ratio: str  # ratio_label of the run's oversampling ratio
     confusion: ConfusionMatrix
     auc: float
     curve: RocCurve
     pooled_scores: np.ndarray
     labels: np.ndarray
     traces: list[FoldTrace]
+
+    def row(self) -> dict:
+        """This result's report.json row."""
+        cm = self.confusion
+        return {"ratio": self.ratio, "accuracy": accuracy(cm), "tp": cm.tp,
+                "fn": cm.fn, "fp": cm.fp, "tn": cm.tn, "auc": self.auc,
+                "sensitivity": sensitivity(cm)}
+
+
+def ratio_label(ratio: float | str) -> str:
+    return ORIGINAL if ratio == ORIGINAL else repr(float(ratio))
 
 
 @dataclass(frozen=True)
@@ -366,7 +382,7 @@ def _cross_validate(
     outputs = _run_folds(inputs, tasks, workers)
 
     results = []
-    for i, plan in enumerate(plans):
+    for i, ((smote_config, _), plan) in enumerate(zip(runs, plans)):
         pooled = np.empty(len(labels), dtype=np.float64)
         traces: list[FoldTrace] = []
         for task, (scores, trace) in zip(plan, outputs[i * n_folds:]):
@@ -375,6 +391,7 @@ def _cross_validate(
         cm = confusion(labels, pooled)
         curve = roc_curve(labels, pooled)
         results.append(CvResult(
+            ratio=ratio_label(smote_config.ratio),
             confusion=cm,
             auc=auc(curve),
             curve=curve,
@@ -411,33 +428,6 @@ def cv_evaluate(
 
 # --- ratio sweep ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    ratio: str
-    accuracy: float
-    tp: int
-    fn: int
-    fp: int
-    tn: int
-    auc: float
-    sensitivity: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class SweepReport:
-    rows: list[SweepRow]
-    curves: dict[str, RocCurve]
-    traces: dict[str, list[FoldTrace]]
-    dropped_missing_income: int
-
-
-def ratio_label(ratio: float | str) -> str:
-    return ORIGINAL if ratio == ORIGINAL else repr(float(ratio))
-
-
 def sweep(
     profiles: Sequence,
     ratios: Sequence[float | str],
@@ -447,43 +437,18 @@ def sweep(
     n_folds: int = 5,
     seed: int = 0,
     include_income: bool = False,
-) -> SweepReport:
-    """One pooled CV evaluation per oversampling ratio, in the given order.
+) -> tuple[list[CvResult], int]:
+    """One pooled CV result per oversampling ratio, in the given order,
+    and the number of profiles income mode dropped.
 
     Each ratio gets an independent seed derived from the master seed and
-    its position, so rows are reproducible in isolation. Every
+    its position, so results are reproducible in isolation. Every
     (ratio, fold) fit is built up front and run as one set of tasks.
     """
     if not ratios:
         raise ValueError("ratios must be non-empty")
-    if train_config is None:
-        train_config = TrainConfig()
-
     runs = [(SmoteConfig(ratio=ratio, k=k), derive_seed(seed, "ratio", i))
             for i, ratio in enumerate(ratios)]
-    results, dropped = _cross_validate(
-        profiles, model_kind, runs, train_config, n_folds, include_income,
-    )
-
-    rows: list[SweepRow] = []
-    curves: dict[str, RocCurve] = {}
-    traces: dict[str, list[FoldTrace]] = {}
-    for ratio, result in zip(ratios, results):
-        label = ratio_label(ratio)
-        cm = result.confusion
-        rows.append(
-            SweepRow(
-                ratio=label,
-                accuracy=accuracy(cm),
-                tp=cm.tp,
-                fn=cm.fn,
-                fp=cm.fp,
-                tn=cm.tn,
-                auc=result.auc,
-                sensitivity=sensitivity(cm),
-            )
-        )
-        curves[label] = result.curve
-        traces[label] = result.traces
-    return SweepReport(rows=rows, curves=curves, traces=traces,
-                       dropped_missing_income=dropped)
+    return _cross_validate(profiles, model_kind, runs,
+                           train_config or TrainConfig(), n_folds,
+                           include_income)

@@ -152,8 +152,8 @@ class LogisticParams:
     ridge: float = 1e-6
 
     def __post_init__(self):
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        if not 0 <= self.ridge < float("inf"):
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
 @dataclass(frozen=True)

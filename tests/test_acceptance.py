@@ -230,9 +230,9 @@ def trend_runs():
     for seed in range(5):
         cohort = generate(CohortSpec(seed=seed))
         t0 = time.perf_counter()
-        report = sweep(cohort, SWEEP_RATIOS, model_kind="gbm", seed=seed)
+        results, _ = sweep(cohort, SWEEP_RATIOS, model_kind="gbm", seed=seed)
         gbm_elapsed += time.perf_counter() - t0
-        gbm_reports.append(report)
+        gbm_reports.append([result.row() for result in results])
         benchmark = cv_evaluate(
             cohort, "logistic", SmoteConfig(ratio=ORIGINAL),
             TrainConfig(), n_folds=5, seed=seed,
@@ -244,13 +244,13 @@ def trend_runs():
 @criterion(5, "sweep trend: sensitivity rises, AUC nearly flat")
 def test_criterion_5_trend(trend_runs):
     gbm_reports, _, gbm_elapsed = trend_runs
-    labels = [row.ratio for row in gbm_reports[0].rows]
+    labels = [row["ratio"] for row in gbm_reports[0]]
     sens = {label: [] for label in labels}
     aucs = {label: [] for label in labels}
-    for report in gbm_reports:
-        for row in report.rows:
-            sens[row.ratio].append(row.sensitivity)
-            aucs[row.ratio].append(row.auc)
+    for rows in gbm_reports:
+        for row in rows:
+            sens[row["ratio"]].append(row["sensitivity"])
+            aucs[row["ratio"]].append(row["auc"])
 
     median_sens = {k: float(np.median(v)) for k, v in sens.items()}
     median_auc = {k: float(np.median(v)) for k, v in aucs.items()}
@@ -264,8 +264,8 @@ def test_criterion_5_trend(trend_runs):
 def test_criterion_6_benchmark_gap(trend_runs):
     gbm_reports, logistic_sens, _ = trend_runs
     gbm_balanced = [
-        next(row.sensitivity for row in report.rows if row.ratio == "1.0")
-        for report in gbm_reports
+        next(row["sensitivity"] for row in rows if row["ratio"] == "1.0")
+        for rows in gbm_reports
     ]
     assert float(np.median(gbm_balanced)) > float(np.median(logistic_sens))
 

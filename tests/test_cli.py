@@ -9,13 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import readmit
 from readmit import cli, features, models, resample
 from readmit.cli import main, parse_ratio_token, parse_ratios, UsageError
 from readmit.cohort import read_profiles, write_profiles
-from readmit.evaluate import sweep
+from readmit.evaluate import CvResult, confusion, roc_curve, sweep
 from readmit.models import GbmParams, LogisticParams
 from readmit.resample import SmoteConfig
 from readmit.synthgen import CohortSpec, generate
@@ -58,7 +59,8 @@ class TestRatioParsing:
         assert parse_ratios("original,0.3,1.0") == ["original", 0.3, 1.0]
 
     def test_bad_tokens(self):
-        for bad in ("huge", "0", "1.2", "-0.5", ""):
+        for bad in ("huge", "0", "1.2", "-0.5", "", "0.5,0.5", "0.3,0.30",
+                    "original,ORIGINAL"):
             with pytest.raises(UsageError):
                 parse_ratios(bad)
 
@@ -305,6 +307,37 @@ class TestSweep:
                      "-o", str(tmp_path / "out")])
         assert code == 2
 
+    def test_repeated_ratio_exits_2_naming_it(self, tmp_path,
+                                              small_profiles_file, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep", "--profiles", str(small_profiles_file),
+                     "--ratios", "original,0.3,0.30", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "ratio '0.30' given twice" in err
+        assert not out.exists()
+
+    def test_unknown_config_key_exits_2_naming_it(
+        self, tmp_path, small_profiles_file, capsys
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"folds": 2, "n_tree": 3}))
+        code = main(["sweep", "--profiles", str(small_profiles_file),
+                     "--config", str(config), "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"config file {config}: unknown key 'n_tree'" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "train"])
+    def test_header_only_profiles_exits_2(self, tmp_path, capsys, command):
+        profiles = tmp_path / "profiles.csv"
+        write_profiles([], profiles)
+        code = main([command, "--profiles", str(profiles),
+                     "-o", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"profiles file {profiles} has no rows" in err
+
     def test_missing_profiles_exits_3(self, tmp_path):
         code = main(["sweep", "--profiles", str(tmp_path / "none.csv"),
                      "--ratios", "original", "-o", str(tmp_path / "out")])
@@ -348,9 +381,13 @@ class TestSweep:
         ([], {"k": True}),
         ([], {"include_income": "false"}),
         ([], {"learning_rate": "fast"}),
+        (["--ridge", "nan"], None),
+        (["--ridge", "inf"], None),
+        ([], {"n_tree": 3, "fold": 3}),
     ], ids=["folds-1", "folds-abc", "k-0", "n-trees-2.5", "config-folds-abc",
             "config-folds-2.5", "config-k-true", "config-income-string",
-            "config-learning-rate-string"])
+            "config-learning-rate-string", "ridge-nan", "ridge-inf",
+            "config-unknown-keys"])
     def test_bad_option_value_exits_2(self, tmp_path, small_profiles_file,
                                       capsys, extra, config):
         commands = ["sweep"]
@@ -584,6 +621,17 @@ REPORT_ROW = {"ratio": "original", "accuracy": 0.9, "tp": 1, "fn": 2,
               "fp": 3, "tn": 4, "auc": 0.7, "sensitivity": 0.333}
 
 
+def test_report_row_keys_are_the_rendered_metrics():
+    """CvResult.row(), which sweep writes, has the keys report renders."""
+    labels = np.array([1, 0, 1, 0])
+    scores = np.array([0.9, 0.2, 0.4, 0.6])
+    result = CvResult(ratio="original", confusion=confusion(labels, scores),
+                      auc=0.75, curve=roc_curve(labels, scores),
+                      pooled_scores=scores, labels=labels, traces=[])
+    assert list(result.row()) == [
+        "ratio", *(key for _, key, _ in cli._REPORT_METRICS)]
+
+
 def run_fresh(body: str) -> dict:
     """Run body (which may set rc) in a new interpreter; return rc and
     whether numpy was loaded."""
@@ -667,9 +715,9 @@ class TestDefaults:
                      "--ratios", "original,1.0", "--seed", "6",
                      "-o", str(out)]) == 0
         rows = json.loads((out / "report.json").read_text())["rows"]
-        report = sweep(read_profiles(small_profiles_file), ["original", 1.0],
-                       seed=6)
-        assert rows == [row.to_dict() for row in report.rows]
+        results, _ = sweep(read_profiles(small_profiles_file),
+                           ["original", 1.0], seed=6)
+        assert rows == [result.row() for result in results]
 
     def test_train_config_is_the_library_defaults(self, tmp_path,
                                                   small_profiles_file):

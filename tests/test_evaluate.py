@@ -263,40 +263,45 @@ class TestSweep:
         ]
 
     def test_single_ratio_single_row(self):
-        report = sweep(self.small_profiles(), [ORIGINAL],
-                       model_kind="logistic", n_folds=2, seed=3)
-        assert len(report.rows) == 1
-        assert report.rows[0].ratio == "original"
+        results, _ = sweep(self.small_profiles(), [ORIGINAL],
+                           model_kind="logistic", n_folds=2, seed=3)
+        assert len(results) == 1
+        assert results[0].ratio == "original"
+        assert results[0].row()["ratio"] == "original"
 
     def test_row_keys_exact(self):
-        report = sweep(self.small_profiles(), [ORIGINAL, 0.5],
-                       model_kind="logistic", n_folds=2, seed=3)
-        for row in report.rows:
-            assert list(row.to_dict().keys()) == [
+        results, _ = sweep(self.small_profiles(), [ORIGINAL, 0.5],
+                           model_kind="logistic", n_folds=2, seed=3)
+        for result in results:
+            assert list(result.row().keys()) == [
                 "ratio", "accuracy", "tp", "fn", "fp", "tn", "auc",
                 "sensitivity",
             ]
 
     def test_rows_ordered_as_given_with_curves(self):
         ratios = [0.5, ORIGINAL, 1.0]
-        report = sweep(self.small_profiles(), ratios,
-                       model_kind="gbm",
-                       train_config=TrainConfig(gbm=GbmParams(n_trees=5)),
-                       n_folds=2, seed=3)
-        assert [r.ratio for r in report.rows] == ["0.5", "original", "1.0"]
-        assert set(report.curves) == {"0.5", "original", "1.0"}
+        results, _ = sweep(self.small_profiles(), ratios,
+                           model_kind="gbm",
+                           train_config=TrainConfig(gbm=GbmParams(n_trees=5)),
+                           n_folds=2, seed=3)
+        assert [r.row()["ratio"] for r in results] == [
+            "0.5", "original", "1.0"]
+        for result in results:
+            assert result.curve == roc_curve(result.labels,
+                                             result.pooled_scores)
 
     def test_row_identities(self):
-        report = sweep(self.small_profiles(), [ORIGINAL, 1.0],
-                       model_kind="logistic", n_folds=2, seed=9)
+        results, _ = sweep(self.small_profiles(), [ORIGINAL, 1.0],
+                           model_kind="logistic", n_folds=2, seed=9)
         n = len(self.small_profiles())
-        for row in report.rows:
-            assert row.tp + row.fn + row.fp + row.tn == n
-            assert row.sensitivity == pytest.approx(
-                row.tp / (row.tp + row.fn), abs=1e-9
+        for result in results:
+            row = result.row()
+            assert row["tp"] + row["fn"] + row["fp"] + row["tn"] == n
+            assert row["sensitivity"] == pytest.approx(
+                row["tp"] / (row["tp"] + row["fn"]), abs=1e-9
             )
-            assert row.accuracy == pytest.approx(
-                (row.tp + row.tn) / n, abs=1e-9
+            assert row["accuracy"] == pytest.approx(
+                (row["tp"] + row["tn"]) / n, abs=1e-9
             )
 
     def test_income_mode_reports_dropped_rows(self):
@@ -306,13 +311,13 @@ class TestSweep:
                          n_episodes=1 + (i % 3 == 0))
             for i in range(60)
         ]
-        report = sweep(profiles, [ORIGINAL], model_kind="logistic",
-                       n_folds=2, seed=3, include_income=True)
-        assert report.dropped_missing_income == 12
-        row = report.rows[0]
-        assert row.tp + row.fn + row.fp + row.tn == 48
+        results, dropped = sweep(profiles, [ORIGINAL], model_kind="logistic",
+                                 n_folds=2, seed=3, include_income=True)
+        assert dropped == 12
+        row = results[0].row()
+        assert row["tp"] + row["fn"] + row["fp"] + row["tn"] == 48
         assert sweep(profiles, [ORIGINAL], model_kind="logistic", n_folds=2,
-                     seed=3).dropped_missing_income == 0
+                     seed=3)[1] == 0
 
     def test_empty_ratiolist_rejected(self):
         with pytest.raises(ValueError):

@@ -81,10 +81,16 @@ def test_sweep_parallel_equals_serial(cohort, fold_pids, set_workers):
     assert os.getpid() not in parallel_pids
     assert len(set(parallel_pids)) == 2
 
-    assert parallel.rows == serial.rows
-    assert list(parallel.curves) == list(serial.curves)
-    for label, curve in serial.curves.items():
-        assert parallel.curves[label] == curve
+    serial_results, serial_dropped = serial
+    parallel_results, parallel_dropped = parallel
+    assert [r.ratio for r in serial_results] == ["original", "0.5", "1.0"]
+    assert parallel_dropped == serial_dropped
+    assert len(parallel_results) == len(serial_results)
+    for got, want in zip(parallel_results, serial_results):
+        assert got.row() == want.row()
+        assert got.curve == want.curve
+        assert got.traces == want.traces
+        assert np.array_equal(got.pooled_scores, want.pooled_scores)
 
 
 def test_cv_evaluate_parallel_equals_serial(cohort, fold_pids, set_workers):
