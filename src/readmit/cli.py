@@ -294,8 +294,6 @@ def cmd_sweep(args) -> int:
     train_config, _ = _fit_configs(resolved)  # also rejects a bad k here
     profiles = _read_profiles(args.profiles)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results, dropped = eval_mod.sweep(
         profiles,
         ratios,
@@ -307,6 +305,8 @@ def cmd_sweep(args) -> int:
         include_income=resolved["include_income"],
     )
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     resolved["ratios"] = [eval_mod.ratio_label(r) for r in ratios]
     payload = {
         "version": __version__,

@@ -143,3 +143,16 @@ def write_linkage_trio(out_dir: Path, n: int = 400, seed: int = 9) -> None:
     _write_rows(out_dir / "demographics.csv", DEMOGRAPHICS_HEADER, demo)
     _write_rows(out_dir / "exits.csv", EXITS_HEADER, exits)
     _write_rows(out_dir / "incidents.csv", INCIDENTS_HEADER, incidents)
+
+
+def numpy_kernels_above_x86_v3() -> str:
+    """The numpy kernels this CPU runs beyond X86_V3 (AVX2), named as
+    numpy's own dispatch list names them: it rejects other names."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    dispatch = list(umath.__cpu_dispatch__)
+    v3 = "X86_V3" if "X86_V3" in dispatch else "AVX2"
+    above = dispatch[dispatch.index(v3) + 1:] if v3 in dispatch else []
+    return " ".join(f for f in above if umath.__cpu_features__.get(f))

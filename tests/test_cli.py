@@ -295,6 +295,18 @@ class TestSweep:
         assert (out / "roc_0.5.csv").exists()
         assert (out / "schema.json").exists()
 
+    def test_failed_sweep_leaves_no_output_directory(
+        self, tmp_path, small_profiles_file, capsys
+    ):
+        # k=60 exceeds a training fold's minority count at ratio 1.0.
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--profiles", str(small_profiles_file),
+                     "--model", "gbm", "--n-trees", "5", "--k", "60",
+                     "--folds", "2", "--ratios", "original,1.0",
+                     "-o", str(out)]) == 4
+        assert "minority has " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reruns_byte_identical(self, tmp_path, small_profiles_file):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         assert self.run_sweep(small_profiles_file, out1) == 0

@@ -38,6 +38,8 @@ import readmit
 from readmit.cli import main
 from readmit.cohort import read_profiles, write_profiles
 
+from tests.helpers import numpy_kernels_above_x86_v3
+
 GOLDEN = {
     "sweep/report.json":
         "903d9a2f3f159b0033762b7bd58da0aebefabf45bdec7d76f8db1e1a791a5159",
@@ -176,19 +178,6 @@ def test_blanked_age_run_matches_golden_digests(tmp_path, blanked_profiles,
     digests = run_digests(tmp_path, blanked_profiles, model_args)
     assert "warning" not in capsys.readouterr().err
     assert digests == BLANKED_AGE_GOLDEN[model_args[1]]
-
-
-def numpy_kernels_above_x86_v3() -> str:
-    """The numpy kernels this CPU runs beyond X86_V3 (AVX2), named as
-    numpy's own dispatch list names them: it rejects other names."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    dispatch = list(umath.__cpu_dispatch__)
-    v3 = "X86_V3" if "X86_V3" in dispatch else "AVX2"
-    above = dispatch[dispatch.index(v3) + 1:] if v3 in dispatch else []
-    return " ".join(f for f in above if umath.__cpu_features__.get(f))
 
 
 @pytest.mark.parametrize("kernel_env", [

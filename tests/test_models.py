@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from readmit import models, synthgen
 from readmit.errors import SingleClass, WidthMismatch
@@ -32,6 +33,7 @@ from readmit.models import (
 
 from readmit.resample import SmoteConfig, smote
 
+from tests.oracles.gbm_exact import _grow_tree as grow_exact
 from tests.oracles.gbm_exact import fit_gbm_exact
 from tests.oracles.logistic_gd import fit_logistic_gd
 from tests.oracles.logistic_irls import fit_logistic_irls
@@ -496,20 +498,88 @@ def test_logistic_fit_is_the_same_at_one_and_two_blas_threads():
     assert fits[0] == fits[1]
 
 
-class TestGbmMatchesExactOracle:
-    """fit_gbm searches blocks of columns; tests/oracles/gbm_exact.py is
-    the former column-at-a-time search. Trees and losses must be equal
-    bit for bit."""
+@pytest.fixture
+def rescores(monkeypatch):
+    """The row counts of the nodes whose split the exact rescore decides;
+    every other split is decided from the fixed-point histograms."""
+    calls = []
+    rescore = models._rescore
 
-    @pytest.mark.parametrize("block", [1, 40, 400, None])
+    def counted(x, bins, g, rows, columns, min_leaf):
+        calls.append(len(rows))
+        return rescore(x, bins, g, rows, columns, min_leaf)
+
+    monkeypatch.setattr(models, "_rescore", counted)
+    return calls
+
+
+def n_splits(model: GbmModel) -> int:
+    return sum(int(np.count_nonzero(t.feature >= 0)) for t in model.trees)
+
+
+def fixed_point_flip() -> tuple[np.ndarray, np.ndarray, int]:
+    """A stump whose two binary columns split 28 rows S+A | B+R and
+    S+B | A+R. A's residuals sum higher than B's, but rounded to
+    frac_bits fraction bits B's sum higher: the fixed-point gains order
+    the columns opposite to the float ones, by far less than the
+    tolerance. Returns x, g and frac_bits."""
+    s, k = 6, 8
+    n = 2 * s + 2 * k
+    frac_bits = 52 - (n * 2).bit_length()
+    unit = 2.0 ** -frac_bits
+    quarter = 2.0 ** (frac_bits - 2)  # 0.25 in units
+    g = np.concatenate([
+        np.full(s, 0.9),
+        np.full(k, (quarter + 0.49) * unit),  # A: each rounds down
+        np.full(k // 2, (quarter + 0.51) * unit),  # B: half round up
+        np.full(k // 2, (quarter + 0.2) * unit),
+        np.full(s, -0.9),
+    ])
+    x = np.zeros((n, 2))
+    x[s + k:, 0] = 1.0
+    x[s:s + k, 1] = 1.0
+    x[s + 2 * k:, 1] = 1.0
+    return x, g, frac_bits
+
+
+def float_and_fixed_gains(g: np.ndarray, frac_bits: int):
+    """Every position's gain on a node whose rows are in g's order: as
+    the exact search computes it from g, and as the histograms do from
+    g rounded to frac_bits fraction bits."""
+    m = len(g)
+    n_left = np.arange(1.0, m)
+    scale = 2.0 ** frac_bits
+    out = []
+    for v in (g, np.rint(g * scale) / scale):
+        total = v.sum()
+        cum = np.cumsum(v)[:-1]
+        out.append(cum * cum / n_left + (total - cum) ** 2 / (m - n_left)
+                   - total * total / m)
+    return out
+
+
+drawn_values = st.sampled_from(
+    [-1.5, -0.0, 0.0, 0.25, float(np.nextafter(0.25, 1.0)), 1.0, np.nan])
+
+
+class TestGbmMatchesExactOracle:
+    """fit_gbm prunes split positions by fixed-point histogram gains and
+    rescores near-ties exactly; tests/oracles/gbm_exact.py is the former
+    column-at-a-time search. Trees and losses must be equal bit for bit."""
+
+    @pytest.mark.parametrize("widen", [1, 40, 400, None])
     @pytest.mark.parametrize(
         "kind", ["binary", "rounded", "duplicated", "nextafter", "nan"])
-    def test_tie_heavy_data(self, monkeypatch, kind, block):
-        # block 1 gives 1-column blocks; 40 gives 1 to 4 columns per block
-        # as nodes shrink; 400 splits only the root; the default block
-        # holds the whole matrix.
-        if block is not None:
-            monkeypatch.setattr(models, "SPLIT_BLOCK", block)
+    def test_tie_heavy_data(self, monkeypatch, rescores, kind, widen):
+        # A tolerance above the bound only sends more columns to the
+        # exact rescore: 1 keeps the bound, 40 and 400 widen it, and
+        # None rescores every column that has a valid position.
+        tolerance = models._tolerance
+        monkeypatch.setattr(
+            models, "_tolerance",
+            lambda m, bits: np.inf if widen is None
+            else widen * tolerance(m, bits))
+        splits = 0
         for seed in range(2):
             rng = np.random.default_rng(seed)
             x = tie_heavy_matrix(kind, 90, 6, seed)
@@ -520,13 +590,122 @@ class TestGbmMatchesExactOracle:
                 for leaf in (1, 2, 7):
                     config = TrainConfig(gbm=GbmParams(
                         n_trees=4, max_depth=depth, min_samples_leaf=leaf))
-                    assert_same_fit(fit_gbm(data, config),
-                                    fit_gbm_exact(data, config))
+                    got = fit_gbm(data, config)
+                    assert_same_fit(got, fit_gbm_exact(data, config))
+                    splits += n_splits(got)
+        if widen == 1:  # both paths decided splits
+            assert 0 < len(rescores) < splits
 
     def test_cohort_scale_matrix(self, ratio_one_training_set):
         config = TrainConfig(gbm=GbmParams(n_trees=10))
         assert_same_fit(fit_gbm(ratio_one_training_set, config),
                         fit_gbm_exact(ratio_one_training_set, config))
+
+    def test_copied_column_nudged_by_one_ulp(self, rescores):
+        rng = np.random.default_rng(5)
+        x = tie_heavy_matrix("rounded", 120, 3, 5)
+        y = (x[:, 0] + rng.normal(size=120) > 0).astype(np.int64)
+        copy = x[:, 0].copy()
+        copy[7] = np.nextafter(copy[7], np.inf)
+        data = dataset_from(np.column_stack([x, copy]), y)
+        config = TrainConfig(gbm=GbmParams(n_trees=5))
+        got = fit_gbm(data, config)
+        assert_same_fit(got, fit_gbm_exact(data, config))
+        assert got.trees[0].feature[0] in (0, 3)
+        assert rescores
+
+    def test_duplicated_columns_split_on_the_lowest(self, rescores):
+        rng = np.random.default_rng(6)
+        x = tie_heavy_matrix("rounded", 120, 2, 6)
+        y = (x.sum(axis=1) + rng.normal(size=120) > 0).astype(np.int64)
+        data = dataset_from(np.column_stack([x, x, x[:, ::-1]]), y)
+        config = TrainConfig(gbm=GbmParams(n_trees=5))
+        got = fit_gbm(data, config)
+        assert_same_fit(got, fit_gbm_exact(data, config))
+        assert all(set(t.feature.tolist()) <= {-1, 0, 1} for t in got.trees)
+        assert rescores
+
+    def test_node_without_a_positive_gain_stays_a_leaf(self, rescores):
+        # Every split leaves both sides with the same share of positives.
+        x = np.array([[0, 0], [0, 0], [0, 1], [0, 1],
+                      [1, 0], [1, 0], [1, 1], [1, 1]], dtype=np.float64)
+        data = dataset_from(x, [1, 0, 1, 0, 1, 0, 1, 0])
+        config = TrainConfig(gbm=GbmParams(n_trees=3))
+        got = fit_gbm(data, config)
+        assert_same_fit(got, fit_gbm_exact(data, config))
+        assert [t.n_nodes for t in got.trees] == [1, 1, 1]
+        assert rescores
+
+    def test_signed_zeros_share_a_bin(self):
+        rng = np.random.default_rng(7)
+        x = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(80, 3))
+        y = (rng.random(80) < np.where(x[:, 0] == 0, 0.7, 0.3))
+        data = dataset_from(x, y.astype(np.int64))
+        assert len(models._Bins(x).values) == 3 * 4
+        for depth in (1, 3):
+            config = TrainConfig(gbm=GbmParams(n_trees=4, max_depth=depth))
+            assert_same_fit(fit_gbm(data, config),
+                            fit_gbm_exact(data, config))
+
+    def test_nan_values(self):
+        rng = np.random.default_rng(8)
+        x = tie_heavy_matrix("nan", 100, 3, 8)
+        x[:, 1] = np.nan
+        x[:50, 2] = np.nan
+        y = (rng.random(100) < 0.4).astype(np.int64)
+        y[:2] = (0, 1)
+        data = dataset_from(x, y)
+        for leaf in (1, 3):
+            config = TrainConfig(gbm=GbmParams(n_trees=4, max_depth=4,
+                                               min_samples_leaf=leaf))
+            assert_same_fit(fit_gbm(data, config),
+                            fit_gbm_exact(data, config))
+
+    @pytest.mark.parametrize("leaf", [2, 5, 13])
+    def test_min_samples_leaf(self, leaf, rescores):
+        rng = np.random.default_rng(leaf)
+        x = tie_heavy_matrix("duplicated", 150, 4, leaf)
+        y = (x[:, 0] + rng.normal(size=150) > 0).astype(np.int64)
+        data = dataset_from(x, y)
+        config = TrainConfig(gbm=GbmParams(n_trees=6, max_depth=4,
+                                           min_samples_leaf=leaf))
+        got = fit_gbm(data, config)
+        assert_same_fit(got, fit_gbm_exact(data, config))
+        assert len(rescores) < n_splits(got)
+
+    def test_fixed_point_flip_is_rescored(self, rescores):
+        x, g, frac_bits = fixed_point_flip()
+        scale = 2.0 ** frac_bits
+        q = np.rint(g * scale) / scale
+        assert g[6:14].sum() > g[14:22].sum()
+        assert q[6:14].sum() < q[14:22].sum()
+        bins = models._Bins(x)
+        h = np.full(len(x), 0.25)
+        got, _ = models._grow_tree(x, bins, bins.root(1), g, h, 1, 1,
+                                   frac_bits)
+        want, _ = grow_exact(
+            x, [np.argsort(x[:, j], kind="stable") for j in (0, 1)],
+            g, h, 1, 1)
+        assert got.feature.tolist() == want.feature.tolist() == [0, -1, -1]
+        assert got.threshold.tolist() == want.threshold.tolist()
+        assert rescores == [len(x)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_data(self, data):
+        n = data.draw(st.integers(4, 30))
+        d = data.draw(st.integers(1, 4))
+        x = np.array(data.draw(st.lists(drawn_values, min_size=n * d,
+                                        max_size=n * d))).reshape(n, d)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+        y[:2] = (0, 1)
+        config = TrainConfig(gbm=GbmParams(
+            n_trees=2, max_depth=data.draw(st.integers(1, 4)),
+            min_samples_leaf=data.draw(st.integers(1, 3))))
+        fitted = dataset_from(x, y)
+        assert_same_fit(fit_gbm(fitted, config),
+                        fit_gbm_exact(fitted, config))
 
     def test_peak_memory_within_one_and_a_half_oracle(
         self, ratio_one_training_set
@@ -535,6 +714,30 @@ class TestGbmMatchesExactOracle:
         peak = traced_peak(fit_gbm, ratio_one_training_set, config)
         oracle = traced_peak(fit_gbm_exact, ratio_one_training_set, config)
         assert peak <= 1.5 * oracle, peak / oracle
+
+
+class TestSplitTolerance:
+    """The fixed-point gain is within _tolerance(m) of the float gain at
+    every position, so pruning by it never drops the exact winner."""
+
+    @pytest.mark.parametrize("m", [2, 3, 1000, 20000])
+    @pytest.mark.parametrize(
+        "kind", ["uniform", "residuals", "alternating", "runs", "one-sided"])
+    def test_float_and_fixed_point_gains_within_tolerance(self, kind, m):
+        rng = np.random.default_rng(m)
+        near_one = 1.0 - rng.random(m) * 1e-3
+        g = {
+            "uniform": rng.uniform(-1.0, 1.0, m),
+            "residuals": rng.integers(0, 2, m) - rng.random(m),
+            "alternating": near_one * (-1.0) ** np.arange(m),
+            "runs": near_one * (-1.0) ** (np.arange(m) // 97),
+            "one-sided": near_one,
+        }[kind]
+        for width in (1, 20):
+            frac_bits = 52 - (m * width).bit_length()
+            gains, fixed = float_and_fixed_gains(g, frac_bits)
+            err = float(np.max(np.abs(gains - fixed)))
+            assert err <= models._tolerance(m, frac_bits), err
 
 
 class TestConfigValidation:
