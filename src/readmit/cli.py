@@ -199,6 +199,14 @@ def _warn_unconverged(where: str) -> None:
           f"{IRLS_MAX_ITER} IRLS steps", file=sys.stderr)
 
 
+def _warn_dropped_income(encoded):
+    """encoded's dataset, after a warning if income mode dropped rows."""
+    if encoded.dropped_missing_income:
+        print(f"warning: income mode dropped {encoded.dropped_missing_income}"
+              " profiles with no income", file=sys.stderr)
+    return encoded.dataset
+
+
 # --- commands ------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
@@ -342,8 +350,8 @@ def cmd_train(args) -> int:
     # evaluate's name for encode: a call site the traced benchmark wraps.
     # The encoded rows are an argument only, freed once the fit returns.
     pipeline = eval_mod.fit_model(
-        eval_mod.encode(profiles, schema).dataset, resolved["model"],
-        smote_config, train_config)
+        _warn_dropped_income(eval_mod.encode(profiles, schema)),
+        resolved["model"], smote_config, train_config)
     if not pipeline.converged:
         _warn_unconverged("")
 

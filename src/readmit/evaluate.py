@@ -3,11 +3,11 @@
 Evaluation protocol: stratified k-fold CV with pooled out-of-fold
 predictions, so one confusion matrix covers every input row exactly
 once. The cohort is encoded once, missing ages left NaN. fit_model
-fits a Pipeline on a fold's training rows only: their age median,
-their standardization statistics, and a model fitted on them plus the
-synthetic rows oversampling adds. Its predict scores the held-out rows
-with that median and those statistics. ``readmit train`` fits through
-the same fit_model.
+fits a Pipeline on a fold's training rows only: their column
+statistics (features.ColumnStats: age median fill, mean and scale),
+and a model fitted on them plus the synthetic rows oversampling adds.
+Its predict scores the held-out rows with those statistics.
+``readmit train`` fits through the same fit_model.
 
 A sweep returns one CvResult per ratio, in the order given: the ratio's
 label, the pooled confusion matrix, AUC and ROC curve, and one
@@ -37,8 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import models as models_mod
-from .errors import (EmptyMatrix, LengthMismatch, MissingAge, NoPositives,
-                     SingleClass)
+from .errors import EmptyMatrix, LengthMismatch, NoPositives, SingleClass
 from .features import ColumnStats, EncodedDataset, encode, standardize
 from .resample import smote, stratified_folds
 from .schema import (MODEL_KINDS, ORIGINAL, FeatureSchema, SmoteConfig,
@@ -202,11 +201,9 @@ class FoldTask:
 @dataclass(frozen=True)
 class Pipeline:
     """One fit with the preprocessing it was fitted with: the training
-    rows' age median and column statistics, the model fitted on the
-    standardized, oversampled training rows, and how many synthetic
-    rows oversampling added."""
+    rows' column statistics, the model fitted on those rows standardized
+    and oversampled, and how many synthetic rows oversampling added."""
 
-    age_median: float
     stats: ColumnStats
     model: models_mod.LogisticModel | models_mod.GbmModel
     n_synthetic: int
@@ -218,18 +215,12 @@ class Pipeline:
                 or self.model.converged)
 
     def predict(self, data: EncodedDataset) -> np.ndarray:
-        """Probabilities for encoded rows: missing (NaN) ages take the
-        training median and columns the training statistics."""
-        std, _ = standardize(_with_age(data, self.age_median), self.stats)
+        """Probabilities for encoded rows, standardized with the
+        training statistics (missing ages take the training median)."""
+        std, _ = standardize(data, self.stats)
         if isinstance(self.model, models_mod.LogisticModel):
             return models_mod.predict_proba_logistic(self.model, std.matrix)
         return models_mod.predict_proba_gbm(self.model, std.matrix)
-
-
-def _with_age(data: EncodedDataset, age_median: float) -> EncodedDataset:
-    matrix = data.matrix.copy()
-    matrix[np.isnan(matrix[:, 0]), 0] = age_median
-    return replace(data, matrix=matrix)
 
 
 def fit_model(
@@ -238,25 +229,19 @@ def fit_model(
     smote_config: SmoteConfig,
     train_config: TrainConfig,
 ) -> Pipeline:
-    """Impute, standardize, oversample and fit on encoded training rows.
+    """Standardize, oversample and fit on encoded training rows.
 
-    Missing (NaN) ages take the training rows' median (MissingAge when
-    none has an age), standardization statistics are fitted on the
-    training rows, and oversampling adds to the training rows only.
+    The column statistics, missing ages' median fill included
+    (MissingAge when no row has an age), are fitted on the training
+    rows, and oversampling adds to the training rows only.
     """
     fit = {"gbm": models_mod.fit_gbm,
            "logistic": models_mod.fit_logistic}.get(model_kind)
     if fit is None:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
-    ages = train.matrix[:, 0]
-    known = ages[~np.isnan(ages)]
-    if len(known) == 0:
-        raise MissingAge("no training row has an age to impute from")
-    age_median = float(np.median(known))
-    std_train, stats = standardize(_with_age(train, age_median))
+    std_train, stats = standardize(train)
     train_final = smote(std_train, smote_config)
-    return Pipeline(age_median=age_median, stats=stats,
-                    model=fit(train_final, train_config),
+    return Pipeline(stats=stats, model=fit(train_final, train_config),
                     n_synthetic=train_final.n_rows - std_train.n_rows)
 
 

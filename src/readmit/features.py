@@ -1,4 +1,4 @@
-"""Design-matrix construction and standardization.
+"""Design-matrix construction, imputation and standardization.
 
 The predictor schema (declared in readmit.schema) has five categorical
 predictors with fixed canonical codes, one continuous age column, and
@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import EmptyAfterFiltering, WidthMismatch
+from .errors import EmptyAfterFiltering, MissingAge, WidthMismatch
 from .schema import (  # noqa: F401
     CATEGORICAL_FIELDS,
     CATEGORIES,
@@ -50,8 +50,8 @@ def encode(profiles: Sequence["ClientProfile"],
            schema: FeatureSchema) -> EncodeResult:
     """Build the design matrix for a set of profiles.
 
-    Missing ages stay NaN, for each fit to impute from its own training
-    rows (evaluate.fit_model). With income enabled, rows without an
+    Missing ages stay NaN, for standardize to fill with the median of
+    each fit's own training rows. With income enabled, rows without an
     income value are dropped and counted; this is the pipeline's only
     income filter.
     """
@@ -89,11 +89,12 @@ def encode(profiles: Sequence["ClientProfile"],
 
 @dataclass(frozen=True)
 class ColumnStats:
-    """Per-column shift/scale fitted on training rows.
+    """Per-column NaN fill, shift and scale fitted on training rows.
 
     Identity (mean 0, scale 1) on one-hot and zero-variance columns.
     """
 
+    fill: np.ndarray
     mean: np.ndarray
     scale: np.ndarray
 
@@ -101,34 +102,46 @@ class ColumnStats:
 def standardize(
     dataset: EncodedDataset, stats: ColumnStats | None = None
 ) -> tuple[EncodedDataset, ColumnStats]:
-    """Z-score continuous columns; one-hot columns pass through.
+    """Fill and z-score continuous columns; one-hot columns pass through.
 
-    When stats is None they are fitted on this dataset (sample sd,
-    n-1 denominator) and returned for reuse on held-out rows.
-    Zero-variance columns are left unscaled.
+    When stats is None they are fitted on this dataset and returned for
+    reuse on held-out rows: the known values' median (MissingAge if
+    none) fills NaN cells, then the filled column's mean and sample sd
+    (n-1 denominator). Zero-variance columns are left unscaled.
     """
-    matrix = dataset.matrix
+    matrix = dataset.matrix.copy()
+    cols = dataset.schema.columns
+    continuous = [cols.index(c) for c in dataset.schema.continuous_columns]
     if stats is None:
+        fill = np.zeros(matrix.shape[1])
         mean = np.zeros(matrix.shape[1])
         scale = np.ones(matrix.shape[1])
-        cols = dataset.schema.columns
-        for name in dataset.schema.continuous_columns:
-            j = cols.index(name)
+        for j in continuous:
             col = matrix[:, j]
+            missing = np.isnan(col)
+            if missing.all():
+                raise MissingAge(
+                    f"no training row has a known {cols[j]} to impute from")
+            fill[j] = float(np.median(col[~missing]))
+            col[missing] = fill[j]
             sd = float(np.std(col, ddof=1)) if len(col) > 1 else 0.0
             if sd > 0.0:
                 mean[j] = float(np.mean(col))
                 scale[j] = sd
-        stats = ColumnStats(mean=mean, scale=scale)
+        stats = ColumnStats(fill=fill, mean=mean, scale=scale)
     elif stats.mean.shape[0] != matrix.shape[1]:
         raise WidthMismatch(
             f"stats have {stats.mean.shape[0]} columns, matrix has "
             f"{matrix.shape[1]}"
         )
+    else:
+        for j in continuous:
+            matrix[np.isnan(matrix[:, j]), j] = stats.fill[j]
 
-    out = (matrix - stats.mean) / stats.scale
+    matrix -= stats.mean
+    matrix /= stats.scale
     return (
-        EncodedDataset(matrix=out, labels=dataset.labels.copy(),
+        EncodedDataset(matrix=matrix, labels=dataset.labels,
                        schema=dataset.schema),
         stats,
     )

@@ -167,14 +167,13 @@ def smote_with_trace(
     minority_idx = np.flatnonzero(labels == 1)
     m = len(minority_idx)
     majority = int(np.sum(labels == 0))
+    n_syn = synthetic_count(m, majority, config.ratio)
+    if n_syn == 0:
+        return data, empty
     if m <= config.k:
         raise MinorityTooSmall(
             f"minority has {m} rows; need more than k={config.k}"
         )
-
-    n_syn = synthetic_count(m, majority, config.ratio)
-    if n_syn == 0:
-        return data, empty
 
     rng = np.random.default_rng(config.seed)
     points = data.matrix[minority_idx]

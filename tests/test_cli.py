@@ -16,9 +16,11 @@ import readmit
 from readmit import cli, features, models, resample
 from readmit.cli import main, parse_ratio_token, parse_ratios, UsageError
 from readmit.cohort import read_profiles, write_profiles
-from readmit.evaluate import CvResult, confusion, roc_curve, sweep
+from readmit.evaluate import (CvResult, confusion, fit_model, roc_curve,
+                              sweep)
 from readmit.models import GbmParams, LogisticParams
 from readmit.resample import SmoteConfig
+from readmit.seeding import derive_seed
 from readmit.synthgen import CohortSpec, generate
 
 from tests.helpers import LINKAGE_SMALL
@@ -588,6 +590,28 @@ class TestTrainAndReport:
             outs.append(dir_snapshot(out))
         assert outs[0] == outs[1]
 
+    def test_train_warns_of_dropped_income_rows(self, tmp_path,
+                                                small_profiles_file, capsys):
+        kept = [p for p in read_profiles(small_profiles_file)
+                if p.income is not None]
+        dropped = len(read_profiles(small_profiles_file)) - len(kept)
+        assert dropped > 0
+        assert main(["train", "--profiles", str(small_profiles_file),
+                     "--model", "logistic", "--include-income",
+                     "-o", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: income mode dropped {dropped} profiles with no "
+            "income\n")
+        # The kept profiles alone train without a warning, to the same
+        # model.json: the count is not recorded there.
+        complete = tmp_path / "complete.csv"
+        write_profiles(kept, complete)
+        assert main(["train", "--profiles", str(complete),
+                     "--model", "logistic", "--include-income",
+                     "-o", str(tmp_path / "b")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert dir_snapshot(tmp_path / "a") == dir_snapshot(tmp_path / "b")
+
     def test_report_renders_table(self, tmp_path, small_profiles_file,
                                   capsys):
         out = tmp_path / "sweep"
@@ -631,6 +655,42 @@ class TestTrainAndReport:
 
 REPORT_ROW = {"ratio": "original", "accuracy": 0.9, "tp": 1, "fn": 2,
               "fp": 3, "tn": 4, "auc": 0.7, "sensitivity": 0.333}
+
+
+class TestScoringOutsideTheCli:
+    """A caller that scores model.json by hand (standardize the encoded
+    profiles, then the model's predict_proba) gets train's own
+    probabilities, blank ages included."""
+
+    @pytest.fixture()
+    def blanked_profiles(self, tmp_path, small_profiles_file):
+        out = tmp_path / "blanked.csv"
+        write_profiles([dataclasses.replace(p, age=None) if i % 7 == 0 else p
+                        for i, p in enumerate(read_profiles(
+                            small_profiles_file))], out)
+        return out
+
+    @pytest.mark.parametrize("model_kind", ["logistic", "gbm"])
+    def test_equals_fit_model_predict(self, tmp_path, blanked_profiles,
+                                      model_kind):
+        out = tmp_path / "fit"
+        assert main(["train", "--profiles", str(blanked_profiles),
+                     "--model", model_kind, "--ratio", "1.0", "--seed", "0",
+                     "-o", str(out)]) == 0
+        data = features.encode(read_profiles(blanked_profiles),
+                               features.FeatureSchema()).dataset
+        assert np.isnan(data.matrix[0, 0])
+        std, _ = features.standardize(data)
+        model = models.load_model(out / "model.json")
+        predict = getattr(models, f"predict_proba_{model_kind}")
+        scores = predict(model, std.matrix)
+        assert np.all(np.isfinite(scores))
+
+        pipeline = fit_model(data, model_kind,
+                             SmoteConfig(ratio=1.0,
+                                         seed=derive_seed(0, "smote")),
+                             models.TrainConfig())
+        assert scores.tobytes() == pipeline.predict(data).tobytes()
 
 
 def test_report_row_keys_are_the_rendered_metrics():

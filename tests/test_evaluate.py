@@ -347,7 +347,7 @@ class TestPipeline:
         train = self.profiles([20.0, None, 30.0, 50.0, None, 70.0, 60.0, 25.0])
         held_out = self.profiles([90.0, 95.0, 99.0], start=8)
         pipeline = self.fit(train)
-        assert pipeline.age_median == 40.0  # of 20, 25, 30, 50, 60, 70
+        assert pipeline.stats.fill[0] == 40.0  # of 20, 25, 30, 50, 60, 70
         all_known = [p.age for p in train + held_out if p.age is not None]
         assert float(np.median(all_known)) != 40.0
         # The column statistics see the imputed training ages.
@@ -361,7 +361,7 @@ class TestPipeline:
             self.profiles([20.0, None, 30.0, 50.0, 44.0, 70.0, 60.0, 25.0]),
             model_kind)
         held_out = [make_profile(pid="A", age=None),
-                    make_profile(pid="B", age=pipeline.age_median),
+                    make_profile(pid="B", age=pipeline.stats.fill[0]),
                     make_profile(pid="C", age=80.0)]
         scores = pipeline.predict(encode(held_out, FeatureSchema()).dataset)
         assert scores[0] == scores[1]

@@ -5,6 +5,7 @@ import pytest
 
 from readmit.errors import (
     EmptyAfterFiltering,
+    MissingAge,
     UnmappableFamilyType,
     WidthMismatch,
 )
@@ -154,7 +155,8 @@ class TestStandardize:
 
     def test_apply_supplied_stats(self):
         dataset = encode([make_profile(age=50.0)], FeatureSchema()).dataset
-        stats = ColumnStats(mean=np.array([30.0] + [0.0] * 19),
+        stats = ColumnStats(fill=np.array([35.0] + [0.0] * 19),
+                            mean=np.array([30.0] + [0.0] * 19),
                             scale=np.array([10.0] + [1.0] * 19))
         out, _ = standardize(dataset, stats)
         assert out.matrix[0, 0] == 2.0
@@ -174,6 +176,40 @@ class TestStandardize:
 
     def test_width_mismatch(self):
         dataset = encode([make_profile()], FeatureSchema()).dataset
-        stats = ColumnStats(mean=np.zeros(3), scale=np.ones(3))
+        stats = ColumnStats(fill=np.zeros(3), mean=np.zeros(3),
+                            scale=np.ones(3))
         with pytest.raises(WidthMismatch):
             standardize(dataset, stats)
+
+    def test_fill_is_median_of_known_values_only(self):
+        ages = (20.0, None, 30.0, 50.0, None, 70.0)
+        dataset = encode([make_profile(pid=f"P{i}", age=a)
+                          for i, a in enumerate(ages)],
+                         FeatureSchema()).dataset
+        out, stats = standardize(dataset)
+        assert stats.fill[0] == 40.0  # of 20, 30, 50, 70; NaNs not counted
+        filled = [20.0, 40.0, 30.0, 50.0, 40.0, 70.0]
+        assert stats.mean[0] == np.mean(filled)
+        assert stats.scale[0] == np.std(filled, ddof=1)
+        assert np.all(np.isfinite(out.matrix))
+        # The input matrix keeps its NaNs.
+        assert np.isnan(dataset.matrix[1, 0])
+
+    def test_held_out_nan_standardizes_like_the_fill(self):
+        train = encode([make_profile(pid=f"P{i}", age=a)
+                        for i, a in enumerate((21.0, 34.0, None, 58.5))],
+                       FeatureSchema()).dataset
+        _, stats = standardize(train)
+        held_out = encode([make_profile(pid="A", age=None),
+                           make_profile(pid="B", age=stats.fill[0]),
+                           make_profile(pid="C", age=80.0)],
+                          FeatureSchema()).dataset
+        out, _ = standardize(held_out, stats)
+        assert out.matrix[0, 0].tobytes() == out.matrix[1, 0].tobytes()
+        assert out.matrix[2, 0] != out.matrix[0, 0]
+
+    def test_no_known_value_raises(self):
+        dataset = encode([make_profile(pid=f"P{i}", age=None)
+                          for i in range(3)], FeatureSchema()).dataset
+        with pytest.raises(MissingAge):
+            standardize(dataset)

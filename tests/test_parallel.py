@@ -189,7 +189,7 @@ def test_workers_exit_when_their_parent_is_killed(tmp_path):
             os.kill(pid, signal.SIGKILL)
 
 
-# What run_fold can raise: age imputation (evaluate), standardize
+# What run_fold can raise: standardize, age imputation included
 # (features), smote (resample), and the fits and predictions (models);
 # also encode's errors, though encode now runs once in the calling
 # process. MalformedCsv, whose args do not rebuild it, is raised only

@@ -112,6 +112,13 @@ class TestSmote:
         with pytest.raises(MinorityTooSmall):
             smote(data, SmoteConfig(ratio=1.0, k=5, seed=0))
 
+    def test_small_minority_already_at_ratio_is_a_no_op(self):
+        # 5 / 50 already meets 0.05, so no neighbours are needed.
+        data = imbalanced_dataset(5, 50, 3, seed=3)
+        out, trace = smote_with_trace(data, SmoteConfig(ratio=0.05, k=5))
+        assert out is data
+        assert len(trace.parent_rows) == 0
+
     def test_original_rows_unchanged_and_first(self):
         data = imbalanced_dataset(15, 60, 4, seed=4)
         out = smote(data, SmoteConfig(ratio=0.8, seed=5))
