@@ -32,6 +32,7 @@ from .errors import (
     EmptyKeyPart,
     InfeasibleSpec,
     MalformedCsv,
+    MinorityTooSmall,
     ReadmitError,
     UnmappableFamilyType,
 )
@@ -497,6 +498,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MinorityTooSmall as exc:  # a training fold cannot support --k
+        print(f"error: option --k: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

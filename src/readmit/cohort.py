@@ -568,6 +568,8 @@ def _profile_row_problem(values: list[int]) -> tuple[str, str] | None:
         if count < 0:
             return f, f"negative count {count}"
     n, n_open, readmit = values[5], values[6], values[9]
+    if n == 0:
+        return "n_episodes", "must be >= 1: a linked profile has an episode"
     if n_open > n:
         return "n_open_episodes", f"more open episodes than {n} episodes"
     if readmit != (n >= 2):

@@ -18,48 +18,29 @@ Two fitters share the EncodedDataset input contract:
   sum to zero, as at the full design's ridge optimum, and the
   probabilities are those of the reduced fit.
 * fit_gbm: gradient-boosted regression trees on the binary log-loss.
-  Each round fits a squared-error tree to the residuals y - p and sets
-  leaf values by a Newton step sum(y-p)/sum(p(1-p)), then updates the
-  margin with shrinkage. Splits are exact: every midpoint between
-  consecutive distinct sorted values is considered, ties broken toward
-  the lowest column index and then the lowest threshold.
+  Each round fits a squared-error tree to the residuals g = y - p and
+  sets leaf values by a Newton step sum(g)/sum(p(1-p)), then updates the
+  margin with shrinkage.
+
+  Splits are exact on fixed-point residuals. Each tree rounds g to
+  q = rint(g * 2**K) * 2**-K, K = 52 - bitlen(n*d), so every sum of q
+  that the search takes (at most n*d terms of |q| <= 1) is a float
+  exactly, in any order. A node's gain at a position is
+  a**2/l + (t-a)**2/r - t**2/m, from the exact sum a of q over the l
+  rows left of it and the exact total t over the node's m rows. Every
+  midpoint between consecutive distinct values is a position. The
+  first maximum in (column, threshold) order splits the node, if its
+  gain is > 0 and q is not constant on the node. So a split depends on
+  which rows a node holds, never on their order. Leaf values come from
+  the float g.
 
   Each fit bins every column once: one bin per distinct value (-0.0
   and 0.0 share one) and one NaN bin, numbered globally, with each
-  element's bin key held as an intp. Each tree copies its residuals g
-  to a fixed-point q = rint(g * 2**K) * 2**-K, K = 52 - bitlen(n*d), so
-  every sum of q that the search takes (at most n*d terms of |q| <= 1)
-  is a float exactly, in any order. A node's histogram, the sum of q
-  and the row count per bin, is then one np.bincount of its rows' keys,
-  and its sibling's is the parent's minus it (Ke et al. 2017). A node
-  keeps only its non-empty bins. Column j's prefix sums are the flat
-  cumsum of the node's histogram less j times the node's total.
-
-  The histograms only prune: every split is the one the exact search
-  takes from the float g (Chen & Guestrin 2016, section 3.1). At any
-  position of an m-row node, with u = 2**-53 and |g| <= 1,
-
-      |float gain - fixed-point gain| <= tol(m)
-          = 16 * (m * 2**-(K+1) + 2*u*m**2) + 64*u*m.
-
-  The left sum and the total differ between the two by at most
-  delta = m * 2**-(K+1) + 2*u*m**2: rounding q moves a sum of at most m
-  terms by m * 2**-(K+1), and a sequential or pairwise float sum of at
-  most m terms is within (m-1)*u/(1-(m-1)*u) * m <= 2*u*m**2 of the
-  exact one. The gain a**2/l + (t-a)**2/r - t**2/m, with |a| <= l and
-  |t - a| <= r, then moves by at most 8*delta + 6*delta**2 <= 16*delta
-  (delta <= 1 while n**2 * (d+1) <= 2**52). Each evaluation in floats
-  adds under 16*u*m more, as every term is at most 2m.
-
-  A position can be the winner only if its fixed-point gain plus tol
-  reaches max(0, the best fixed-point gain - tol). When exactly one
-  can and its gain - tol > 0, it splits the node, at the midpoint of
-  its bin's value and the node's next one. Otherwise each column with
-  such a position is rescored in ascending order by the exact rule: a
-  sequential cumsum of g in the column's node order (the node's rows
-  stably sorted by bin), the total summed in column 0's order, the
-  first maximum, and gain > 0. Near-ties are rare: on a 3,240-row
-  cohort matrix 8 of 699 splits were rescored.
+  element's bin key held as an intp. A node's histogram, the sum of q
+  and the row count per bin, is one np.bincount of its rows' keys, and
+  its sibling's is the parent's minus it (Ke et al. 2017). A node keeps
+  only its non-empty bins. Column j's left sums are the flat cumsum of
+  the node's histogram less j times the node's total.
 
   Memory is the bin keys, 8 bytes per matrix element; 32 bytes per bin
   for the bin tables (at most n*d + d bins; about 2n + 3d on a cohort,
@@ -325,50 +306,6 @@ class _Bins:
                 np.bincount(local, minlength=len(support)))
 
 
-def _tolerance(m: int, frac_bits: int) -> float:
-    """Bound on |float gain - fixed-point gain| at any position of an
-    m-row node, for |g| <= 1 and q = g rounded to frac_bits fraction
-    bits (see the module docstring)."""
-    u = 2.0 ** -53
-    delta = m * 2.0 ** -(frac_bits + 1) + 2 * u * m * m
-    return 16 * delta + 64 * u * m
-
-
-def _rescore(x, bins: _Bins, g, rows, columns, min_leaf: int):
-    """Best (column, threshold) over the given columns, ascending, by the
-    exact greedy rule: a sequential cumsum of g in each column's node
-    order, gains at value steps, the first maximum, and only if > 0.
-    rows is the node's, ascending, so a stable sort by bin gives a
-    column's order as the root presort would. The total is summed in
-    column 0's order: a pairwise sum depends on the order."""
-    def node_order(j):
-        return rows[np.argsort(bins.keys[rows, j], kind="stable")]
-
-    m = len(rows)
-    total = g.take(node_order(0)).sum()
-    base = total * total / m
-    best_gain = 0.0
-    best = None
-    for j in columns:
-        order = node_order(j)
-        vals = x[order, j]
-        valid = vals[:-1] < vals[1:]  # a value step after position i
-        valid[: min_leaf - 1] = False
-        valid[m - min_leaf:] = False
-        at = np.flatnonzero(valid)
-        if at.size == 0:
-            continue
-        cum = np.cumsum(g.take(order))[:-1].take(at)
-        n_left = at + 1.0
-        gains = cum * cum / n_left + (total - cum) ** 2 / (m - n_left) - base
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain:
-            best_gain = float(gains[i])
-            lo, hi = vals[at[i]], vals[at[i] + 1]
-            best = (int(j), lo + (hi - lo) / 2.0)
-    return best
-
-
 def _positions(bins: _Bins, support: np.ndarray, counts: np.ndarray,
                m: int, min_leaf: int):
     """A node's split positions, from its non-empty bins (support,
@@ -387,36 +324,30 @@ def _positions(bins: _Bins, support: np.ndarray, counts: np.ndarray,
     return column, at, n_left[at].astype(np.float64)
 
 
-def _best_split(x, bins: _Bins, g, support, hist, positions, rows,
-                min_leaf: int, frac_bits: int):
+def _best_split(bins: _Bins, q, support, hist, positions, rows):
     """Best (column, threshold) for one node, or None: no valid position,
-    the node is pure in g, or no gain is > 0. hist is the node's
+    the node is pure in q, or no gain is > 0. hist is the node's
     fixed-point sum per bin of support, and positions its _positions.
-    Gains from hist prune the positions; when one clears every other by
-    the tolerance it is the exact winner, else the near-tied columns are
-    rescored."""
+    Every sum is exact, so the gains depend on the node's rows alone,
+    not on their order; the first maximum wins."""
     column, at, n_left = positions
     if at.size == 0:
         return None
     m = len(rows)
-    g_node = g.take(rows)
-    if g_node.max() == g_node.min():
+    q_node = q.take(rows)
+    if q_node.max() == q_node.min():
         return None
     total = hist[:np.searchsorted(column, 1)].sum()  # column 0's; exact
     cum = np.cumsum(hist)[at]
     cum -= column[at] * total  # less the earlier columns' totals; exact
     gains = cum * cum / n_left + (total - cum) ** 2 / (m - n_left) \
         - total * total / m
-    tol = _tolerance(m, frac_bits)
-    floor = gains.max() - tol
-    near = at[gains + tol >= max(floor, 0.0)]
-    if near.size == 0:
+    i = int(np.argmax(gains))
+    if gains[i] <= 0:
         return None
-    if near.size == 1 and floor > 0:
-        i = int(near[0])
-        lo, hi = bins.values[support[i]], bins.values[support[i + 1]]
-        return int(column[i]), lo + (hi - lo) / 2.0
-    return _rescore(x, bins, g, rows, np.unique(column[near]), min_leaf)
+    i = int(at[i])
+    lo, hi = bins.values[support[i]], bins.values[support[i + 1]]
+    return int(column[i]), lo + (hi - lo) / 2.0
 
 
 def _grow_tree(
@@ -432,10 +363,10 @@ def _grow_tree(
     """Level-wise greedy growth; returns the tree and each row's leaf id.
 
     root holds the root's non-empty bins, its rows per bin and its
-    _positions. Each node carries its rows (ascending), its non-empty
-    bins, and per bin its fixed-point sum of g and its rows. A split
-    bins its smaller child over the parent's bins and takes the other
-    as the parent minus it; the last level is not binned."""
+    _positions. Each node carries its rows, its non-empty bins, and per
+    bin its fixed-point sum of g and its rows. A split bins its smaller
+    child over the parent's bins and takes the other as the parent
+    minus it; the last level is not binned."""
     n, d = x.shape
     scale = 2.0 ** frac_bits
     q = np.rint(g * scale) / scale
@@ -452,8 +383,7 @@ def _grow_tree(
             if node:
                 positions = _positions(bins, support, counts, len(rows),
                                        min_leaf)
-            split = _best_split(x, bins, g, support, hist, positions, rows,
-                                min_leaf, frac_bits)
+            split = _best_split(bins, q, support, hist, positions, rows)
             if split is None:
                 continue
             j, thr = split

@@ -1,10 +1,14 @@
 """Reference exact-greedy boosted-tree fitter: one column at a time.
 
-The former implementation of readmit.models.fit_gbm, kept to check the
-column-block split search bit for bit. Each node scans its columns one
-by one over per-column row orders, and every split re-partitions all of
-them. Trees and train_loss must equal fit_gbm's exactly; memory is the
-baseline the production fitter is bounded against.
+The former implementation of readmit.models.fit_gbm, kept to check its
+histogram split search bit for bit. Each node scans its columns one by
+one over per-column row orders, takes a sequential cumsum of the
+residuals in each, and every split re-partitions all of them. It
+searches on the same fixed-point residuals q as fit_gbm (see the
+readmit.models docstring), so each of its sums is exact, as the
+histogram sums are; leaf values come from the float residuals. Trees
+and train_loss must equal fit_gbm's exactly; memory is the baseline the
+production fitter is bounded against.
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from readmit.models import (
 
 def _best_split(
     x: np.ndarray,
-    g: np.ndarray,
+    q: np.ndarray,
     col_orders: list[np.ndarray],
     min_leaf: int,
 ) -> tuple[int, float] | None:
-    """Best (column, midpoint threshold) by squared-error reduction on g.
+    """Best (column, midpoint threshold) by squared-error reduction on q.
 
-    Returns None when the node is pure in g or no valid position exists.
+    Returns None when the node is pure in q or no valid position exists.
     np.argmax keeps the first maximum, so equal gains resolve to the
     lowest threshold; the strict > across columns keeps the lowest
     column index.
@@ -40,11 +44,11 @@ def _best_split(
     n_node = rows0.size
     if n_node < 2 or n_node < 2 * min_leaf:
         return None
-    g_node = g[rows0]
-    if g_node.max() == g_node.min():
+    q_node = q[rows0]
+    if q_node.max() == q_node.min():
         return None
 
-    total = g_node.sum()
+    total = q_node.sum()
     base = total * total / n_node
     n_left = np.arange(1, n_node, dtype=np.float64)
     n_right = n_node - n_left
@@ -60,7 +64,7 @@ def _best_split(
             valid[n_node - min_leaf:] = False
         if not valid.any():
             continue
-        cum = np.cumsum(g[rows])[:-1]
+        cum = np.cumsum(q[rows])[:-1]
         gains = cum * cum / n_left + (total - cum) ** 2 / n_right - base
         gains[~valid] = -np.inf
         i = int(np.argmax(gains))
@@ -74,14 +78,17 @@ def _grow_tree(
     x: np.ndarray,
     root_orders: list[np.ndarray],
     g: np.ndarray,
+    q: np.ndarray,
     h: np.ndarray,
     max_depth: int,
     min_leaf: int,
 ) -> tuple[Tree, np.ndarray]:
     """Level-wise greedy growth; returns the tree and each row's leaf id.
 
-    root_orders holds, per column, the root rows sorted by that column;
-    partitions inherit sortedness, so no per-node re-sorts are needed.
+    Splits are searched on q, g rounded to fixed point; leaf values come
+    from g. root_orders holds, per column, the root rows sorted by that
+    column; partitions inherit sortedness, so no per-node re-sorts are
+    needed.
     """
     n = x.shape[0]
     feature = [-1]
@@ -94,7 +101,7 @@ def _grow_tree(
     for _ in range(max_depth):
         nxt = []
         for node_id, col_orders in level:
-            split = _best_split(x, g, col_orders, min_leaf)
+            split = _best_split(x, q, col_orders, min_leaf)
             if split is None:
                 continue
             j, thr = split
@@ -157,6 +164,8 @@ def fit_gbm_exact(data: EncodedDataset, config: TrainConfig) -> GbmModel:
     # One presort per fit; every tree re-partitions these orders.
     order = np.argsort(x, axis=0, kind="stable")
     root_orders = [order[:, j] for j in range(d)]
+    # fit_gbm's fixed point: any sum of up to n*d values of q is exact.
+    scale = 2.0 ** (52 - (n * d).bit_length())
 
     trees: list[Tree] = []
     losses = [log_loss(y, sigmoid(margin))]
@@ -165,7 +174,8 @@ def fit_gbm_exact(data: EncodedDataset, config: TrainConfig) -> GbmModel:
         g = y - p
         h = p * (1.0 - p)
         tree, leaf_of = _grow_tree(
-            x, root_orders, g, h, params.max_depth, params.min_samples_leaf
+            x, root_orders, g, np.rint(g * scale) / scale, h,
+            params.max_depth, params.min_samples_leaf
         )
         margin = margin + params.learning_rate * tree.value[leaf_of]
         trees.append(tree)

@@ -272,6 +272,8 @@ def _profile_row_problem(v: dict[str, int]) -> tuple[str, str] | None:
         if v[f] < 0:
             return f, f"negative count {v[f]}"
     n = v["n_episodes"]
+    if n == 0:
+        return "n_episodes", "must be >= 1: a linked profile has an episode"
     if v["n_open_episodes"] > n:
         return "n_open_episodes", f"more open episodes than {n} episodes"
     if v["readmit"] != (n >= 2):

@@ -305,8 +305,8 @@ class TestSweep:
         assert main(["sweep", "--profiles", str(small_profiles_file),
                      "--model", "gbm", "--n-trees", "5", "--k", "60",
                      "--folds", "2", "--ratios", "original,1.0",
-                     "-o", str(out)]) == 4
-        assert "minority has " in capsys.readouterr().err
+                     "-o", str(out)]) == 2
+        assert "error: option --k: minority has " in capsys.readouterr().err
         assert not out.exists()
 
     def test_reruns_byte_identical(self, tmp_path, small_profiles_file):
@@ -451,10 +451,17 @@ class TestSweep:
 def rewrite_cell(profiles: Path, out: Path, row: int, column: str,
                  value) -> None:
     """Copy profiles.csv with one cell (file row ``row``) replaced."""
+    rewrite_cells(profiles, out, row, {column: value})
+
+
+def rewrite_cells(profiles: Path, out: Path, row: int, cells: dict) -> None:
+    """Copy profiles.csv with the named cells of file row ``row``
+    replaced; a callable value is given the row's original cells."""
     with profiles.open(newline="") as fh:
         lines = list(csv.reader(fh))
     fields = dict(zip(lines[0], lines[row - 1]))
-    fields[column] = str(value(fields) if callable(value) else value)
+    fields.update({column: str(value(fields) if callable(value) else value)
+                   for column, value in cells.items()})
     lines[row - 1] = [fields[c] for c in lines[0]]
     with out.open("w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(lines)
@@ -473,14 +480,18 @@ class TestProfileValidation:
         ("age", "nan"),
         ("age", -40),
         ("income", "inf"),
+        # Consistent otherwise: no open episode, no stay, not readmitted.
+        ("n_episodes", {"n_episodes": 0, "n_open_episodes": 0,
+                        "total_los_days": 0, "readmit": 0}),
     ], ids=["category-code", "readmit-binary", "readmit-vs-episodes",
             "negative-count", "open-above-episodes", "age-inf", "age-nan",
-            "age-negative", "income-inf"])
+            "age-negative", "income-inf", "no-episodes"])
     def test_bad_cell_exits_2_with_row_and_column(
         self, tmp_path, small_profiles_file, capsys, column, value
     ):
         bad = tmp_path / "bad.csv"
-        rewrite_cell(small_profiles_file, bad, 4, column, value)
+        rewrite_cells(small_profiles_file, bad, 4,
+                      value if isinstance(value, dict) else {column: value})
         for command in (["sweep", "--folds", "2", "--ratios", "original"],
                         ["train"]):
             code = main([*command, "--profiles", str(bad), "--n-trees", "2",

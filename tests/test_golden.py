@@ -18,7 +18,8 @@ those digests cover each fit's imputation from its training rows.
 The SMOTE neighbour lists of the cohort's standardized minority rows
 are pinned too, and recomputed under other OpenBLAS and numpy kernels:
 neighbour distances are exact, so no kernel may move them. CI runs that
-test once more with OPENBLAS_CORETYPE=Haswell for the whole process.
+test once more with OPENBLAS_CORETYPE=Haswell for the whole process,
+together with both GBM runs: boosted trees call no BLAS kernel.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from tests.helpers import numpy_kernels_above_x86_v3
 
 GOLDEN = {
     "sweep/report.json":
-        "903d9a2f3f159b0033762b7bd58da0aebefabf45bdec7d76f8db1e1a791a5159",
+        "4132197dbd712ecc63dabceef09136a287148d278a17aac0a96174262d7e5bc1",
     "sweep/roc_original.csv":
-        "5b236617644c479cbb7585330b6feaa070904551474214451970043dabdc3abd",
+        "f8d5b41c10cfaabd7bcb965008cb3ae026951a9ac2df477c33c3ca9d1cd41544",
     "sweep/roc_0.5.csv":
         "9609f21c13af87784e2cb448065c9af6962f55becbc57be8d09576f539f33faa",
     "sweep/roc_1.0.csv":

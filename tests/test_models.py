@@ -389,6 +389,27 @@ class TestGbm:
         assert np.array_equal(predict_proba_gbm(model, data.matrix[perm]),
                               probs[perm])
 
+    @pytest.mark.parametrize(
+        "kind", ["binary", "rounded", "duplicated", "nextafter", "nan"])
+    def test_splits_do_not_depend_on_row_order(self, kind):
+        # Every gain comes from exact fixed-point sums, so permuting the
+        # training rows permutes nothing in the trees.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            x = tie_heavy_matrix(kind, 90, 6, seed)
+            y = (rng.random(90) < 0.3).astype(np.int64)
+            y[:2] = (0, 1)
+            perm = rng.permutation(90)
+            for depth in (2, 4, 6):
+                for leaf in (1, 3):
+                    config = TrainConfig(gbm=GbmParams(
+                        n_trees=1, max_depth=depth, min_samples_leaf=leaf))
+                    a, b = (fit_gbm(dataset_from(x[rows], y[rows]),
+                                    config).trees[0]
+                            for rows in (slice(None), perm))
+                    assert np.array_equal(a.feature, b.feature)
+                    assert np.array_equal(a.threshold, b.threshold)
+
     def test_deterministic(self):
         data = logistic_like_dataset(150, 5, seed=33)
         config = TrainConfig(gbm=GbmParams(n_trees=20))
@@ -498,31 +519,12 @@ def test_logistic_fit_is_the_same_at_one_and_two_blas_threads():
     assert fits[0] == fits[1]
 
 
-@pytest.fixture
-def rescores(monkeypatch):
-    """The row counts of the nodes whose split the exact rescore decides;
-    every other split is decided from the fixed-point histograms."""
-    calls = []
-    rescore = models._rescore
-
-    def counted(x, bins, g, rows, columns, min_leaf):
-        calls.append(len(rows))
-        return rescore(x, bins, g, rows, columns, min_leaf)
-
-    monkeypatch.setattr(models, "_rescore", counted)
-    return calls
-
-
-def n_splits(model: GbmModel) -> int:
-    return sum(int(np.count_nonzero(t.feature >= 0)) for t in model.trees)
-
-
 def fixed_point_flip() -> tuple[np.ndarray, np.ndarray, int]:
     """A stump whose two binary columns split 28 rows S+A | B+R and
     S+B | A+R. A's residuals sum higher than B's, but rounded to
     frac_bits fraction bits B's sum higher: the fixed-point gains order
-    the columns opposite to the float ones, by far less than the
-    tolerance. Returns x, g and frac_bits."""
+    the columns opposite to float gains of g. Returns x, g and
+    frac_bits."""
     s, k = 6, 8
     n = 2 * s + 2 * k
     frac_bits = 52 - (n * 2).bit_length()
@@ -542,66 +544,43 @@ def fixed_point_flip() -> tuple[np.ndarray, np.ndarray, int]:
     return x, g, frac_bits
 
 
-def float_and_fixed_gains(g: np.ndarray, frac_bits: int):
-    """Every position's gain on a node whose rows are in g's order: as
-    the exact search computes it from g, and as the histograms do from
-    g rounded to frac_bits fraction bits."""
-    m = len(g)
-    n_left = np.arange(1.0, m)
-    scale = 2.0 ** frac_bits
-    out = []
-    for v in (g, np.rint(g * scale) / scale):
-        total = v.sum()
-        cum = np.cumsum(v)[:-1]
-        out.append(cum * cum / n_left + (total - cum) ** 2 / (m - n_left)
-                   - total * total / m)
-    return out
-
-
 drawn_values = st.sampled_from(
     [-1.5, -0.0, 0.0, 0.25, float(np.nextafter(0.25, 1.0)), 1.0, np.nan])
 
 
 class TestGbmMatchesExactOracle:
-    """fit_gbm prunes split positions by fixed-point histogram gains and
-    rescores near-ties exactly; tests/oracles/gbm_exact.py is the former
-    column-at-a-time search. Trees and losses must be equal bit for bit."""
+    """fit_gbm splits each node on exact fixed-point histogram gains of
+    the residuals; tests/oracles/gbm_exact.py is the former
+    column-at-a-time search over sorted rows, run on the same
+    fixed-point residuals. Trees and losses must be equal bit for bit."""
 
-    @pytest.mark.parametrize("widen", [1, 40, 400, None])
+    @pytest.mark.parametrize("shuffle", [1, 40, 400, None])
     @pytest.mark.parametrize(
         "kind", ["binary", "rounded", "duplicated", "nextafter", "nan"])
-    def test_tie_heavy_data(self, monkeypatch, rescores, kind, widen):
-        # A tolerance above the bound only sends more columns to the
-        # exact rescore: 1 keeps the bound, 40 and 400 widen it, and
-        # None rescores every column that has a valid position.
-        tolerance = models._tolerance
-        monkeypatch.setattr(
-            models, "_tolerance",
-            lambda m, bits: np.inf if widen is None
-            else widen * tolerance(m, bits))
-        splits = 0
+    def test_tie_heavy_data(self, kind, shuffle):
+        # shuffle seeds a permutation of the training rows (None keeps
+        # them as drawn); both searches must agree in any row order.
         for seed in range(2):
             rng = np.random.default_rng(seed)
             x = tie_heavy_matrix(kind, 90, 6, seed)
             y = (rng.random(90) < 0.3).astype(np.int64)
             y[:2] = (0, 1)
-            data = dataset_from(x, y)
+            rows = (slice(None) if shuffle is None
+                    else np.random.default_rng(shuffle).permutation(90))
+            data = dataset_from(x[rows], y[rows])
             for depth in (1, 3, 6):
                 for leaf in (1, 2, 7):
                     config = TrainConfig(gbm=GbmParams(
                         n_trees=4, max_depth=depth, min_samples_leaf=leaf))
-                    got = fit_gbm(data, config)
-                    assert_same_fit(got, fit_gbm_exact(data, config))
-                    splits += n_splits(got)
-        if widen == 1:  # both paths decided splits
-            assert 0 < len(rescores) < splits
+                    assert_same_fit(fit_gbm(data, config),
+                                    fit_gbm_exact(data, config))
 
     def test_cohort_scale_matrix(self, ratio_one_training_set):
         config = TrainConfig(gbm=GbmParams(n_trees=10))
         assert_same_fit(fit_gbm(ratio_one_training_set, config),
                         fit_gbm_exact(ratio_one_training_set, config))
 
-    def test_copied_column_nudged_by_one_ulp(self, rescores):
+    def test_copied_column_nudged_by_one_ulp(self):
         rng = np.random.default_rng(5)
         x = tie_heavy_matrix("rounded", 120, 3, 5)
         y = (x[:, 0] + rng.normal(size=120) > 0).astype(np.int64)
@@ -612,9 +591,8 @@ class TestGbmMatchesExactOracle:
         got = fit_gbm(data, config)
         assert_same_fit(got, fit_gbm_exact(data, config))
         assert got.trees[0].feature[0] in (0, 3)
-        assert rescores
 
-    def test_duplicated_columns_split_on_the_lowest(self, rescores):
+    def test_duplicated_columns_split_on_the_lowest(self):
         rng = np.random.default_rng(6)
         x = tie_heavy_matrix("rounded", 120, 2, 6)
         y = (x.sum(axis=1) + rng.normal(size=120) > 0).astype(np.int64)
@@ -623,9 +601,8 @@ class TestGbmMatchesExactOracle:
         got = fit_gbm(data, config)
         assert_same_fit(got, fit_gbm_exact(data, config))
         assert all(set(t.feature.tolist()) <= {-1, 0, 1} for t in got.trees)
-        assert rescores
 
-    def test_node_without_a_positive_gain_stays_a_leaf(self, rescores):
+    def test_node_without_a_positive_gain_stays_a_leaf(self):
         # Every split leaves both sides with the same share of positives.
         x = np.array([[0, 0], [0, 0], [0, 1], [0, 1],
                       [1, 0], [1, 0], [1, 1], [1, 1]], dtype=np.float64)
@@ -634,7 +611,6 @@ class TestGbmMatchesExactOracle:
         got = fit_gbm(data, config)
         assert_same_fit(got, fit_gbm_exact(data, config))
         assert [t.n_nodes for t in got.trees] == [1, 1, 1]
-        assert rescores
 
     def test_signed_zeros_share_a_bin(self):
         rng = np.random.default_rng(7)
@@ -662,18 +638,16 @@ class TestGbmMatchesExactOracle:
                             fit_gbm_exact(data, config))
 
     @pytest.mark.parametrize("leaf", [2, 5, 13])
-    def test_min_samples_leaf(self, leaf, rescores):
+    def test_min_samples_leaf(self, leaf):
         rng = np.random.default_rng(leaf)
         x = tie_heavy_matrix("duplicated", 150, 4, leaf)
         y = (x[:, 0] + rng.normal(size=150) > 0).astype(np.int64)
         data = dataset_from(x, y)
         config = TrainConfig(gbm=GbmParams(n_trees=6, max_depth=4,
                                            min_samples_leaf=leaf))
-        got = fit_gbm(data, config)
-        assert_same_fit(got, fit_gbm_exact(data, config))
-        assert len(rescores) < n_splits(got)
+        assert_same_fit(fit_gbm(data, config), fit_gbm_exact(data, config))
 
-    def test_fixed_point_flip_is_rescored(self, rescores):
+    def test_fixed_point_flip_splits_on_the_rounded_sums(self):
         x, g, frac_bits = fixed_point_flip()
         scale = 2.0 ** frac_bits
         q = np.rint(g * scale) / scale
@@ -685,10 +659,10 @@ class TestGbmMatchesExactOracle:
                                    frac_bits)
         want, _ = grow_exact(
             x, [np.argsort(x[:, j], kind="stable") for j in (0, 1)],
-            g, h, 1, 1)
-        assert got.feature.tolist() == want.feature.tolist() == [0, -1, -1]
+            g, q, h, 1, 1)
+        assert got.feature.tolist() == want.feature.tolist() == [1, -1, -1]
         assert got.threshold.tolist() == want.threshold.tolist()
-        assert rescores == [len(x)]
+        assert np.array_equal(got.value, want.value)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -714,30 +688,6 @@ class TestGbmMatchesExactOracle:
         peak = traced_peak(fit_gbm, ratio_one_training_set, config)
         oracle = traced_peak(fit_gbm_exact, ratio_one_training_set, config)
         assert peak <= 1.5 * oracle, peak / oracle
-
-
-class TestSplitTolerance:
-    """The fixed-point gain is within _tolerance(m) of the float gain at
-    every position, so pruning by it never drops the exact winner."""
-
-    @pytest.mark.parametrize("m", [2, 3, 1000, 20000])
-    @pytest.mark.parametrize(
-        "kind", ["uniform", "residuals", "alternating", "runs", "one-sided"])
-    def test_float_and_fixed_point_gains_within_tolerance(self, kind, m):
-        rng = np.random.default_rng(m)
-        near_one = 1.0 - rng.random(m) * 1e-3
-        g = {
-            "uniform": rng.uniform(-1.0, 1.0, m),
-            "residuals": rng.integers(0, 2, m) - rng.random(m),
-            "alternating": near_one * (-1.0) ** np.arange(m),
-            "runs": near_one * (-1.0) ** (np.arange(m) // 97),
-            "one-sided": near_one,
-        }[kind]
-        for width in (1, 20):
-            frac_bits = 52 - (m * width).bit_length()
-            gains, fixed = float_and_fixed_gains(g, frac_bits)
-            err = float(np.max(np.abs(gains - fixed)))
-            assert err <= models._tolerance(m, frac_bits), err
 
 
 class TestConfigValidation:

@@ -114,7 +114,7 @@ def test_worker_count_follows_affinity_and_task_count():
     assert evaluate.worker_count(1000) == cpus
 
 
-def test_worker_error_exits_4_like_serial(tmp_path, capsys, set_workers):
+def test_worker_error_exits_2_like_serial(tmp_path, capsys, set_workers):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n": 300, "seed": 13}))
     data = tmp_path / "data"
@@ -137,8 +137,8 @@ def test_worker_error_exits_4_like_serial(tmp_path, capsys, set_workers):
 
     serial = run_sweep(1)
     parallel = run_sweep(2)
-    assert serial[0] == 4
-    assert serial[1].startswith("computation error: minority has ")
+    assert serial[0] == 2
+    assert serial[1].startswith("error: option --k: minority has ")
     assert parallel == serial
     assert multiprocessing.active_children() == []
 
