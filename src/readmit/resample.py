@@ -2,8 +2,8 @@
 
 The oversampler follows Chawla-style SMOTE: each synthetic minority row
 is a uniform interpolation between a minority row and one of its k
-nearest minority neighbors (Euclidean over all encoded columns). The
-target is expressed as a minority/majority count ratio after
+nearest minority neighbors (Euclidean over all encoded columns, exact
+and with no BLAS call; see _distance_blocks). The target is expressed as a minority/majority count ratio after
 oversampling; the sentinel "original" leaves the data untouched.
 """
 
@@ -18,7 +18,7 @@ from .errors import ClassTooSmall, MinorityTooSmall
 from .features import EncodedDataset
 from .schema import ORIGINAL, SmoteConfig
 
-NEIGHBOR_BLOCK = 256  # minority rows per neighbor-selection block
+NEIGHBOR_BLOCK = 64  # minority rows per neighbor-selection block
 
 
 @dataclass(frozen=True)
@@ -64,76 +64,78 @@ def synthetic_count(minority: int, majority: int, ratio: float | str) -> int:
 
 
 def _distance_blocks(points: np.ndarray):
-    """Yield (start, d2) for each NEIGHBOR_BLOCK rows of points, where
-    d2[i, j] is the squared distance from row start + i to row j.
+    """Yield (start, d2, spare) for each NEIGHBOR_BLOCK rows of points,
+    where d2[i, j] is the squared distance from row start + i to row j
+    and spare is a free buffer of d2's shape.
 
-    d2 is one reused buffer: the next block overwrites it. A column
+    Both are reused buffers: the next block overwrites them. A column
     whose values are all exactly 0.0 or 1.0 is binary (the one-hot
     columns of encoded rows). The distance starts from the binary
-    part ones_a + ones_b - 2 bits_a.bits_b, a small integer that any
-    BLAS kernel and block shape computes exactly, and then adds
-    (a_c - b_c)**2 for each other column c in column order, each a
-    correctly rounded elementwise operation. So every distance is
-    fixed by the points alone, d2(a, b) and d2(b, a) are the same
-    bits, and duplicated rows are at distance exactly 0. A matrix
-    with no binary column gets the plain sum of squared differences.
+    part, the number of binary columns where the rows differ, counted
+    by XOR and popcount over the columns packed into 64-bit words.
+    It then adds (a_c - b_c)**2 for each other column c in column
+    order, each a correctly rounded elementwise operation. No step
+    calls BLAS, so every distance is fixed by the points alone,
+    d2(a, b) and d2(b, a) are the same bits, and duplicated rows are
+    at distance exactly 0. A matrix with no binary column gets the
+    plain sum of squared differences.
     """
     m = len(points)
     binary = np.all((points == 0.0) | (points == 1.0), axis=0)
-    bits = points[:, binary]
-    ones = bits.sum(axis=1)
-    # [bits, ones, 1] @ [-2 bits; 1; ones]^T is the binary part in one
-    # product; every entry and partial sum is an integer.
-    left = np.column_stack([bits, ones, np.ones(m)])
-    right = np.vstack([-2.0 * bits.T, np.ones(m), ones])
+    n_bits = np.count_nonzero(binary)
+    bits = np.zeros((m, 64 * max(1, -(-n_bits // 64))), dtype=bool)
+    bits[:, :n_bits] = (points == 1.0)[:, binary]
+    words = np.ascontiguousarray(np.packbits(bits, axis=1).view(np.uint64).T)
     other = np.ascontiguousarray(points[:, ~binary].T)
     d2_buf = np.empty((min(NEIGHBOR_BLOCK, m), m))
-    diff_buf = np.empty_like(d2_buf)
+    spare_buf = np.empty_like(d2_buf)
     for a in range(0, m, NEIGHBOR_BLOCK):
         b = min(a + NEIGHBOR_BLOCK, m)
         d2 = d2_buf[: b - a]
-        diff = diff_buf[: b - a]
-        np.matmul(left[a:b], right, out=d2)
+        spare = spare_buf[: b - a]
+        differ = spare.view(np.uint64)
+        for w, word in enumerate(words):
+            np.bitwise_xor(word[a:b, None], word, out=differ)
+            if w == 0:
+                np.bitwise_count(differ, out=d2)
+            else:
+                d2 += np.bitwise_count(differ, out=differ)
         for col in other:
-            np.subtract(col[a:b, None], col, out=diff)
-            np.square(diff, out=diff)
-            d2 += diff
-        yield a, d2
+            np.subtract(col[a:b, None], col, out=spare)
+            np.square(spare, out=spare)
+            d2 += spare
+        yield a, d2, spare
 
 
 def _nearest_minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of each minority row's k nearest minority rows (self excluded).
 
     Distances follow _distance_blocks, so they are exact in the sense
-    given there and never depend on the BLAS kernel. Each row's
-    neighbors are the k smallest distances, ordered by value; among
-    equal values the lower row index comes first. Rows are handled
-    NEIGHBOR_BLOCK at a time, so memory is O(NEIGHBOR_BLOCK * m).
+    given there and never depend on the CPU. Each row's neighbors are
+    the k smallest distances, ordered by value; among equal values the
+    lower row index comes first. Rows are handled NEIGHBOR_BLOCK at a
+    time: one partition finds each row's k-th smallest distance, one
+    compare takes the candidates at or below it, and where more than k
+    tie, the highest-index ties are dropped. So memory is
+    O(NEIGHBOR_BLOCK * m) even when every distance ties.
     """
     m = len(points)
     out = np.empty((m, k), dtype=np.int64)
-    part_buf = np.empty((min(NEIGHBOR_BLOCK, m), m))
-    for a, d2 in _distance_blocks(points):
+    for a, d2, spare in _distance_blocks(points):
         n = len(d2)
         rows = np.arange(n)
         d2[rows, rows + a] = np.inf
-        part = part_buf[:n]
-        np.copyto(part, d2)
-        part.partition(k - 1, axis=1)
-        kth = part[:, k - 1 : k]
-        below = d2 < kth
-        tied = d2 == kth
-        room = k - np.count_nonzero(below, axis=1)
-        keep = np.logical_or(below, tied, out=below)
-        # Where more entries tie at the k-th value than there are free
-        # slots, keep the lowest-index ones.
-        crowded = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
-        if crowded.size:
-            excess = tied[crowded]
-            excess &= (np.cumsum(excess, axis=1, dtype=np.int32)
-                       > room[crowded, None])
-            keep[crowded] ^= excess
-        cols = np.nonzero(keep)[1].reshape(n, k)  # ascending per row
+        np.copyto(spare, d2)
+        spare.partition(k - 1, axis=1)
+        kth = spare[:, k - 1]
+        keep = d2 <= kth[:, None]
+        excess = np.count_nonzero(keep, axis=1) - k
+        for i in np.flatnonzero(excess):
+            # Only entries equal to the k-th value can be in excess.
+            ties = np.flatnonzero(d2[i] == kth[i])
+            keep[i, ties[len(ties) - excess[i]:]] = False
+        # Flat indices, ascending per row; much faster than 2-d nonzero.
+        cols = np.flatnonzero(keep).reshape(n, k) - (m * rows)[:, None]
         by_value = np.argsort(d2[rows[:, None], cols], axis=1, kind="stable")
         out[a : a + n] = np.take_along_axis(cols, by_value, axis=1)
     return out

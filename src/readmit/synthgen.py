@@ -199,6 +199,10 @@ def _solve_intercept(risk: np.ndarray, strength: float, target: float) -> float:
         raise InfeasibleSpec("intercept bisection cannot bracket the target")
     for _ in range(200):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            # Adjacent floats: every later step would leave lo and hi
+            # as they are, so the result is already fixed.
+            break
         if realized(mid) < target:
             lo = mid
         else:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -210,11 +211,14 @@ def tie_heavy_points(kind: str, m: int, seed: int) -> np.ndarray:
     if kind == "mixed":  # like encoded rows: continuous, then one-hot
         return np.hstack([np.round(rng.normal(size=(m, 2)), 1),
                           rng.integers(0, 2, size=(m, 3)).astype(np.float64)])
+    if kind == "wide":  # binary columns span two 64-bit words
+        return np.hstack([rng.integers(0, 2, size=(m, 70)).astype(np.float64),
+                          np.round(rng.normal(size=(m, 1)), 1)])
     base = rng.normal(size=(max(1, m // 3), 3))  # duplicated rows
     return base[rng.integers(0, len(base), size=m)]
 
 
-KINDS = ["binary", "rounded", "duplicated", "mixed"]
+KINDS = ["binary", "rounded", "duplicated", "mixed", "wide"]
 
 
 class TestNearestNeighbors:
@@ -247,12 +251,21 @@ class TestNearestNeighbors:
         got = resample._nearest_minority_neighbors(points, 5)
         assert np.array_equal(got, stable_argsort_neighbors(points, 5))
 
+    @pytest.mark.parametrize("block", [3, 64])
+    def test_identical_rows_take_the_lowest_indices(self, monkeypatch, block):
+        monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", block)
+        for m, k in ((6, 5), (10, 3), (150, 5)):
+            points = np.tile([0.25, 1.0, 0.0], (m, 1))
+            got = resample._nearest_minority_neighbors(points, k)
+            want = [[j for j in range(m) if j != i][:k] for i in range(m)]
+            assert got.tolist() == want, (m, k)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_block_distances_are_exact_and_symmetric(self, monkeypatch,
                                                       kind):
         monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 3)
         points = tie_heavy_points(kind, 31, seed=4)  # last block: 1 row
-        d2 = np.vstack([block.copy() for _, block
+        d2 = np.vstack([block.copy() for _, block, _
                         in resample._distance_blocks(points)])
         want = brute_force_sq_distances(points)
         assert d2.tobytes() == want.tobytes()
@@ -262,13 +275,21 @@ class TestNearestNeighbors:
             assert same.sum() > len(points)  # some rows repeat
         assert np.all(d2[same] == 0.0)
 
-    @pytest.mark.parametrize("m", [3000, 6000])
-    def test_peak_memory_linear_in_rows(self, m):
+    @pytest.mark.parametrize("m, kind", [
+        (3000, "mixed"), (6000, "mixed"),
+        (3000, "identical"), (3000, "two-binary"),
+    ], ids=["3000", "6000", "identical-3000", "two-binary-3000"])
+    def test_peak_memory_linear_in_rows(self, m, kind):
         rng = np.random.default_rng(0)
-        points = np.hstack([
-            np.round(rng.normal(size=(m, 3)), 1),
-            rng.integers(0, 2, size=(m, 17)).astype(np.float64),
-        ])
+        if kind == "mixed":
+            points = np.hstack([
+                np.round(rng.normal(size=(m, 3)), 1),
+                rng.integers(0, 2, size=(m, 17)).astype(np.float64),
+            ])
+        elif kind == "identical":  # every distance ties at 0
+            points = np.full((m, 4), 0.5)
+        else:  # four distinct rows: every row ties with about m/4 others
+            points = rng.integers(0, 2, size=(m, 2)).astype(np.float64)
         tracemalloc.start()
         try:
             resample._nearest_minority_neighbors(points, 5)
@@ -277,3 +298,33 @@ class TestNearestNeighbors:
             tracemalloc.stop()
         block_bytes = resample.NEIGHBOR_BLOCK * m * 8
         assert peak < 6 * block_bytes, peak / block_bytes
+
+
+@pytest.mark.skipif(not hasattr(os, "fork")
+                    or not os.path.isdir("/proc/self/task"),
+                    reason="needs os.fork and /proc/self/task")
+def test_oversampling_in_a_forked_worker_starts_no_thread():
+    """A GBM sweep's workers are forked; SMOTE in one must not wake a
+    BLAS thread pool, which would contend with the other workers."""
+    rng = np.random.default_rng(3)
+    minority, majority = 400, 1200
+    matrix = np.hstack([
+        rng.normal(size=(minority + majority, 1)),
+        rng.integers(0, 2, size=(minority + majority, 17)).astype(np.float64),
+    ])
+    labels = np.repeat(np.array([1, 0]), [minority, majority])
+    data = EncodedDataset(matrix=matrix, labels=labels,
+                          schema=FeatureSchema())
+    pid = os.fork()
+    if pid == 0:  # child: report through the exit code only
+        code = 3
+        try:
+            before = len(os.listdir("/proc/self/task"))
+            out = smote(data, SmoteConfig(ratio=1.0, seed=1))
+            after = len(os.listdir("/proc/self/task"))
+            code = 0 if (before == after
+                         and out.n_rows == 2 * majority) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -10,8 +10,11 @@ from readmit.errors import InfeasibleSpec
 from readmit.evaluate import cv_evaluate
 from readmit.models import TrainConfig
 from readmit.resample import ORIGINAL, SmoteConfig
+from readmit import synthgen
+from readmit.models import sigmoid
 from readmit.synthgen import (
     CohortSpec,
+    _solve_intercept,
     default_spec_path,
     emit_raw_files,
     generate,
@@ -111,6 +114,56 @@ class TestGenerate:
                 aucs.append(result.auc)
             medians.append(float(np.median(aucs)))
         assert medians == sorted(medians)
+
+
+def intercept_by_200_steps(risk, strength, target):
+    """Reference bisection: all 200 halvings, never stopping early."""
+    def realized(alpha):
+        return float(np.mean(sigmoid(alpha + strength * risk)))
+
+    lo, hi = -60.0, 60.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if realized(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+class TestSolveIntercept:
+    CASES = [
+        (seed, n, strength, target)
+        for seed, n in ((0, 300), (1, 2000), (2, 6779))
+        for strength in (0.0, 0.8, 2.5)
+        for target in (1e-3, 0.19, 0.5, 0.93)
+    ]
+
+    @staticmethod
+    def risk(seed, n):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=n) + (rng.random(n) < 0.4)
+
+    def test_bits_match_the_200_step_loop(self):
+        for seed, n, strength, target in self.CASES:
+            risk = self.risk(seed, n)
+            got = _solve_intercept(risk, strength, target)
+            want = intercept_by_200_steps(risk, strength, target)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
+                seed, n, strength, target)
+
+    def test_stops_once_the_bracket_is_two_adjacent_floats(self, monkeypatch):
+        calls = []
+
+        def counted(z):
+            calls.append(1)
+            return sigmoid(z)
+
+        monkeypatch.setattr(synthgen, "sigmoid", counted)
+        _solve_intercept(self.risk(0, 6779), 0.8, 0.19)
+        # 2 bracket checks plus about 60 halvings from width 120 down
+        # to one ulp near the root, not 200.
+        assert len(calls) < 80, len(calls)
 
 
 class TestSpecSerialization:
