@@ -186,7 +186,7 @@ def _fit_configs(
         raise UsageError(str(exc)) from None
 
 
-def _read_profiles(path: str) -> list[cohort_mod.ClientProfile]:
+def _read_profiles(path: str) -> cohort_mod.ProfileTable:
     """profiles.csv's rows; a file with none is a usage error."""
     profiles = cohort_mod.read_profiles(path)
     if not profiles:

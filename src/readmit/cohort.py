@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import gc
 import math
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import starmap
+from operator import gt
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .errors import EmptyKeyPart, MalformedCsv, NoEpisodes
 from . import schema
@@ -558,6 +560,45 @@ _COUNT_FIELDS = ("n_episodes", "n_open_episodes", "total_los_days",
 _INT_COLUMNS = schema.CATEGORICAL_FIELDS + _COUNT_FIELDS + ("readmit",)
 
 
+def _profile(profile_id, age, race, family_type, reason_homeless, employment,
+             citizenship, income, n_episodes, n_open, total_los_days,
+             incident_count, readmit) -> ClientProfile:
+    """The record of one profiles.csv row, given its values in file
+    order, with n_episodes undated episodes (closed ones first)."""
+    return ClientProfile(
+        profile_id, age, race, family_type, reason_homeless, employment,
+        citizenship, income,
+        (_UNDATED_CLOSED,) * (n_episodes - n_open) + (_UNDATED_OPEN,) * n_open,
+        total_los_days, incident_count, readmit)
+
+
+class ProfileTable(Sequence):
+    """profiles.csv's validated values, one tuple per column.
+
+    ``columns`` maps each PROFILES_HEADER name, in file order, to its
+    column: ids as str, ages and incomes as float or None, and every
+    other column as int. The table is also a read-only sequence of
+    ClientProfile, built only when a row is indexed or iterated;
+    features.encode reads the columns directly.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, tuple]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns["id"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return _profile(*(column[index] for column in self.columns.values()))
+
+    def __iter__(self):
+        return starmap(_profile, zip(*self.columns.values()))
+
+
 def _profile_row_problem(values: list[int]) -> tuple[str, str] | None:
     """(column, reason) of the first rule a profiles.csv row breaks,
     given its integer cells in _INT_COLUMNS order."""
@@ -577,17 +618,11 @@ def _profile_row_problem(values: list[int]) -> tuple[str, str] | None:
     return None
 
 
-@_collector_paused()
-def read_profiles(path: str | Path) -> list[ClientProfile]:
-    """Load profiles.csv rows, checking codes, counts, labels, ages
-    and incomes (finite, >= 0) as read_demographics does.
-
-    The file keeps episode counts but not dates, so each profile comes
-    back with that many undated episodes (closed ones first), entered
-    and exited on date.min; total_los_days keeps the stored sum.
-    """
-    profiles = []
-    for lineno, row in _read_rows(path, PROFILES_HEADER):
+def _check_rows(path: str | Path, rows: list[list[str]], first: int) -> None:
+    """Raise the MalformedCsv of the first row that breaks a rule, at its
+    first bad column: the integer columns, then their rules, then age,
+    then income. rows[0] is the file's row number first."""
+    for lineno, row in enumerate(rows, start=first):
         values = []
         for column, cell in zip(_INT_COLUMNS, row[2:7] + row[8:]):
             try:
@@ -598,14 +633,83 @@ def read_profiles(path: str | Path) -> list[ClientProfile]:
         problem = _profile_row_problem(values)
         if problem is not None:
             raise MalformedCsv(str(path), lineno, *problem)
-        age = _parse_age(path, lineno, row[1])
-        income = _parse_income(path, lineno, row[7])
-        (race, family_type, reason_homeless, employment, citizenship,
-         n_episodes, n_open, total_los_days, incident_count, readmit) = values
-        episodes = ((_UNDATED_CLOSED,) * (n_episodes - n_open)
-                    + (_UNDATED_OPEN,) * n_open)
-        profiles.append(ClientProfile(
-            row[0], age, race, family_type, reason_homeless, employment,
-            citizenship, income, episodes, total_los_days, incident_count,
-            readmit))
-    return profiles
+        _parse_age(path, lineno, row[1])
+        _parse_income(path, lineno, row[7])
+
+
+def _optional_numbers(cells) -> list[float | None]:
+    """float of each cell, None for a blank one; ValueError on any other."""
+    return [float(s) if (s := cell.strip()) else None for cell in cells]
+
+
+def _chunk_values(path: str | Path, rows: list[list[str]],
+                  first: int) -> dict[str, tuple]:
+    """The values of rows, the first of them row number first, by column
+    name. Each column is converted and checked in one pass; if any row
+    breaks a rule, _check_rows finds the first one and raises its error."""
+    if not rows:
+        return {name: () for name in PROFILES_HEADER}
+    cells = dict(zip(PROFILES_HEADER, zip(*rows)))
+    try:
+        ints = {name: tuple(map(int, cells[name])) for name in _INT_COLUMNS}
+        age = tuple(_optional_numbers(cells["age"]))
+        income = tuple(_optional_numbers(cells["income"]))
+    except ValueError:
+        valid = False
+    else:
+        n, n_open = ints["n_episodes"], ints["n_open_episodes"]
+        valid = (
+            all(set(ints[f]) <= schema.CATEGORIES[f].keys()
+                for f in schema.CATEGORICAL_FIELDS)
+            and all(min(ints[f]) >= 0 for f in _COUNT_FIELDS)
+            and min(n) >= 1
+            and not any(map(gt, n_open, n))
+            and list(ints["readmit"]) == [k >= 2 for k in n]
+            and all(0 <= a <= 120 for a in age if a is not None)
+            and all(0 <= x < math.inf for x in income if x is not None)
+        )
+    if not valid:
+        _check_rows(path, rows, first)
+        raise AssertionError("a column check failed but every row passes")
+    return {"id": cells["id"], "age": age, "income": income, **ints}
+
+
+# Rows converted and checked per column pass: the raw rows held at once.
+READ_CHUNK = 4096
+
+
+@_collector_paused()
+def read_profiles(path: str | Path) -> ProfileTable:
+    """Load profiles.csv as a ProfileTable, checking codes, counts,
+    labels, ages and incomes (finite, >= 0) as read_demographics does.
+
+    Every READ_CHUNK rows, each column is converted and checked in one
+    pass. A bad file raises the MalformedCsv of its first bad row, at
+    that row's first bad column in _check_rows' order, as a row-by-row
+    read would: once a column check fails, or the reader stops at a
+    row, the rows of the chunk read so far are checked one at a time to
+    find it.
+
+    The file keeps episode counts but not dates, so each profile comes
+    back with that many undated episodes (closed ones first), entered
+    and exited on date.min; total_los_days keeps the stored sum.
+    """
+    columns: dict[str, list] = {name: [] for name in PROFILES_HEADER}
+    reader = _read_rows(path, PROFILES_HEADER)
+    first = 2  # the row number of the chunk's first row
+    while True:
+        rows: list[list[str]] = []
+        try:
+            for _, row in reader:
+                rows.append(row)
+                if len(rows) == READ_CHUNK:
+                    break
+        except MalformedCsv:
+            _check_rows(path, rows, first)  # a bad cell comes first
+            raise
+        for name, values in _chunk_values(path, rows, first).items():
+            columns[name].extend(values)
+        if len(rows) < READ_CHUNK:
+            return ProfileTable({name: tuple(column)
+                                 for name, column in columns.items()})
+        first += READ_CHUNK

@@ -18,14 +18,15 @@ advance. GBM tasks run in a pool of forked worker processes, one per
 CPU in this process's affinity mask; with a single CPU (for example
 under ``taskset -c 0``) they run in this process. Logistic tasks always
 run in this process: IRLS's matrix products already use every core.
-Results are gathered in task order, so the output is bit-identical to
-a serial run. Each worker holds one fit's working memory, so a GBM
-sweep's total memory grows with the worker count.
+The pool gets the tasks with the most rows to fit (training plus
+synthetic) first, and results are gathered in task order, so the
+output is bit-identical to a serial run. Each worker holds one fit's
+working memory, so a GBM sweep's total memory grows with the worker
+count.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 import threading
 import time
@@ -39,7 +40,7 @@ import numpy as np
 from . import models as models_mod
 from .errors import EmptyMatrix, LengthMismatch, NoPositives, SingleClass
 from .features import ColumnStats, EncodedDataset, encode, standardize
-from .resample import smote, stratified_folds
+from .resample import smote, stratified_folds, synthetic_count
 from .schema import (MODEL_KINDS, ORIGINAL, FeatureSchema, SmoteConfig,
                      TrainConfig)
 from .seeding import derive_seed
@@ -128,7 +129,8 @@ def roc_curve(labels, scores) -> RocCurve:
     fpr = np.concatenate([[0.0], fps / n_neg])
     tpr = np.concatenate([[0.0], tps / n_pos])
     thresholds = np.concatenate([[np.inf], s_sorted[boundary]])
-    return RocCurve(fpr=tuple(fpr), tpr=tuple(tpr), thresholds=tuple(thresholds))
+    return RocCurve(fpr=tuple(fpr.tolist()), tpr=tuple(tpr.tolist()),
+                    thresholds=tuple(thresholds.tolist()))
 
 
 def auc(curve: RocCurve) -> float:
@@ -139,11 +141,14 @@ def auc(curve: RocCurve) -> float:
 
 
 def write_roc_csv(curve: RocCurve, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for f, t, thr in curve.points:
-            writer.writerow([repr(float(f)), repr(float(t)), repr(float(thr))])
+    """One fpr,tpr,threshold line per point, each value as repr(float)."""
+    fpr, tpr, thresholds = (np.asarray(values, dtype=np.float64).tolist()
+                            for values in (curve.fpr, curve.tpr,
+                                           curve.thresholds))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("fpr,tpr,threshold\n")
+        fh.writelines(f"{f!r},{t!r},{thr!r}\n"
+                      for f, t, thr in zip(fpr, tpr, thresholds))
 
 
 # --- cross-validated evaluation ----------------------------------------------
@@ -316,14 +321,28 @@ def _run_worker_fold(task: FoldTask) -> tuple[np.ndarray, FoldTrace]:
     return run_fold(_worker_inputs, task)
 
 
-def _run_folds(inputs: CvInputs, tasks: list[FoldTask],
-               workers: int) -> list[tuple[np.ndarray, FoldTrace]]:
+def _fit_rows(labels: np.ndarray, task: FoldTask) -> int:
+    """Rows task's model is fitted on: its training rows and the
+    synthetic rows oversampling adds to them."""
+    y = labels[task.train_idx]
+    minority = int(np.count_nonzero(y))
+    return len(y) + synthetic_count(minority, len(y) - minority,
+                                    task.smote_config.ratio)
+
+
+def _run_folds(inputs: CvInputs, tasks: list[FoldTask], workers: int,
+               sizes: Sequence[int] = ()
+               ) -> list[tuple[np.ndarray, FoldTrace]]:
     """run_fold over tasks, results in task order, on ``workers`` processes.
 
     Workers are forked, so they inherit ``inputs`` (the encoded cohort)
     instead of unpickling it; only a task's indices and seed go out and
-    its scores and trace come back. A task's error is raised here, the
-    first in task order, and the pool is shut down before it propagates.
+    its scores and trace come back. Tasks are handed out largest
+    ``sizes`` first (ties in task order), so the longest fits do not
+    start last and leave a worker idle. Results are collected in task
+    order: a task's error is raised here, the first in task order, and
+    the pool is shut down, its unstarted tasks cancelled, before it
+    propagates.
     """
     if workers <= 1:
         return list(map(partial(run_fold, inputs), tasks))
@@ -332,13 +351,20 @@ def _run_folds(inputs: CvInputs, tasks: list[FoldTask],
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(
+    order = range(len(tasks))
+    if sizes:
+        order = sorted(order, key=lambda i: -sizes[i])
+    pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=mp.get_context("fork"),
         initializer=_start_worker,
         initargs=(inputs, os.getpid()),
-    ) as pool:
-        return list(pool.map(_run_worker_fold, tasks))
+    )
+    try:
+        futures = {i: pool.submit(_run_worker_fold, tasks[i]) for i in order}
+        return [futures[i].result() for i in range(len(tasks))]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _cross_validate(
@@ -364,7 +390,8 @@ def _cross_validate(
     plans = [_fold_tasks(labels, cfg, n_folds, seed) for cfg, seed in runs]
     tasks = [task for plan in plans for task in plan]
     workers = worker_count(len(tasks)) if model_kind == "gbm" else 1
-    outputs = _run_folds(inputs, tasks, workers)
+    outputs = _run_folds(inputs, tasks, workers,
+                         [_fit_rows(labels, task) for task in tasks])
 
     results = []
     for i, ((smote_config, _), plan) in enumerate(zip(runs, plans)):

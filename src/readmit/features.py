@@ -10,10 +10,13 @@ the interpolation space used by the oversampler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from itertools import compress
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 
+from .cohort import ClientProfile, ProfileTable
 from .errors import EmptyAfterFiltering, MissingAge, WidthMismatch
 from .schema import (  # noqa: F401
     CATEGORICAL_FIELDS,
@@ -22,9 +25,6 @@ from .schema import (  # noqa: F401
     canonicalize,
     category_label,
 )
-
-if TYPE_CHECKING:
-    from .cohort import ClientProfile
 
 
 @dataclass
@@ -46,45 +46,74 @@ class EncodeResult:
     dropped_missing_income: int
 
 
-def encode(profiles: Sequence["ClientProfile"],
+# The profile fields encode reads, by their ClientProfile and
+# ProfileTable column names.
+_ENCODED_FIELDS = ("id", "age", *CATEGORICAL_FIELDS, "income", "readmit")
+
+
+def encode(profiles: Sequence[ClientProfile],
            schema: FeatureSchema) -> EncodeResult:
     """Build the design matrix for a set of profiles.
 
-    Missing ages stay NaN, for standardize to fill with the median of
-    each fit's own training rows. With income enabled, rows without an
-    income value are dropped and counted; this is the pipeline's only
-    income filter.
+    The matrix is built column by column: a ProfileTable (as
+    cohort.read_profiles returns) gives its columns directly, and any
+    other sequence of profiles is first read into the same columns, one
+    pass over the profiles per field. Missing ages stay NaN, for
+    standardize to fill with the median of each fit's own training rows.
+    With income enabled, rows without an income value are dropped and
+    counted; this is the pipeline's only income filter. A category code
+    outside the schema is a ValueError naming the first kept profile
+    that has one.
     """
     if not profiles:
         raise ValueError("cannot encode an empty profile list")
+    if isinstance(profiles, ProfileTable):
+        columns = {f: profiles.columns[f] for f in _ENCODED_FIELDS}
+    else:
+        columns = {f: list(map(attrgetter(f), profiles))
+                   for f in _ENCODED_FIELDS}
 
-    kept = [p for p in profiles
-            if p.income is not None or not schema.include_income]
-    dropped = len(profiles) - len(kept)
-    if not kept:
+    n_profiles = len(columns["id"])
+    if schema.include_income:
+        known = [income is not None for income in columns["income"]]
+        columns = {f: list(compress(column, known))
+                   for f, column in columns.items()}
+    n = len(columns["id"])
+    dropped = n_profiles - n
+    if not n:
         raise EmptyAfterFiltering(
             f"income mode dropped all {dropped} rows (no income values)"
         )
+    if not all(set(columns[f]) <= CATEGORIES[f].keys()
+               for f in CATEGORICAL_FIELDS):
+        raise _first_bad_code(columns)
 
-    n = len(kept)
     matrix = np.zeros((n, schema.n_columns), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    groups = list(zip(CATEGORICAL_FIELDS, schema.one_hot_groups))
-    for i, p in enumerate(kept):
-        matrix[i, 0] = np.nan if p.age is None else p.age
-        for fname, group in groups:
-            code = getattr(p, fname)
-            if code not in CATEGORIES[fname]:
-                raise ValueError(f"profile {p.id}: bad {fname} code {code!r}")
-            matrix[i, group.start + code] = 1.0
-        if schema.include_income:
-            matrix[i, -1] = p.income
-        labels[i] = p.readmit
+    matrix[:, 0] = np.array(columns["age"], dtype=np.float64)  # None: NaN
+    rows = np.arange(n)
+    for fname, group in zip(CATEGORICAL_FIELDS, schema.one_hot_groups):
+        codes = np.array(columns[fname], dtype=np.intp)
+        matrix[rows, group.start + codes] = 1.0
+    if schema.include_income:
+        matrix[:, -1] = columns["income"]
+    labels = np.array(columns["readmit"], dtype=np.int64)
 
     return EncodeResult(
         dataset=EncodedDataset(matrix=matrix, labels=labels, schema=schema),
         dropped_missing_income=dropped,
     )
+
+
+def _first_bad_code(columns: dict[str, Sequence]) -> ValueError:
+    """The error for the first row, and its first categorical field,
+    whose code is not in the schema."""
+    for i, profile_id in enumerate(columns["id"]):
+        for fname in CATEGORICAL_FIELDS:
+            code = columns[fname][i]
+            if code not in CATEGORIES[fname]:
+                return ValueError(
+                    f"profile {profile_id}: bad {fname} code {code!r}")
+    raise AssertionError("every code is in the schema")
 
 
 @dataclass(frozen=True)

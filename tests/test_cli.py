@@ -764,6 +764,12 @@ class TestNumpyFreeStart:
         argv = ["report", "--report", str(report)]
         assert run_fresh(cli_call(argv)) == {"rc": 0, "numpy": False}
 
+    def test_read_profiles(self, small_profiles_file):
+        body = ("from readmit.cohort import read_profiles\n"
+                f"rc = len(read_profiles({str(small_profiles_file)!r})) - 300"
+                "\n")
+        assert run_fresh(body) == {"rc": 0, "numpy": False}
+
     def test_train_loads_numpy(self, tmp_path, small_profiles_file):
         argv = ["train", "--profiles", str(small_profiles_file),
                 "--model", "logistic", "-o", str(tmp_path / "fit")]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+from collections.abc import Sequence
 from datetime import date
 
 import pytest
@@ -10,10 +11,12 @@ import pytest
 from readmit import cohort
 from readmit.cli import main
 from readmit.cohort import (
+    PROFILES_HEADER,
     ClientKey,
     DemographicRecord,
     ExitRecord,
     IncidentRecord,
+    ProfileTable,
     ResidenceEpisode,
     derive_label,
     make_id_combo,
@@ -32,6 +35,7 @@ from readmit.errors import (
 )
 
 from tests.helpers import LINKAGE_SMALL, write_linkage_trio
+from tests.oracles import linkage
 
 
 def demo_record(key, entry, admitted=True, age=30.0, employment="Employed",
@@ -306,14 +310,16 @@ class TestCollectorPause:
         write_linkage_trio(tmp_path)
         states = {}
         for module, name in ((cohort, "_parse_age"), (cohort, "_parse_date"),
-                             (cohort.schema, "canonicalize")):
+                             (cohort.schema, "canonicalize"),
+                             (cohort, "_optional_numbers")):
             def spy(*args, _fn=getattr(module, name), _name=name):
                 states.setdefault(_name, set()).add(gc.isenabled())
                 return _fn(*args)
             monkeypatch.setattr(module, name, spy)
         self.link(tmp_path)
         assert states == {"_parse_age": {False}, "_parse_date": {False},
-                          "canonicalize": {False}}
+                          "canonicalize": {False},
+                          "_optional_numbers": {False}}
         assert gc.isenabled()
 
     def test_a_disabled_collector_stays_disabled(self, tmp_path):
@@ -391,3 +397,100 @@ class TestCsvValidation:
             assert a.income == b.income
             assert a.readmit == b.readmit
             assert a.total_los_days == b.total_los_days
+
+
+@pytest.fixture(params=[3, 20, cohort.READ_CHUNK], ids=lambda n: f"chunk{n}")
+def read_chunk(request, monkeypatch):
+    """Rows per column pass of read_profiles: 3 splits the 20-row golden
+    file and the files below across chunks, 20 fills one exactly."""
+    monkeypatch.setattr(cohort, "READ_CHUNK", request.param)
+    return request.param
+
+
+class TestProfileTable:
+    """read_profiles' table: validated columns that read as records."""
+
+    GOLDEN = LINKAGE_SMALL / "profiles_golden.csv"
+
+    def test_records_equal_the_row_by_row_reference(self, read_chunk):
+        table = read_profiles(self.GOLDEN)
+        assert isinstance(table, ProfileTable)
+        assert isinstance(table, Sequence)
+        expected = linkage.read_profiles(self.GOLDEN)
+        assert len(table) == len(expected) == 20
+        assert list(table) == expected
+        assert [table[i] for i in range(len(table))] == expected
+
+    def test_indexing_follows_a_list(self):
+        table = read_profiles(self.GOLDEN)
+        records = list(table)
+        assert table[-1] == records[-1]
+        assert table[3:7] == records[3:7]
+        assert table[::-5] == records[::-5]
+        assert table.index(records[4]) == 4
+        with pytest.raises(IndexError):
+            table[len(table)]
+
+    def test_columns_are_the_file_columns_in_order(self):
+        table = read_profiles(self.GOLDEN)
+        assert list(table.columns) == PROFILES_HEADER
+        assert all(len(column) == 20 for column in table.columns.values())
+        assert table.columns["id"][0] == "C001|F001|K001"
+        assert table.columns["income"][:2] == (1500.0, None)
+
+    def test_header_only_file_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "profiles.csv"
+        path.write_text(",".join(PROFILES_HEADER) + "\n")
+        table = read_profiles(path)
+        assert len(table) == 0 and list(table) == []
+        assert list(table.columns) == PROFILES_HEADER
+
+
+class TestProfileErrorOrder:
+    """A bad profiles.csv names its first bad row, and in it the first
+    bad column in row order, whichever column check finds a problem."""
+
+    GOOD = "A,30,0,0,0,0,0,,1,0,5,0,0"
+
+    @pytest.fixture(autouse=True)
+    def chunked(self, read_chunk):
+        pass
+
+    def read_error(self, tmp_path, lines: list[str]) -> tuple:
+        path = tmp_path / "profiles.csv"
+        path.write_text("\n".join([",".join(PROFILES_HEADER), *lines])
+                        + "\n")
+        with pytest.raises(MalformedCsv) as info:
+            read_profiles(path)
+        return info.value.row, info.value.column, str(info.value)
+
+    def test_earlier_row_wins_over_an_earlier_column(self, tmp_path):
+        row, column, _ = self.read_error(tmp_path, [
+            *[self.GOOD] * 3,
+            "B,30,0,0,0,0,0,x,1,0,5,0,0",  # income, the last column checked
+            "C,30,9,0,0,0,0,,1,0,5,0,0",  # race, an integer column
+        ])
+        assert (row, column) == (5, "income")
+
+    def test_integer_rules_before_age_in_one_row(self, tmp_path):
+        row, column, message = self.read_error(tmp_path, [
+            "B,130,0,0,0,0,0,,1,0,5,0,1",
+        ])
+        assert (row, column) == (2, "readmit")
+        assert message.endswith("must be 0 with 1 episodes")
+
+    def test_bad_row_before_the_reader_stops(self, tmp_path):
+        row, column, _ = self.read_error(tmp_path, [
+            *[self.GOOD] * 300,
+            "B,-1,0,0,0,0,0,,1,0,5,0,0",
+            self.GOOD,
+            "C,1",  # too few fields: the reader stops here
+        ])
+        assert (row, column) == (302, "age")
+
+    def test_short_row_before_a_bad_cell(self, tmp_path):
+        row, column, message = self.read_error(tmp_path, [
+            self.GOOD, "C,1", "B,30,0,0,0,0,0,,0,0,5,0,0",
+        ])
+        assert (row, column) == (3, None)
+        assert message.endswith("expected 13 fields, got 2")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from readmit.errors import (
 from readmit import models
 from readmit.evaluate import (
     ConfusionMatrix,
+    RocCurve,
     accuracy,
     auc,
     confusion,
@@ -147,6 +149,37 @@ class TestRocCurve:
         lines = path.read_text().splitlines()
         assert lines[0] == "fpr,tpr,threshold"
         assert lines[1] == "0.0,0.0,inf"
+
+    @staticmethod
+    def write_with_csv_writer(curve: RocCurve, path) -> None:
+        """The former writer: csv.writer over repr(float(x)) cells."""
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["fpr", "tpr", "threshold"])
+            for f, t, thr in curve.points:
+                writer.writerow([repr(float(f)), repr(float(t)),
+                                 repr(float(thr))])
+
+    @pytest.mark.parametrize("case", ["ties", "tenths", "subnormal",
+                                      "numpy-floats"])
+    def test_csv_bytes_equal_the_csv_writer(self, tmp_path, case):
+        labels, scores = random_scores(400, 7, ties=True)
+        curve = {
+            "ties": lambda: roc_curve(labels, scores),
+            "tenths": lambda: roc_curve(
+                [0, 1] * 10, [round(0.1 * (i % 10), 1) for i in range(20)]),
+            "subnormal": lambda: roc_curve(
+                [0, 1, 0, 1, 1], [5e-324, 1e-310, 2.5e-301, 1e-300, 0.0]),
+            "numpy-floats": lambda: RocCurve(
+                fpr=tuple(np.array([0.0, 0.1, 1 / 3, 1.0])),
+                tpr=tuple(np.array([0.0, 0.7, 0.9, 1.0])),
+                thresholds=tuple(np.array([np.inf, 0.3, 1e-320, -0.0]))),
+        }[case]()
+        assert curve.thresholds[0] == np.inf
+        written, expected = tmp_path / "roc.csv", tmp_path / "expected.csv"
+        write_roc_csv(curve, written)
+        self.write_with_csv_writer(curve, expected)
+        assert written.read_bytes() == expected.read_bytes()
 
 
 class TestAuc:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from readmit.cohort import ProfileTable, read_profiles, write_profiles
 from readmit.errors import (
     EmptyAfterFiltering,
     MissingAge,
@@ -141,6 +142,93 @@ class TestEncode:
         profiles = [make_profile(pid="A"), make_profile(pid="B", n_episodes=2)]
         labels = encode(profiles, FeatureSchema()).dataset.labels
         assert labels.tolist() == [0, 1]
+
+
+def cohort_profiles(kind: str) -> list:
+    """30 profiles over every category code. "blank-ages": every third
+    age blank and every other income; "late-incomes": only the last two
+    profiles have an income."""
+    return [
+        make_profile(pid=f"P{i:02d}",
+                     age=(None if kind == "blank-ages" and i % 3 == 0
+                          else 18.5 + i),
+                     race=i % 4, family_type=i % 3, reason_homeless=i % 5,
+                     employment=i % 3, citizenship=(i // 2) % 4,
+                     income=(0.1 * i if (i >= 28 if kind == "late-incomes"
+                                         else i % 2 == 0) else None),
+                     n_episodes=1 + i % 3)
+        for i in range(30)
+    ]
+
+
+def table_of(profiles: list) -> ProfileTable:
+    """The profiles as a ProfileTable, built without validation."""
+    columns = {f: tuple(getattr(p, f) for p in profiles)
+               for f in ("id", "age", *CATEGORICAL_FIELDS, "income")}
+    columns["n_episodes"] = tuple(len(p.episodes) for p in profiles)
+    columns["n_open_episodes"] = tuple(
+        sum(not e.closed for e in p.episodes) for p in profiles)
+    for f in ("total_los_days", "incident_count", "readmit"):
+        columns[f] = tuple(getattr(p, f) for p in profiles)
+    return ProfileTable(columns)
+
+
+class TestEncodeInputs:
+    """A ProfileTable and a list of the same records encode alike."""
+
+    @pytest.mark.parametrize("include_income", [False, True],
+                             ids=["no-income", "income"])
+    @pytest.mark.parametrize("kind", ["blank-ages", "late-incomes"])
+    def test_table_and_records_agree_bit_for_bit(self, tmp_path, kind,
+                                                 include_income):
+        path = tmp_path / "profiles.csv"
+        write_profiles(cohort_profiles(kind), path)
+        table = read_profiles(path)
+        schema = FeatureSchema(include_income=include_income)
+        a, b = encode(table, schema), encode(list(table), schema)
+        assert a.dropped_missing_income == b.dropped_missing_income
+        assert a.dataset.matrix.shape == b.dataset.matrix.shape
+        assert a.dataset.matrix.tobytes() == b.dataset.matrix.tobytes()
+        assert a.dataset.labels.tobytes() == b.dataset.labels.tobytes()
+        assert a.dataset.labels.dtype == np.int64
+
+    def test_late_incomes_keep_the_last_rows(self, tmp_path):
+        path = tmp_path / "profiles.csv"
+        write_profiles(cohort_profiles("late-incomes"), path)
+        result = encode(read_profiles(path),
+                        FeatureSchema(include_income=True))
+        assert result.dropped_missing_income == 28
+        matrix = result.dataset.matrix
+        assert matrix[:, 0].tolist() == [18.5 + 28, 18.5 + 29]
+        assert matrix[:, -1].tolist() == [0.1 * 28, 0.1 * 29]
+        assert result.dataset.labels.tolist() == [1, 1]  # 2 and 3 episodes
+
+    def test_blank_ages_are_nan_in_both(self, tmp_path):
+        path = tmp_path / "profiles.csv"
+        write_profiles(cohort_profiles("blank-ages"), path)
+        for profiles in (read_profiles(path), list(read_profiles(path))):
+            ages = encode(profiles, FeatureSchema()).dataset.matrix[:, 0]
+            assert np.flatnonzero(np.isnan(ages)).tolist() == \
+                list(range(0, 30, 3))
+
+    @pytest.mark.parametrize("as_table", [False, True],
+                             ids=["records", "table"])
+    def test_bad_codes_name_the_first_row(self, as_table):
+        profiles = [make_profile(pid="A", income=1.0),
+                    make_profile(pid="B", employment=7, income=None),
+                    make_profile(pid="C", race=9, income=2.0)]
+        convert = table_of if as_table else list
+        with pytest.raises(ValueError,
+                           match=r"^profile B: bad employment code 7$"):
+            encode(convert(profiles), FeatureSchema())
+        # Income mode drops B before its codes are read.
+        with pytest.raises(ValueError, match=r"^profile C: bad race code 9$"):
+            encode(convert(profiles), FeatureSchema(include_income=True))
+
+    def test_one_row_with_two_bad_codes_names_the_first_field(self):
+        profiles = [make_profile(pid="A", race=-1, citizenship=4)]
+        with pytest.raises(ValueError, match=r"^profile A: bad race code -1$"):
+            encode(table_of(profiles), FeatureSchema())
 
 
 class TestStandardize:

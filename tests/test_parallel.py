@@ -2,8 +2,9 @@
 
 A GBM sweep runs its (ratio, fold) fits in a pool of forked workers.
 These tests force one worker and then two and compare, check that a
-task's error reaches the CLI with the serial exit code and message, and
-that no worker outlives the sweep.
+task's error reaches the CLI with the serial exit code and message,
+that the longest fits are handed out first, and that no worker
+outlives the sweep.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +108,47 @@ def test_cv_evaluate_parallel_equals_serial(cohort, fold_pids, set_workers):
     assert parallel.traces == serial.traces
     assert parallel.confusion == serial.confusion
     assert parallel.auc == serial.auc
+
+
+def test_longest_fits_are_submitted_first(cohort, set_workers, monkeypatch):
+    args = dict(ratios=[ORIGINAL, 0.5, 1.0], model_kind="gbm",
+                train_config=SMALL_GBM, n_folds=3, seed=5)
+    set_workers(1)
+    serial, _ = evaluate.sweep(cohort, **args)
+    fit_rows = {(r.ratio, t.fold): t.n_train + t.n_synthetic
+                for r in serial for t in r.traces}
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording_submit(self, fn, task):
+        submitted.append((evaluate.ratio_label(task.smote_config.ratio),
+                          task.fold))
+        return submit(self, fn, task)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+    set_workers(2)
+    parallel, _ = evaluate.sweep(cohort, **args)
+
+    # Task order is ratio-major; a stable sort keeps it among equal sizes.
+    assert submitted == sorted(fit_rows, key=lambda key: -fit_rows[key])
+    assert submitted[:3] == [("1.0", 0), ("1.0", 1), ("1.0", 2)]
+    assert submitted[-3:] == [("original", 0), ("original", 1),
+                              ("original", 2)]
+    assert [r.row() for r in parallel] == [r.row() for r in serial]
+
+
+def test_results_and_first_error_in_task_order(monkeypatch):
+    def run_fold(inputs, task):
+        if task in (1, 3):
+            raise ValueError(f"task {task}")
+        return task
+
+    monkeypatch.setattr(evaluate, "run_fold", run_fold)
+    # Task 3 is the largest, so it is handed out first.
+    with pytest.raises(ValueError, match="^task 1$"):
+        evaluate._run_folds(None, [0, 1, 2, 3], 2, [1, 2, 3, 4])
+    assert evaluate._run_folds(None, [0, 2, 4], 2, [1, 5, 3]) == [0, 2, 4]
+    assert multiprocessing.active_children() == []
 
 
 def test_worker_count_follows_affinity_and_task_count():

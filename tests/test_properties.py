@@ -94,7 +94,7 @@ def csv_round_trip(records: list, write=write_profiles, read=read_profiles):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file.csv"
         write(records, path)
-        return read(path)
+        return list(read(path))
 
 
 @settings(max_examples=60, deadline=None)
@@ -341,7 +341,7 @@ def test_read_profiles_matches_the_reference(rows):
         outcomes = []
         for read in (linkage.read_profiles, read_profiles):
             try:
-                outcomes.append(read(path))
+                outcomes.append(list(read(path)))
             except MalformedCsv as exc:
                 outcomes.append((exc.path, exc.row, exc.column, str(exc)))
         assert outcomes[0] == outcomes[1]
