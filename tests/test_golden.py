@@ -20,6 +20,12 @@ are pinned too, and recomputed under other OpenBLAS and numpy kernels:
 neighbour distances are exact, so no kernel may move them. CI runs that
 test once more with OPENBLAS_CORETYPE=Haswell for the whole process,
 together with both GBM runs: boosted trees call no BLAS kernel.
+
+The inputs are pinned as well: `synth`'s raw trio, and the profiles.csv
+that `unify` links from it, for the golden cohort and for the default
+spec. The cohort's label comes from np.exp through the intercept
+bisection, and its files from numpy's date and rounding kernels, so CI
+runs that test once more on numpy's kernels up to X86_V3.
 """
 
 from __future__ import annotations
@@ -95,6 +101,33 @@ BLANKED_AGE_GOLDEN = {
 }
 
 
+# sha256 of `synth`'s raw trio, and of the profiles.csv that `unify`
+# links from it, for the golden cohort (`synth --seed 5`) and for the
+# bundled default spec (n=6,779) at `synth --seed 7`.
+RAW_TRIO_GOLDEN = {
+    "golden": {
+        "demographics.csv":
+            "56cb2e04bee8ca9f200719ca47bc4e9e84cfb8ea761c54271055208b0a88c028",
+        "exits.csv":
+            "fbd6eb7c5df712a7da192bf1122e008aabfce18afe78ea7553b7a53100f73200",
+        "incidents.csv":
+            "2c6ec888f6423f9c2ce402ca63b32c9ea50c28280fd364f2d1921d699398e890",
+        "profiles.csv":
+            "ff31da7854ba0c8cb7cd2d9264a149cdb967fb4fcadf228ebd88a706bbb9880c",
+    },
+    "default-seed-7": {
+        "demographics.csv":
+            "bc303b0f1fa9247eb2e617940c278b6a06d5706df1709add82a65179d3593a55",
+        "exits.csv":
+            "830d2abd51e0baa45959ee2e1282842a0e33dcf6d6284ee9f7aecdb9f8b42f63",
+        "incidents.csv":
+            "57c701bf22c5a56a59516a52efcc64fd9a2b1663d96d7767c19a4d5607831c93",
+        "profiles.csv":
+            "abd8039ede12014af3d4d9a40eea74b6bca3d1524b940dd4e8c84420dee189a1",
+    },
+}
+
+
 # sha256 of the k=5 neighbour lists (little-endian int64) of the golden
 # cohort's standardized minority rows.
 NEIGHBOR_DIGEST = (
@@ -112,20 +145,32 @@ print(hashlib.sha256(neighbors.astype("<i8").tobytes()).hexdigest())
 """
 
 
+RAW_FILES = ("demographics.csv", "exits.csv", "incidents.csv")
+
+
+def synth_and_unify(out: Path, synth_args: list[str]) -> Path:
+    """Run `synth` with synth_args into out, then `unify` its raw trio
+    into out/profiles.csv; return out."""
+    assert main(["synth", *synth_args, "-o", str(out)]) == 0
+    assert main(["unify", *(str(out / name) for name in RAW_FILES),
+                 "-o", str(out / "profiles.csv")]) == 0
+    return out
+
+
+def golden_spec(tmp: Path) -> Path:
+    """The golden cohort's spec file: n=300, spec seed 13."""
+    spec = tmp / "spec.json"
+    spec.write_text(json.dumps({"n": 300, "seed": 13}))
+    return spec
+
+
 @pytest.fixture(scope="module")
 def profiles(tmp_path_factory):
     """profiles.csv of the n=300, spec-seed-13 cohort (`synth --seed 5`)."""
     tmp = tmp_path_factory.mktemp("golden")
-    spec = tmp / "spec.json"
-    spec.write_text(json.dumps({"n": 300, "seed": 13}))
-    data = tmp / "data"
-    out = tmp / "profiles.csv"
-    assert main(["synth", "--spec", str(spec), "--seed", "5",
-                 "-o", str(data)]) == 0
-    assert main(["unify", str(data / "demographics.csv"),
-                 str(data / "exits.csv"), str(data / "incidents.csv"),
-                 "-o", str(out)]) == 0
-    return out
+    synth_and_unify(tmp / "data",
+                    ["--spec", str(golden_spec(tmp)), "--seed", "5"])
+    return tmp / "data" / "profiles.csv"
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +224,19 @@ def test_blanked_age_run_matches_golden_digests(tmp_path, blanked_profiles,
     digests = run_digests(tmp_path, blanked_profiles, model_args)
     assert "warning" not in capsys.readouterr().err
     assert digests == BLANKED_AGE_GOLDEN[model_args[1]]
+
+
+@pytest.mark.parametrize("cohort", sorted(RAW_TRIO_GOLDEN))
+def test_raw_trio_matches_golden_digests(tmp_path, cohort, capsys):
+    if cohort == "golden":
+        synth_args = ["--spec", str(golden_spec(tmp_path)), "--seed", "5"]
+    else:
+        synth_args = ["--seed", "7"]
+    out = synth_and_unify(tmp_path / "data", synth_args)
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in RAW_TRIO_GOLDEN[cohort]}
+    assert digests == RAW_TRIO_GOLDEN[cohort]
 
 
 @pytest.mark.parametrize("kernel_env", [
