@@ -237,13 +237,12 @@ def cmd_synth(args) -> int:
         seed = _resolve(args, cfg, "seed")
     spec = dataclasses.replace(spec, seed=seed)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         cohort = synthgen.generate(spec)
     except InfeasibleSpec as exc:
         raise UsageError(f"bad spec {spec_path}: {exc}") from None
-    synthgen.emit_raw_files(cohort, out_dir)
+    out_dir = Path(args.out)
+    synthgen.emit_raw_files(cohort, out_dir)  # creates out_dir
 
     spec_dict = spec.to_json_dict()
     spec_blob = json.dumps(spec_dict, sort_keys=True).encode("utf-8")
@@ -253,7 +252,7 @@ def cmd_synth(args) -> int:
         "spec": spec_dict,
         "spec_sha256": hashlib.sha256(spec_blob).hexdigest(),
         "n_profiles": len(cohort),
-        "n_positive": sum(p.readmit for p in cohort),
+        "n_positive": int(cohort.readmit.sum()),
         "files": ["demographics.csv", "exits.csv", "incidents.csv"],
     }
     _dump_json(manifest, out_dir / "cohort_manifest.json")

@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import gc
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import starmap
+from itertools import groupby, starmap
 from operator import gt
 from pathlib import Path
 
@@ -173,10 +173,15 @@ def make_id_combo(key: ClientKey) -> IdCombo:
 
 def split_id_combo(combo: IdCombo) -> ClientKey:
     """Invert make_id_combo, honoring the escape sequences."""
+    return ClientKey(*id_parts(combo))
+
+
+def id_parts(combo: IdCombo) -> list[str]:
+    """The three key parts of an id combo, as split_id_combo finds them."""
     parts = _split_escaped(combo) if "\\" in combo else combo.split("|")
     if len(parts) != 3:
         raise ValueError(f"id combo {combo!r} does not have three parts")
-    return ClientKey(*parts)
+    return parts
 
 
 def _split_escaped(combo: IdCombo) -> list[str]:
@@ -316,7 +321,7 @@ def unify(
                        removed_not_admitted=removed)
 
 
-_KEY_COLUMNS = ("cares_id", "family_id", "case_id")
+KEY_COLUMNS = ("cares_id", "family_id", "case_id")
 
 
 def locate_blank_key(sources: Sequence[tuple[str | Path, Sequence]]
@@ -332,7 +337,7 @@ def locate_blank_key(sources: Sequence[tuple[str | Path, Sequence]]
         for row, rec in enumerate(records, start=2):
             if isinstance(rec, DemographicRecord) and not rec.admitted:
                 continue
-            for column in _KEY_COLUMNS:
+            for column in KEY_COLUMNS:
                 if not getattr(rec.key, column).strip():
                     return MalformedCsv(str(path), row, column,
                                         "blank key part")
@@ -422,11 +427,15 @@ def _parse_optional_number(path, lineno, column, raw: str) -> float | None:
                            f"not a number: {raw!r}") from None
 
 
+# The oldest age, in years, that the readers accept.
+MAX_AGE = 120
+
+
 def _parse_age(path, lineno, raw: str) -> float | None:
     age = _parse_optional_number(path, lineno, "age", raw)
-    if age is not None and not (0 <= age <= 120):
+    if age is not None and not (0 <= age <= MAX_AGE):
         raise MalformedCsv(str(path), lineno, "age",
-                           f"age {age} outside [0, 120]")
+                           f"age {age} outside [0, {MAX_AGE}]")
     return age
 
 
@@ -484,8 +493,10 @@ def read_incidents(path: str | Path) -> list[IncidentRecord]:
 
 # --- CSV output --------------------------------------------------------------
 
-def _write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write a header and rows of str fields.
+def _write_csv(path: str | Path, header: list[str],
+               rows: Iterable[Sequence[str]]) -> None:
+    """Write a header and rows of str fields, one writerows call per run
+    of rows.
 
     With "\n" line ends, csv leaves a lone "\r" unquoted, and reading
     would split the row there; a row holding one is written fully quoted.
@@ -494,38 +505,41 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(header)
-        for row in rows:
-            (quoted if "\r" in "".join(row) else writer).writerow(row)
+        for has_cr, run in groupby(rows, key=_holds_cr):
+            (quoted if has_cr else writer).writerows(run)
 
 
-def write_demographics(records: Sequence[DemographicRecord],
+def _holds_cr(row: Sequence[str]) -> bool:
+    return "\r" in "".join(row)
+
+
+def _write_raw(header: list[str], columns: Mapping[str, Sequence[str]],
+               path: str | Path) -> None:
+    if set(columns) != set(header):
+        raise ValueError(f"columns {sorted(columns)} != {sorted(header)}")
+    if len({len(column) for column in columns.values()}) > 1:
+        raise ValueError("columns differ in length")
+    _write_csv(path, header, zip(*(columns[name] for name in header)))
+
+
+def write_demographics(columns: Mapping[str, Sequence[str]],
                        path: str | Path) -> None:
-    _write_csv(path, DEMOGRAPHICS_HEADER, (
-        [r.key.cares_id, r.key.family_id, r.key.case_id,
-         format_number(r.age),
-         r.race, r.family_type, r.reason_homeless,
-         r.employment, r.citizenship,
-         format_number(r.income),
-         r.entry_date.isoformat(),
-         "true" if r.admitted else "false"]
-        for r in records
-    ))
+    """Write demographics.csv from its columns: the str cells of each
+    DEMOGRAPHICS_HEADER name, rows in file order."""
+    _write_raw(DEMOGRAPHICS_HEADER, columns, path)
 
 
-def write_exits(records: Sequence[ExitRecord], path: str | Path) -> None:
-    _write_csv(path, EXITS_HEADER, (
-        [r.key.cares_id, r.key.family_id, r.key.case_id,
-         r.exit_date.isoformat(), r.exit_reason]
-        for r in records
-    ))
+def write_exits(columns: Mapping[str, Sequence[str]],
+                path: str | Path) -> None:
+    """Write exits.csv from the str cells of each EXITS_HEADER name."""
+    _write_raw(EXITS_HEADER, columns, path)
 
 
-def write_incidents(records: Sequence[IncidentRecord], path: str | Path) -> None:
-    _write_csv(path, INCIDENTS_HEADER, (
-        [r.key.cares_id, r.key.family_id, r.key.case_id,
-         r.incident_date.isoformat(), r.incident_type]
-        for r in records
-    ))
+def write_incidents(columns: Mapping[str, Sequence[str]],
+                    path: str | Path) -> None:
+    """Write incidents.csv from the str cells of each INCIDENTS_HEADER
+    name."""
+    _write_raw(INCIDENTS_HEADER, columns, path)
 
 
 def format_number(value: float | None) -> str:
@@ -665,7 +679,7 @@ def _chunk_values(path: str | Path, rows: list[list[str]],
             and min(n) >= 1
             and not any(map(gt, n_open, n))
             and list(ints["readmit"]) == [k >= 2 for k in n]
-            and all(0 <= a <= 120 for a in age if a is not None)
+            and all(0 <= a <= MAX_AGE for a in age if a is not None)
             and all(0 <= x < math.inf for x in income if x is not None)
         )
     if not valid:

@@ -57,9 +57,10 @@ def encode(profiles: Sequence[ClientProfile],
 
     The matrix is built column by column: a ProfileTable (as
     cohort.read_profiles returns) gives its columns directly, and any
-    other sequence of profiles is first read into the same columns, one
-    pass over the profiles per field. Missing ages stay NaN, for
-    standardize to fill with the median of each fit's own training rows.
+    other sequence of profiles is first transposed into the same columns
+    in one pass, so a synthgen.CohortTable builds its records once.
+    Missing ages stay NaN, for standardize to fill with the median of
+    each fit's own training rows.
     With income enabled, rows without an income value are dropped and
     counted; this is the pipeline's only income filter. A category code
     outside the schema is a ValueError naming the first kept profile
@@ -70,8 +71,8 @@ def encode(profiles: Sequence[ClientProfile],
     if isinstance(profiles, ProfileTable):
         columns = {f: profiles.columns[f] for f in _ENCODED_FIELDS}
     else:
-        columns = {f: list(map(attrgetter(f), profiles))
-                   for f in _ENCODED_FIELDS}
+        columns = dict(zip(_ENCODED_FIELDS, zip(
+            *map(attrgetter(*_ENCODED_FIELDS), profiles))))
 
     n_profiles = len(columns["id"])
     if schema.include_income:

@@ -8,6 +8,11 @@ solved by bisection so the expected positive rate hits the target, and
 the realized positive count is then forced to exactly round(n * rate)
 by flipping the draws closest to their Bernoulli boundary.
 
+A cohort is held by column, as a CohortTable, from the draw to the
+file: emit_raw_files writes the raw intake trio from the columns with
+numpy and one writerows call per file, and ClientProfile records are
+built only when a row of the table is indexed or iterated.
+
 Only some default rates are published figures (cohort size, minority
 rate, employment rate, the ordering of homelessness reasons, mean
 income); the rest are placeholders and flagged as such in
@@ -17,29 +22,31 @@ spec_default.json. Override freely.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
-from datetime import date, timedelta
+from datetime import date
+from functools import cached_property
 from importlib import resources
+from operator import attrgetter, eq
 from pathlib import Path
 
 import numpy as np
 
 from .cohort import (
-    ClientKey,
+    KEY_COLUMNS,
+    MAX_AGE,
     ClientProfile,
-    DemographicRecord,
-    ExitRecord,
-    IncidentRecord,
     ResidenceEpisode,
-    make_id_combo,
-    split_id_combo,
+    format_number,
+    id_parts,
     write_demographics,
     write_exits,
     write_incidents,
 )
 from .errors import InfeasibleSpec
 from .models import sigmoid
-from .schema import CATEGORIES, category_label
+from .schema import CATEGORICAL_FIELDS, CATEGORIES
 from .seeding import derive_seed
 
 ENTRY_WINDOW_START = date(2013, 1, 1)
@@ -110,12 +117,17 @@ class CohortSpec:
     def validate(self) -> None:
         """Raise InfeasibleSpec unless every field has its default's type
         (a bool is not an int, an int is a valid float, and weights are
-        numbers) and the rates, weights and age bounds are feasible."""
+        numbers), every float is finite, and the rates, weights and age
+        bounds are feasible: ages at most MAX_AGE, the readers' bound."""
         for name, default in asdict(CohortSpec()).items():
             value = getattr(self, name)
             if not _has_type_of(value, default):
                 raise InfeasibleSpec(
                     f"{name} must be {type(default).__name__}, got {value!r}")
+            numbers = value.values() if isinstance(value, dict) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in numbers):
+                raise InfeasibleSpec(f"{name} must be finite, got {value!r}")
         if self.n < 100:
             raise InfeasibleSpec(f"n must be >= 100, got {self.n}")
         rates = {
@@ -144,6 +156,10 @@ class CohortSpec:
                 raise InfeasibleSpec(f"{name} must sum to 1")
         if not (0 < self.age_min < self.age_max):
             raise InfeasibleSpec("need 0 < age_min < age_max")
+        if self.age_max > MAX_AGE:
+            raise InfeasibleSpec(
+                f"age_max must be <= {MAX_AGE}, the oldest age the readers"
+                f" accept, got {self.age_max}")
         if self.age_sd <= 0:
             raise InfeasibleSpec("age_sd must be positive")
         if self.signal_strength < 0:
@@ -228,8 +244,129 @@ def _force_exact_count(y, p, u, target: int) -> np.ndarray:
     return y
 
 
-def generate(spec: CohortSpec) -> list[ClientProfile]:
-    """Generate one cohort, sorted by id, deterministic given spec.seed."""
+# ClientProfile's per-client fields, other than its episodes, in order.
+_CLIENT_FIELDS = ("id", "age", *CATEGORICAL_FIELDS, "income",
+                  "total_los_days", "incident_count", "readmit")
+_client_values = attrgetter(*_CLIENT_FIELDS)
+
+
+def _optional(values: np.ndarray) -> list[float | None]:
+    """The floats of values, None where one is NaN."""
+    return [None if v != v else v for v in values.tolist()]
+
+
+@dataclass(frozen=True, eq=False)
+class CohortTable(Sequence):
+    """A cohort held by column: what generate draws and emit_raw_files
+    writes.
+
+    One entry per client, in row order: ``id`` (id combos), ``codes``
+    (each categorical field's integer codes, by field name), ``age`` and
+    ``income`` (NaN where missing), ``n_episodes``, ``total_los_days``,
+    ``incident_count`` and ``readmit``. One entry per episode, client by
+    client and each client's in episode order: ``entry`` and ``exit``
+    (datetime64[D]; NaT while a stay is open) and ``exit_reason`` (str,
+    or None).
+
+    The table is also a read-only sequence of ClientProfile, built only
+    when a row is indexed or iterated, and it equals any sequence of the
+    same records.
+    """
+
+    id: list[str]
+    codes: dict[str, np.ndarray]
+    age: np.ndarray
+    income: np.ndarray
+    n_episodes: np.ndarray
+    entry: np.ndarray
+    exit: np.ndarray
+    exit_reason: np.ndarray
+    total_los_days: np.ndarray
+    incident_count: np.ndarray
+    readmit: np.ndarray
+
+    @classmethod
+    def from_profiles(cls, profiles: Iterable[ClientProfile]) -> CohortTable:
+        """The table of profiles' records, transposed in one pass."""
+        rows, episodes = [], []
+        for profile in profiles:
+            rows.append((*_client_values(profile), len(profile.episodes)))
+            episodes.extend((ep.entry_date, ep.exit_date, ep.exit_reason)
+                            for ep in profile.episodes)
+        names = (*_CLIENT_FIELDS, "n_episodes")
+        values = (dict(zip(names, zip(*rows))) if rows
+                  else dict.fromkeys(names, ()))
+        entry, exit_, reason = zip(*episodes) if episodes else ((), (), ())
+        counts = {name: np.array(values[name], dtype=np.int64)
+                  for name in ("n_episodes", "total_los_days",
+                               "incident_count", "readmit")}
+        return cls(
+            id=list(values["id"]),
+            codes={f: np.array(values[f], dtype=np.int64)
+                   for f in CATEGORICAL_FIELDS},
+            age=np.array(values["age"], dtype=np.float64),  # None: NaN
+            income=np.array(values["income"], dtype=np.float64),
+            entry=np.array(entry, dtype="datetime64[D]"),
+            exit=np.array(exit_, dtype="datetime64[D]"),  # None: NaT
+            exit_reason=np.array(reason, dtype=object),
+            **counts,
+        )
+
+    @cached_property
+    def _episode_ends(self) -> np.ndarray:
+        return np.cumsum(self.n_episodes)
+
+    def _records(self, lo: int, hi: int) -> list[ClientProfile]:
+        """The records of rows lo to hi - 1."""
+        if lo >= hi:
+            return []
+        ends = self._episode_ends
+        first, last = int(ends[lo] - self.n_episodes[lo]), int(ends[hi - 1])
+        episodes = list(map(ResidenceEpisode,
+                            self.entry[first:last].tolist(),
+                            self.exit[first:last].tolist(),
+                            self.exit_reason[first:last].tolist()))
+        columns = zip(
+            self.id[lo:hi], _optional(self.age[lo:hi]),
+            *(self.codes[f][lo:hi].tolist() for f in CATEGORICAL_FIELDS),
+            _optional(self.income[lo:hi]),
+            self.n_episodes[lo:hi].tolist(),
+            self.total_los_days[lo:hi].tolist(),
+            self.incident_count[lo:hi].tolist(),
+            self.readmit[lo:hi].tolist())
+        records = []
+        k = 0
+        for *fields, income, n, los, incidents, readmit in columns:
+            records.append(ClientProfile(
+                *fields, income, tuple(episodes[k:k + n]), los, incidents,
+                readmit))
+            k += n
+        return records
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]
+        return self._records(i, i + 1)[0]
+
+    def __iter__(self):
+        return iter(self._records(0, len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+def generate(spec: CohortSpec) -> CohortTable:
+    """Generate one cohort, sorted by id, deterministic given spec.seed.
+
+    Raises InfeasibleSpec when the spec cannot be met, or when an income
+    it draws is not finite.
+    """
     spec.validate()
     rng = np.random.default_rng(derive_seed(spec.seed, "cohort"))
     n = spec.n
@@ -257,6 +394,10 @@ def generate(spec: CohortSpec) -> list[ClientProfile]:
     income_vals = np.round(
         np.clip(rng.normal(spec.income_mean, spec.income_sd, n), 0.0, None)
     )
+    if not np.isfinite(income_vals[~income_missing]).all():
+        raise InfeasibleSpec(
+            f"income_mean {spec.income_mean} and income_sd {spec.income_sd}"
+            " draw an income that is not finite")
     incident_counts = rng.poisson(INCIDENT_RATE, n)
 
     entry_offset = rng.integers(0, ENTRY_WINDOW_DAYS + 1, n)
@@ -279,99 +420,105 @@ def generate(spec: CohortSpec) -> list[ClientProfile]:
     u = rng.random(n)
     y = _force_exact_count(u < p, p, u, int(round(n * spec.minority_rate)))
 
-    profiles = []
-    for i in range(n):
-        key = ClientKey(f"C{i:06d}", f"F{i:06d}", f"K{i:06d}")
-        first_entry = ENTRY_WINDOW_START + timedelta(days=int(entry_offset[i]))
-        first_exit = first_entry + timedelta(days=int(stay0[i]))
-        episodes = [
-            ResidenceEpisode(first_entry, first_exit,
-                             EXIT_REASONS[reason_exit0[i]])
-        ]
-        total_days = int(stay0[i])
-        if y[i]:
-            second_entry = first_exit + timedelta(days=int(gap[i]))
-            second_exit = second_entry + timedelta(days=int(stay1[i]))
-            episodes.append(
-                ResidenceEpisode(second_entry, second_exit,
-                                 EXIT_REASONS[reason_exit1[i]])
-            )
-            total_days += int(stay1[i])
-        profiles.append(
-            ClientProfile(
-                id=make_id_combo(key),
-                age=float(age[i]),
-                race=int(race[i]),
-                family_type=int(family[i]),
-                reason_homeless=int(reason[i]),
-                employment=int(employment[i]),
-                citizenship=int(citizenship[i]),
-                income=None if income_missing[i] else float(income_vals[i]),
-                episodes=tuple(episodes),
-                total_los_days=total_days,
-                incident_count=int(incident_counts[i]),
-                readmit=int(y[i]),
-            )
-        )
-    return profiles
+    # Every client has a first stay; a readmitted one has a second, which
+    # starts gap days after the first ends.
+    readmit = y.astype(np.int64)
+    has_stay = np.column_stack([np.ones(n, dtype=bool), y])
+    entry0 = np.datetime64(ENTRY_WINDOW_START, "D") + entry_offset
+    entry1 = entry0 + stay0 + gap
+    return CohortTable(
+        id=[f"C{i}|F{i}|K{i}" for i in map("{:06d}".format, range(n))],
+        codes=dict(zip(CATEGORICAL_FIELDS,
+                       (race, family, reason, employment, citizenship))),
+        age=age,
+        income=np.where(income_missing, np.nan, income_vals),
+        n_episodes=1 + readmit,
+        entry=np.column_stack([entry0, entry1])[has_stay],
+        exit=np.column_stack([entry0 + stay0, entry1 + stay1])[has_stay],
+        exit_reason=np.array(EXIT_REASONS, dtype=object)[
+            np.column_stack([reason_exit0, reason_exit1])[has_stay]],
+        total_los_days=stay0 + readmit * stay1,
+        incident_count=incident_counts,
+        readmit=readmit,
+    )
+
+
+def _number_texts(values: np.ndarray) -> np.ndarray:
+    """format_number of each value, blank for NaN, as an object array;
+    each distinct value is formatted once."""
+    distinct, index = np.unique(values, return_inverse=True)
+    texts = [format_number(None if v != v else v) for v in distinct.tolist()]
+    return np.array(texts, dtype=object)[index]
 
 
 def emit_raw_files(
-    cohort: list[ClientProfile], out_dir: str | Path
+    cohort: Sequence[ClientProfile], out_dir: str | Path
 ) -> dict[str, Path]:
     """Write the three raw intake CSVs so that linking them reproduces
     the cohort exactly: one demographic row per episode (all rows of an
     individual agree), one exit row per closed episode, and incident
-    rows synthesized deterministically from each profile's count."""
-    if not cohort:
+    rows synthesized deterministically from each profile's count.
+
+    The files are written from the cohort's columns: a CohortTable's as
+    they are, and any other sequence of profiles first transposed into
+    a CohortTable. Each client's cells are formatted once and repeated
+    over its episodes and incidents, dates are datetime64[D] arithmetic,
+    and incident i (from 0) of a client falls i + 1 days after the
+    entry of its first episode, with type INCIDENT_TYPES[i % 4].
+    """
+    table = (cohort if isinstance(cohort, CohortTable)
+             else CohortTable.from_profiles(cohort))
+    if not len(table):
         raise ValueError("cannot emit an empty cohort")
+    if table.n_episodes.min() < 1:
+        i = int(np.argmin(table.n_episodes))
+        raise ValueError(f"profile {table.id[i]} has no episodes")
+    labels = {}
+    for f, codes in table.codes.items():
+        names = np.array([CATEGORIES[f][c] for c in range(len(CATEGORIES[f]))],
+                         dtype=object)
+        bad = (codes < 0) | (codes >= len(names))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"profile {table.id[i]}: unknown {f} code {codes[i]}")
+        labels[f] = names[codes]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    demo_rows: list[DemographicRecord] = []
-    exit_rows: list[ExitRecord] = []
-    incident_rows: list[IncidentRecord] = []
-    for profile in cohort:
-        key = split_id_combo(profile.id)
-        for ep in profile.episodes:
-            demo_rows.append(
-                DemographicRecord(
-                    key=key,
-                    age=profile.age,
-                    race=category_label("race", profile.race),
-                    family_type=category_label("family_type",
-                                               profile.family_type),
-                    reason_homeless=category_label("reason_homeless",
-                                                   profile.reason_homeless),
-                    employment=category_label("employment", profile.employment),
-                    citizenship=category_label("citizenship",
-                                               profile.citizenship),
-                    income=profile.income,
-                    entry_date=ep.entry_date,
-                    admitted=True,
-                )
-            )
-            if ep.closed:
-                exit_rows.append(
-                    ExitRecord(key=key, exit_date=ep.exit_date,
-                               exit_reason=ep.exit_reason or "")
-                )
-        first_entry = profile.episodes[0].entry_date
-        for i in range(profile.incident_count):
-            incident_rows.append(
-                IncidentRecord(
-                    key=key,
-                    incident_date=first_entry + timedelta(days=i + 1),
-                    incident_type=INCIDENT_TYPES[i % len(INCIDENT_TYPES)],
-                )
-            )
+    keys = dict(zip(KEY_COLUMNS, (np.array(part, dtype=object)
+                                  for part in zip(*map(id_parts, table.id)))))
+    client = {**keys, "age": _number_texts(table.age), **labels,
+              "income": _number_texts(table.income)}
+    n_episodes, counts = table.n_episodes, table.incident_count
+    demographics = {name: np.repeat(column, n_episodes)
+                    for name, column in client.items()}
+    demographics["entry_date"] = np.datetime_as_string(table.entry)
+    demographics["admitted"] = np.full(len(table.entry), "true", dtype=object)
 
-    paths = {
-        "demographics": out_dir / "demographics.csv",
-        "exits": out_dir / "exits.csv",
-        "incidents": out_dir / "incidents.csv",
-    }
-    write_demographics(demo_rows, paths["demographics"])
-    write_exits(exit_rows, paths["exits"])
-    write_incidents(incident_rows, paths["incidents"])
+    closed = ~np.isnat(table.exit)
+    exits = {name: demographics[name][closed] for name in KEY_COLUMNS}
+    exits["exit_date"] = np.datetime_as_string(table.exit[closed])
+    exits["exit_reason"] = table.exit_reason[closed]
+    exits["exit_reason"][np.equal(exits["exit_reason"], None)] = ""
+
+    # The index of each incident among its client's, from 0.
+    nth = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                              counts)
+    first_entry = table.entry[np.cumsum(n_episodes) - n_episodes]
+    incidents = {name: np.repeat(column, counts)
+                 for name, column in keys.items()}
+    incidents["incident_date"] = np.datetime_as_string(
+        np.repeat(first_entry, counts) + (nth + 1))
+    incidents["incident_type"] = np.array(INCIDENT_TYPES, dtype=object)[
+        nth % len(INCIDENT_TYPES)]
+
+    paths = {}
+    for name, write, columns in (
+            ("demographics", write_demographics, demographics),
+            ("exits", write_exits, exits),
+            ("incidents", write_incidents, incidents)):
+        paths[name] = out_dir / f"{name}.csv"
+        write({column: cells.tolist() for column, cells in columns.items()},
+              paths[name])
     return paths

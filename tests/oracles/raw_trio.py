@@ -5,7 +5,8 @@ readmit.cohort's raw-trio writers. It splits each profile's id, builds
 a DemographicRecord per episode, an ExitRecord per closed episode and
 an IncidentRecord per incident, formats every cell on its own and
 writes each row with its own writerow call; a row holding a "\\r" is
-written fully quoted.
+written fully quoted. demographic_row, exit_row and incident_row are
+the cells of one record's row.
 
 Given the same profiles, readmit.synthgen.emit_raw_files must write
 the same three files byte for byte.
@@ -49,35 +50,24 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
             (quoted if "\r" in "".join(row) else writer).writerow(row)
 
 
-def write_demographics(records: Sequence[DemographicRecord],
-                       path: str | Path) -> None:
-    _write_csv(path, DEMOGRAPHICS_HEADER, (
-        [r.key.cares_id, r.key.family_id, r.key.case_id,
-         format_number(r.age),
-         r.race, r.family_type, r.reason_homeless,
-         r.employment, r.citizenship,
-         format_number(r.income),
-         r.entry_date.isoformat(),
-         "true" if r.admitted else "false"]
-        for r in records
-    ))
+def demographic_row(r: DemographicRecord) -> list[str]:
+    return [r.key.cares_id, r.key.family_id, r.key.case_id,
+            format_number(r.age),
+            r.race, r.family_type, r.reason_homeless,
+            r.employment, r.citizenship,
+            format_number(r.income),
+            r.entry_date.isoformat(),
+            "true" if r.admitted else "false"]
 
 
-def write_exits(records: Sequence[ExitRecord], path: str | Path) -> None:
-    _write_csv(path, EXITS_HEADER, (
-        [r.key.cares_id, r.key.family_id, r.key.case_id,
-         r.exit_date.isoformat(), r.exit_reason]
-        for r in records
-    ))
+def exit_row(r: ExitRecord) -> list[str]:
+    return [r.key.cares_id, r.key.family_id, r.key.case_id,
+            r.exit_date.isoformat(), r.exit_reason]
 
 
-def write_incidents(records: Sequence[IncidentRecord],
-                    path: str | Path) -> None:
-    _write_csv(path, INCIDENTS_HEADER, (
-        [r.key.cares_id, r.key.family_id, r.key.case_id,
-         r.incident_date.isoformat(), r.incident_type]
-        for r in records
-    ))
+def incident_row(r: IncidentRecord) -> list[str]:
+    return [r.key.cares_id, r.key.family_id, r.key.case_id,
+            r.incident_date.isoformat(), r.incident_type]
 
 
 def emit_raw_files(cohort: Sequence[ClientProfile],
@@ -130,7 +120,9 @@ def emit_raw_files(cohort: Sequence[ClientProfile],
         "exits": out_dir / "exits.csv",
         "incidents": out_dir / "incidents.csv",
     }
-    write_demographics(demo_rows, paths["demographics"])
-    write_exits(exit_rows, paths["exits"])
-    write_incidents(incident_rows, paths["incidents"])
+    _write_csv(paths["demographics"], DEMOGRAPHICS_HEADER,
+               map(demographic_row, demo_rows))
+    _write_csv(paths["exits"], EXITS_HEADER, map(exit_row, exit_rows))
+    _write_csv(paths["incidents"], INCIDENTS_HEADER,
+               map(incident_row, incident_rows))
     return paths

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import readmit
-from readmit import cli, features, models, resample
+from readmit import cli, cohort, features, models, resample
 from readmit.cli import main, parse_ratio_token, parse_ratios, UsageError
 from readmit.cohort import read_profiles, write_profiles
 from readmit.evaluate import (CvResult, confusion, fit_model, roc_curve,
@@ -106,6 +106,41 @@ class TestSynth:
         spec.write_text(json.dumps({"n": 300, "minority_rate": 1.0}))
         assert main(["synth", "--spec", str(spec),
                      "-o", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"minority_rate": 0.0}, "minority_rate 0.0 is not in (0, 1)"),
+        ({"signal_strength": 100}, "cannot bracket the target"),
+        ({"age_mean": 110, "age_max": 140}, "age_max must be <= 120"),
+        ({"income_mean": 1e308, "income_sd": 1e308},
+         "income_mean 1e+308 and income_sd 1e+308 draw an income that is"
+         " not finite"),
+        ({"income_mean": float("nan")}, "income_mean must be finite"),
+        ({"race_weights": {"White": float("nan"), "Black": 0.5,
+                           "Hispanic": 0.5, "Other": 0.0}},
+         "race_weights must be finite"),
+    ], ids=["no-positives", "unbracketed", "age-over-reader-bound",
+            "income-overflow", "nan-income-mean", "nan-weight"])
+    def test_undrawable_spec_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, payload, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 300, **payload}))
+        out = tmp_path / "out"
+        code = main(["synth", "--spec", str(spec), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert message in err
+        assert not out.exists()
+
+    def test_builds_no_record(self, tmp_path, small_spec_file, monkeypatch):
+        def refuse(record, *args, **kwargs):
+            raise AssertionError(f"synth built a {type(record).__name__}")
+
+        for record in (cohort.ClientKey, cohort.ClientProfile,
+                       cohort.ResidenceEpisode, cohort.DemographicRecord,
+                       cohort.ExitRecord, cohort.IncidentRecord):
+            monkeypatch.setattr(record, "__init__", refuse)
+        assert main(["synth", "--spec", str(small_spec_file),
+                     "-o", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("payload,message", [
         ({"n": 150.5}, "n must be int, got 150.5"),

@@ -297,6 +297,37 @@ class TestTrioGolden:
         assert digests == TRIO_GOLDEN
 
 
+class TestRawWriters:
+    def test_quoted_rows_between_runs(self, tmp_path):
+        path = tmp_path / "exits.csv"
+        cohort.write_exits({
+            "cares_id": ["C1", "C\r2", "C3", "C4", "C\r5"],
+            "family_id": ["F1", "F2", "F3", "F4", "F5"],
+            "case_id": ["K1", "K2", "K3", "K,4", "K5"],
+            "exit_date": ["2014-01-0" + str(i) for i in range(1, 6)],
+            "exit_reason": ["Other", "Other", 'Say "hi"', "Other", "Other"],
+        }, path)
+        assert path.read_bytes().decode().split("\n")[1:] == [
+            "C1,F1,K1,2014-01-01,Other",
+            '"C\r2","F2","K2","2014-01-02","Other"',
+            'C3,F3,K3,2014-01-03,"Say ""hi"""',
+            'C4,F4,"K,4",2014-01-04,Other',
+            '"C\r5","F5","K5","2014-01-05","Other"',
+            "",
+        ]
+        assert [r.key.cares_id for r in read_exits(path)] == [
+            "C1", "C\r2", "C3", "C4", "C\r5"]
+
+    def test_columns_must_match_the_header_and_each_other(self, tmp_path):
+        columns = {name: ["x"] for name in cohort.INCIDENTS_HEADER}
+        with pytest.raises(ValueError, match="differ in length"):
+            cohort.write_incidents({**columns, "incident_type": []},
+                                   tmp_path / "ragged.csv")
+        del columns["incident_type"]
+        with pytest.raises(ValueError, match="incident_type"):
+            cohort.write_incidents(columns, tmp_path / "missing.csv")
+
+
 class TestCollectorPause:
     def link(self, raw):
         result = unify(read_demographics(raw / "demographics.csv"),

@@ -36,7 +36,7 @@ from readmit.cohort import (
 from readmit.errors import EmptyKeyPart, MalformedCsv, UnmappableFamilyType
 from readmit.features import CATEGORIES, CATEGORICAL_FIELDS
 
-from tests.oracles import linkage
+from tests.oracles import linkage, raw_trio
 
 # Key parts are trimmed before joining, so a part that round-trips has no
 # surrounding whitespace; pipes and backslashes are drawn often.
@@ -138,10 +138,25 @@ raw_incident = st.builds(IncidentRecord, key=raw_keys,
 @given(st.lists(raw_demographic, max_size=6), st.lists(raw_exit, max_size=6),
        st.lists(raw_incident, max_size=6))
 def test_raw_csv_round_trip(demo, exits, incidents):
-    assert csv_round_trip(demo, write_demographics, read_demographics) == demo
-    assert csv_round_trip(exits, write_exits, read_exits) == exits
-    assert csv_round_trip(incidents, write_incidents,
-                          read_incidents) == incidents
+    assert csv_round_trip(
+        demo, by_column(write_demographics, DEMOGRAPHICS_HEADER,
+                        raw_trio.demographic_row), read_demographics) == demo
+    assert csv_round_trip(
+        exits, by_column(write_exits, EXITS_HEADER, raw_trio.exit_row),
+        read_exits) == exits
+    assert csv_round_trip(
+        incidents, by_column(write_incidents, INCIDENTS_HEADER,
+                             raw_trio.incident_row),
+        read_incidents) == incidents
+
+
+def by_column(write, header, row):
+    """A writer of records for the raw-trio writer write: the cells of
+    each record's row, from row, become the columns write takes."""
+    def write_records(records, path):
+        cells = list(zip(*map(row, records))) or [()] * len(header)
+        write(dict(zip(header, cells)), path)
+    return write_records
 
 
 # --- unify -------------------------------------------------------------------

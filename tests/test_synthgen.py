@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+from datetime import date
 
 import numpy as np
 import pytest
 
-from readmit.cohort import read_demographics, read_exits, read_incidents, unify
+from readmit.cohort import (
+    ClientKey,
+    ClientProfile,
+    ResidenceEpisode,
+    make_id_combo,
+    read_demographics,
+    read_exits,
+    read_incidents,
+    unify,
+)
 from readmit.errors import InfeasibleSpec
 from readmit.evaluate import cv_evaluate
 from readmit.models import TrainConfig
@@ -14,12 +25,15 @@ from readmit import synthgen
 from readmit.models import sigmoid
 from readmit.synthgen import (
     CohortSpec,
+    CohortTable,
     _solve_intercept,
     default_spec_path,
     emit_raw_files,
     generate,
     load_spec,
 )
+
+from tests.oracles import raw_trio
 
 
 def small_spec(**overrides) -> CohortSpec:
@@ -216,9 +230,135 @@ class TestEmitRawFiles:
         assert result.warnings == []
         assert result.removed_not_admitted == 0
 
+    def test_oldest_drawn_age_is_readable(self, tmp_path):
+        table = generate(small_spec(age_mean=110.0, age_max=120.0))
+        assert table.age.max() == 120.0
+        emit_raw_files(table, tmp_path)
+        assert self.read_back(tmp_path).profiles == table
+
     def test_round_trip_full_default(self, tmp_path):
         cohort = generate(CohortSpec())
         emit_raw_files(cohort, tmp_path)
         result = self.read_back(tmp_path)
         assert len(result.profiles) == 6779
         assert result.profiles == cohort
+
+
+# Records no draw makes: open episodes, "|", "\\", "," and '"' in id
+# parts and exit reasons, a "\r" in a cell, blank ages and incomes,
+# non-integral floats, episodes on date.min, a closed episode with no
+# exit reason, and incident counts above len(INCIDENT_TYPES).
+HAND_BUILT = [
+    ClientProfile(
+        id=make_id_combo(ClientKey("C|1", "F\\1", 'K,"1"')), age=None,
+        race=3, family_type=2, reason_homeless=4, employment=2,
+        citizenship=3, income=None,
+        episodes=(ResidenceEpisode(date(2014, 1, 1), date(2014, 2, 1),
+                                   "Other"),
+                  ResidenceEpisode(date(2014, 6, 1))),
+        total_los_days=31, incident_count=9, readmit=1),
+    ClientProfile(
+        id="C\r2|F2|K2", age=31.5, race=0, family_type=0,
+        reason_homeless=0, employment=0, citizenship=0, income=1234.56,
+        episodes=(ResidenceEpisode(date(2015, 3, 1), date(2015, 3, 1),
+                                   "Moved\rout"),),
+        total_los_days=0, incident_count=0, readmit=0),
+    ClientProfile(
+        id="C3|F3|K3", age=0.1 + 0.2, race=1, family_type=1,
+        reason_homeless=2, employment=1, citizenship=1, income=1e-300,
+        episodes=(ResidenceEpisode(date(2016, 5, 2), date(2016, 6, 2)),
+                  ResidenceEpisode(date(2016, 1, 1), date(2016, 1, 9),
+                                   'Housed, "finally"')),
+        total_los_days=39, incident_count=5, readmit=1),
+    ClientProfile(
+        id="C4|F4|K4", age=120.0, race=2, family_type=2,
+        reason_homeless=3, employment=2, citizenship=2, income=1e20,
+        episodes=(ResidenceEpisode(date.min),
+                  ResidenceEpisode(date.min, date.min)),
+        total_los_days=0, incident_count=4, readmit=1),
+]
+
+
+def trio_bytes(out_dir) -> dict[str, bytes]:
+    return {name: (out_dir / f"{name}.csv").read_bytes()
+            for name in ("demographics", "exits", "incidents")}
+
+
+class TestCohortTable:
+    def test_a_sequence_of_its_records(self):
+        table = generate(small_spec())
+        records = list(table)
+        assert len(table) == len(records) == 400
+        assert table == records and records == table
+        assert table == tuple(records)
+        assert [table[0], table[-1], table[399]] == [
+            records[0], records[-1], records[399]]
+        assert table[10:30:7] == records[10:30:7]
+        assert table[:3] == records[:3]
+        with pytest.raises(IndexError):
+            table[400]
+        assert table != records[:-1]
+        assert table != records[::-1]
+
+    def test_records_transpose_back_into_the_table(self):
+        table = generate(small_spec())
+        assert CohortTable.from_profiles(list(table)) == table
+        hand_built = CohortTable.from_profiles(HAND_BUILT)
+        assert hand_built == HAND_BUILT
+        assert [hand_built[i] for i in range(-4, 4)] == HAND_BUILT * 2
+        assert CohortTable.from_profiles([]) == []
+
+
+class TestEmitMatchesTheRecordWriter:
+    @pytest.mark.parametrize("cohort", ["drawn", "hand-built"])
+    def test_table_records_and_oracle_write_the_same_bytes(self, tmp_path,
+                                                           cohort):
+        if cohort == "drawn":
+            table = generate(small_spec(n=2000))
+        else:
+            table = CohortTable.from_profiles(HAND_BUILT)
+        emit_raw_files(table, tmp_path / "table")
+        emit_raw_files(list(table), tmp_path / "records")
+        raw_trio.emit_raw_files(list(table), tmp_path / "oracle")
+        expected = trio_bytes(tmp_path / "oracle")
+        assert trio_bytes(tmp_path / "table") == expected
+        assert trio_bytes(tmp_path / "records") == expected
+
+    def test_hand_built_rows_are_quoted_and_wrapped(self, tmp_path):
+        emit_raw_files(HAND_BUILT, tmp_path)
+        exits = (tmp_path / "exits.csv").read_bytes().decode("utf-8")
+        assert '"C\r2","F2","K2","2015-03-01","Moved\rout"\n' in exits
+        assert 'C3,F3,K3,2016-01-09,"Housed, ""finally"""\n' in exits
+        incidents = (tmp_path / "incidents.csv").read_text().splitlines()
+        types = [row.rsplit(",", 1)[1] for row in incidents[1:10]]
+        assert types == list(synthgen.INCIDENT_TYPES) * 2 + ["Altercation"]
+
+    def test_bad_input_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="empty cohort"):
+            emit_raw_files([], tmp_path)
+        no_stay = dataclasses.replace(HAND_BUILT[1], episodes=())
+        with pytest.raises(ValueError, match="has no episodes"):
+            emit_raw_files([no_stay], tmp_path)
+        bad_code = dataclasses.replace(HAND_BUILT[1], race=-1)
+        with pytest.raises(ValueError, match="unknown race code -1"):
+            emit_raw_files([bad_code], tmp_path)
+        assert not list(tmp_path.iterdir())
+
+
+class TestReadableDraws:
+    def test_age_max_above_the_readers_bound_rejected(self):
+        with pytest.raises(InfeasibleSpec, match="age_max must be <= 120"):
+            small_spec(age_mean=110.0, age_max=140.0).validate()
+
+    @pytest.mark.parametrize("field", ["age_mean", "income_sd",
+                                       "race_weights"])
+    def test_non_finite_numbers_rejected(self, field):
+        value = ({"White": float("nan"), "Black": 0.0, "Hispanic": 0.0,
+                  "Other": 1.0} if field == "race_weights" else float("inf"))
+        with pytest.raises(InfeasibleSpec, match=f"{field} must be finite"):
+            small_spec(**{field: value}).validate()
+
+    def test_overflowing_income_rejected(self):
+        with pytest.raises(InfeasibleSpec, match="income_mean 1e.308 and "
+                                                 "income_sd 1e.308"):
+            generate(small_spec(income_mean=1e308, income_sd=1e308))
