@@ -75,7 +75,7 @@ def __getattr__(name: str):
     # The benchmark's traced pass wraps readmit.cli.encode, .standardize
     # and .smote by name. They resolve here, on first access, so that
     # importing the CLI loads no numpy; drop this once the benchmark
-    # reads trace.jsonl (ROADMAP item 3).
+    # reads trace.jsonl (ROADMAP item 2).
     if name in ("encode", "standardize"):
         from . import features
         return getattr(features, name)

@@ -1,10 +1,15 @@
 """Client record linkage: raw intake files to labeled individual profiles.
 
 Three input files (demographics, exits, incidents) share a three-part
-client key. Records are joined on the concatenated key, non-admitted
+client key. Rows are joined on the concatenated key, non-admitted
 cases are dropped, entry/exit dates are paired into residence episodes,
 and each unique individual gets a readmission label: 1 when they have
 two or more distinct episodes, else 0.
+
+Every file is read, checked and linked by column: the readers return
+each file's validated values as a RawTable, and unify returns the
+profiles as a ProfileTable, whose ClientProfile records are built only
+when a row is indexed or iterated.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 import csv
 import gc
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import groupby, starmap
+from itertools import compress, groupby, islice, starmap
 from operator import gt
 from pathlib import Path
 
@@ -24,45 +30,8 @@ from .errors import EmptyKeyPart, MalformedCsv, NoEpisodes
 from . import schema
 
 # IdCombo: the unique-individual key, a delimited concatenation of the
-# three client key parts (see make_id_combo).
+# three client key parts (see id_combos).
 IdCombo = str
-
-
-@dataclass(frozen=True)
-class ClientKey:
-    """Three-part identifier: individual, family, and current case."""
-
-    cares_id: str
-    family_id: str
-    case_id: str
-
-
-@dataclass(frozen=True)
-class DemographicRecord:
-    key: ClientKey
-    age: float | None
-    race: str
-    family_type: str
-    reason_homeless: str
-    employment: str
-    citizenship: str
-    income: float | None
-    entry_date: date
-    admitted: bool
-
-
-@dataclass(frozen=True)
-class ExitRecord:
-    key: ClientKey
-    exit_date: date
-    exit_reason: str
-
-
-@dataclass(frozen=True)
-class IncidentRecord:
-    key: ClientKey
-    incident_date: date
-    incident_type: str
 
 
 @dataclass(frozen=True)
@@ -129,18 +98,18 @@ class ConflictWarning:
 
 @dataclass
 class UnifyResult:
-    profiles: list[ClientProfile]
+    profiles: ProfileTable
     warnings: list[ConflictWarning] = field(default_factory=list)
     removed_not_admitted: int = 0
 
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector while records are built.
+    """Pause the cyclic garbage collector while columns are built.
 
-    Records, keys, episodes and profiles hold no reference cycles, so
-    the collector's passes over them, which grow with the row count,
-    would free nothing; reference counting frees what is dropped.
+    Cells, columns and tables hold no reference cycles, so the
+    collector's passes over them, which grow with the row count, would
+    free nothing; reference counting frees what is dropped.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -155,29 +124,30 @@ def _escape_part(part: str) -> str:
     return part.replace("\\", "\\\\").replace("|", "\\|")
 
 
-def make_id_combo(key: ClientKey) -> IdCombo:
-    """Concatenate the three key parts into one injective identifier.
+def id_combos(*key_columns: Sequence[str]) -> list[IdCombo]:
+    """The id combo of each row, given its trimmed key parts by column.
 
-    Parts are trimmed, then joined with "|". Literal backslashes and
-    pipes inside a part are escaped ("\\\\", "\\|") so distinct key
-    triples can never collide.
+    The three parts are joined with "|". Literal backslashes and pipes
+    inside a part are escaped ("\\\\", "\\|") so distinct key triples
+    can never collide; a column is escaped only when it holds one.
+    A blank part raises EmptyKeyPart naming the key parts of the first
+    row that has one.
     """
-    parts = (key.cares_id.strip(), key.family_id.strip(), key.case_id.strip())
-    if not all(parts):
-        raise EmptyKeyPart(f"blank key part in {key}")
-    combo = "|".join(parts)
-    if "\\" in combo or combo.count("|") != 2:
-        combo = "|".join(_escape_part(p) for p in parts)
-    return combo
-
-
-def split_id_combo(combo: IdCombo) -> ClientKey:
-    """Invert make_id_combo, honoring the escape sequences."""
-    return ClientKey(*id_parts(combo))
+    if any("" in column for column in key_columns):
+        key = next(row for row in zip(*key_columns) if "" in row)
+        named = ", ".join(f"{name}={part!r}"
+                          for name, part in zip(KEY_COLUMNS, key))
+        raise EmptyKeyPart(f"blank key part in ClientKey({named})")
+    parts = []
+    for column in key_columns:
+        text = "".join(column)
+        parts.append(list(map(_escape_part, column))
+                     if "|" in text or "\\" in text else column)
+    return list(map("|".join, zip(*parts)))
 
 
 def id_parts(combo: IdCombo) -> list[str]:
-    """The three key parts of an id combo, as split_id_combo finds them."""
+    """The three key parts of an id combo, honoring the escape sequences."""
     parts = _split_escaped(combo) if "\\" in combo else combo.split("|")
     if len(parts) != 3:
         raise ValueError(f"id combo {combo!r} does not have three parts")
@@ -203,148 +173,14 @@ def _split_escaped(combo: IdCombo) -> list[str]:
     return parts
 
 
-def derive_label(episodes: Sequence[ResidenceEpisode]) -> int:
+def derive_label(n_episodes: int) -> int:
     """1 for a multi-entry client (two or more episodes), else 0."""
-    if not episodes:
+    if n_episodes < 1:
         raise NoEpisodes("cannot label a profile with no episodes")
-    return 1 if len(episodes) >= 2 else 0
-
-
-def _pair_episodes(
-    entries: list[date], exits: list[ExitRecord]
-) -> tuple[ResidenceEpisode, ...]:
-    """Greedy chronological pairing: each entry takes the earliest
-    unused exit on or after it; entries left over become open episodes."""
-    # Content-based tie-break for same-day exits keeps pairing invariant
-    # under input shuffling.
-    remaining = sorted(exits, key=lambda e: (e.exit_date, e.exit_reason))
-    used = [False] * len(remaining)
-    episodes = []
-    for entry in sorted(entries):
-        match = None
-        for i, ex in enumerate(remaining):
-            if not used[i] and ex.exit_date >= entry:
-                match = i
-                break
-        if match is None:
-            episodes.append(ResidenceEpisode(entry))
-        else:
-            used[match] = True
-            ex = remaining[match]
-            episodes.append(ResidenceEpisode(entry, ex.exit_date, ex.exit_reason))
-    return tuple(episodes)
-
-
-_DEMO_FIELDS = (
-    "age", "race", "family_type", "reason_homeless",
-    "employment", "citizenship", "income",
-)
-
-
-def _record_sort_key(rec: DemographicRecord):
-    # Content-based tie-break keeps unify invariant under input shuffling.
-    return (rec.entry_date, tuple(str(getattr(rec, f)) for f in _DEMO_FIELDS))
-
-
-@_collector_paused()
-def unify(
-    demo: Iterable[DemographicRecord],
-    exits: Iterable[ExitRecord],
-    incidents: Iterable[IncidentRecord],
-) -> UnifyResult:
-    """Link the three record streams into one profile per individual.
-
-    Non-admitted demographic records are removed up front. Within each
-    individual the most recent entry's demographics win; disagreements
-    are reported as warnings, never failures. Output is sorted by id.
-    """
-    kept: dict[IdCombo, list[DemographicRecord]] = {}
-    removed = 0
-    for rec in demo:
-        if not rec.admitted:
-            removed += 1
-            continue
-        kept.setdefault(make_id_combo(rec.key), []).append(rec)
-
-    exits_by_id: dict[IdCombo, list[ExitRecord]] = {}
-    for ex in exits:
-        exits_by_id.setdefault(make_id_combo(ex.key), []).append(ex)
-
-    incident_counts: dict[IdCombo, int] = {}
-    for inc in incidents:
-        combo = make_id_combo(inc.key)
-        incident_counts[combo] = incident_counts.get(combo, 0) + 1
-
-    profiles: list[ClientProfile] = []
-    warnings: list[ConflictWarning] = []
-    for combo in sorted(kept):
-        records = kept[combo]
-        # A lone record needs no ordering and cannot conflict.
-        if len(records) > 1:
-            records.sort(key=_record_sort_key)
-            for fname in _DEMO_FIELDS:
-                values = [getattr(r, fname) for r in records]
-                distinct = sorted({str(v): v for v in values}.values(),
-                                  key=str)
-                if len(distinct) > 1:
-                    warnings.append(
-                        ConflictWarning(combo, fname,
-                                        getattr(records[-1], fname),
-                                        tuple(distinct))
-                    )
-        latest = records[-1]
-
-        episodes = _pair_episodes(
-            [r.entry_date for r in records], exits_by_id.get(combo, [])
-        )
-        total_los = sum(ep.duration_days for ep in episodes if ep.closed)
-        profiles.append(
-            ClientProfile(
-                id=combo,
-                age=latest.age,
-                race=schema.canonicalize(latest.race, "race"),
-                family_type=schema.canonicalize(latest.family_type, "family_type"),
-                reason_homeless=schema.canonicalize(
-                    latest.reason_homeless, "reason_homeless"
-                ),
-                employment=schema.canonicalize(latest.employment, "employment"),
-                citizenship=schema.canonicalize(latest.citizenship, "citizenship"),
-                income=latest.income,
-                episodes=episodes,
-                total_los_days=total_los,
-                incident_count=incident_counts.get(combo, 0),
-                readmit=derive_label(episodes),
-            )
-        )
-
-    return UnifyResult(profiles=profiles, warnings=warnings,
-                       removed_not_admitted=removed)
+    return 1 if n_episodes >= 2 else 0
 
 
 KEY_COLUMNS = ("cares_id", "family_id", "case_id")
-
-
-def locate_blank_key(sources: Sequence[tuple[str | Path, Sequence]]
-                     ) -> MalformedCsv:
-    """The error naming the file, row and column of the first record, in
-    unify's order, whose key has a blank part.
-
-    sources are (path, records as read from it) pairs for the
-    demographics, exits and incidents files, in that order. Like unify,
-    this skips non-admitted demographic records, which are never linked.
-    """
-    for path, records in sources:
-        for row, rec in enumerate(records, start=2):
-            if isinstance(rec, DemographicRecord) and not rec.admitted:
-                continue
-            for column in KEY_COLUMNS:
-                if not getattr(rec.key, column).strip():
-                    return MalformedCsv(str(path), row, column,
-                                        "blank key part")
-    raise ValueError("no linked record has a blank key part")
-
-
-# --- CSV input -------------------------------------------------------------
 
 DEMOGRAPHICS_HEADER = [
     "cares_id", "family_id", "case_id", "age", "race", "family_type",
@@ -361,6 +197,177 @@ PROFILES_HEADER = [
     "total_los_days", "incident_count", "readmit",
 ]
 
+
+class RawTable:
+    """One raw intake file's validated values, one list per column.
+
+    ``columns`` maps each header name, in file order, to its column:
+    key parts trimmed, ages and incomes as float or None, dates as
+    date, ``admitted`` as bool, and every other cell as read. len() is
+    the file's row count.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[str, list]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns["cares_id"])
+
+    def key_columns(self, keep: Sequence[bool] | None = None
+                    ) -> list[list[str]]:
+        """The key part columns, of the rows flagged in keep (all rows
+        when keep is None)."""
+        return [self.columns[name] if keep is None
+                else list(compress(self.columns[name], keep))
+                for name in KEY_COLUMNS]
+
+
+_DEMO_FIELDS = (
+    "age", "race", "family_type", "reason_homeless",
+    "employment", "citizenship", "income",
+)
+
+
+def _conflicts(combo: IdCombo, rows: list[int],
+               columns: Mapping[str, list]) -> Iterable[ConflictWarning]:
+    """A warning for each field on which an individual's demographic
+    rows, in linkage order, hold values of more than one str; the last
+    row's value is kept."""
+    for fname in _DEMO_FIELDS:
+        values = [columns[fname][i] for i in rows]
+        distinct = sorted({str(v): v for v in values}.values(), key=str)
+        if len(distinct) > 1:
+            yield ConflictWarning(combo, fname, values[-1], tuple(distinct))
+
+
+def _pair_episodes(entries: list[date], exits: list[tuple[date, str]]
+                   ) -> list[tuple[date, date | None, str | None]]:
+    """Greedy chronological pairing of sorted entries with exits sorted
+    by (date, reason): each entry takes the earliest unused exit on or
+    after it; entries left over become open episodes. The (entry, exit
+    date, exit reason) of each episode, in entry order."""
+    remaining = list(exits)
+    episodes = []
+    for entry in entries:
+        for k, (day, reason) in enumerate(remaining):
+            if day >= entry:
+                del remaining[k]
+                episodes.append((entry, day, reason))
+                break
+        else:
+            episodes.append((entry, None, None))
+    return episodes
+
+
+@_collector_paused()
+def unify(demo: RawTable, exits: RawTable, incidents: RawTable) -> UnifyResult:
+    """Link the three files' columns into one profile per individual.
+
+    Non-admitted demographic rows are removed up front. Within each
+    individual the most recent entry's demographics win; disagreements
+    are reported as warnings, never failures. Output is sorted by id.
+
+    Only individuals with several demographic rows are sorted (by
+    entry date, then by the str of each field, so row order never
+    matters) and scanned for conflicts, and only those with several
+    entries or exits are paired by _pair_episodes; for a lone entry
+    and at most one exit the pairing is written out. Each distinct
+    category label is canonicalized once.
+    """
+    d = demo.columns
+    admitted = d["admitted"]
+    rows = list(compress(range(len(demo)), admitted))
+    demo_ids = id_combos(*demo.key_columns(admitted))
+    exit_ids = id_combos(*exits.key_columns())
+    incident_counts = Counter(id_combos(*incidents.key_columns()))
+
+    groups: dict[IdCombo, list[int]] = {}
+    for combo, row in zip(demo_ids, rows):
+        groups.setdefault(combo, []).append(row)
+    exits_by_id: dict[IdCombo, list[int]] = {}
+    for row, combo in enumerate(exit_ids):
+        exits_by_id.setdefault(combo, []).append(row)
+
+    order = sorted(groups)
+    fields = [d[f] for f in _DEMO_FIELDS]
+    entry = d["entry_date"]
+    warnings: list[ConflictWarning] = []
+    for combo in sorted(c for c, group in groups.items() if len(group) > 1):
+        group = groups[combo]
+        keys = {i: (entry[i], tuple([str(column[i]) for column in fields]))
+                for i in group}
+        group.sort(key=keys.__getitem__)
+        if len({texts for _, texts in keys.values()}) > 1:
+            warnings.extend(_conflicts(combo, group, d))
+    latest = [groups[combo][-1] for combo in order]
+
+    exit_date, exit_reason = (exits.columns["exit_date"],
+                              exits.columns["exit_reason"])
+    n_episodes, n_open, total_los = [], [], []
+    episodes = {"entry_date": [], "exit_date": [], "exit_reason": []}
+    entries, exits_on, reasons = episodes.values()
+    for combo in order:
+        group, out = groups[combo], exits_by_id.get(combo, ())
+        if len(group) == 1 and len(out) <= 1:  # _pair_episodes' result
+            day = entry[group[0]]
+            closes = out and exit_date[out[0]] >= day
+            pairs = [(day, exit_date[out[0]], exit_reason[out[0]]) if closes
+                     else (day, None, None)]
+        else:
+            pairs = _pair_episodes(
+                [entry[i] for i in group],
+                sorted((exit_date[j], exit_reason[j]) for j in out))
+        closed = [(left - day).days for day, left, _ in pairs
+                  if left is not None]
+        n_episodes.append(len(pairs))
+        n_open.append(len(pairs) - len(closed))
+        total_los.append(sum(closed))
+        for day, left, reason in pairs:
+            entries.append(day)
+            exits_on.append(left)
+            reasons.append(reason)
+
+    columns: dict[str, list] = {"id": order}
+    for fname in _DEMO_FIELDS:
+        values = list(map(d[fname].__getitem__, latest))
+        if fname in schema.CATEGORIES:
+            codes = {raw: schema.canonicalize(raw, fname)
+                     for raw in dict.fromkeys(values)}  # in id order
+            values = list(map(codes.__getitem__, values))
+        columns[fname] = values
+    columns["n_episodes"] = n_episodes
+    columns["n_open_episodes"] = n_open
+    columns["total_los_days"] = total_los
+    columns["incident_count"] = list(map(incident_counts.__getitem__, order))
+    columns["readmit"] = list(map(derive_label, n_episodes))
+    return UnifyResult(profiles=ProfileTable(columns, episodes),
+                       warnings=warnings,
+                       removed_not_admitted=len(demo) - len(rows))
+
+
+def locate_blank_key(sources: Sequence[tuple[str | Path, RawTable]]
+                     ) -> MalformedCsv:
+    """The error naming the file, row and column of the first row, in
+    unify's order, whose key has a blank part.
+
+    sources are (path, table read from it) pairs for the demographics,
+    exits and incidents files, in that order. Like unify, this skips
+    non-admitted demographic rows, which are never linked.
+    """
+    for path, table in sources:
+        linked = table.columns.get("admitted", [True] * len(table))
+        for row, (flag, *parts) in enumerate(
+                zip(linked, *table.key_columns()), start=2):
+            for column, part in zip(KEY_COLUMNS, parts):
+                if flag and not part:
+                    return MalformedCsv(str(path), row, column,
+                                        "blank key part")
+    raise ValueError("no linked row has a blank key part")
+
+
+# --- CSV input -------------------------------------------------------------
 
 def _read_rows(path: str | Path, expected_header: list[str]):
     """Yield (row number, fields) for each row, the fields in header
@@ -408,32 +415,102 @@ def _not_utf8(path: Path) -> MalformedCsv:
                         f"byte {data[bad:bad + 1]!r} is not UTF-8")
 
 
+# Rows converted and checked per column pass: the raw rows held at once.
+READ_CHUNK = 4096
+
+# A chunk's rows, by column name, as read (str cells).
+_Cells = Mapping[str, Sequence[str]]
+
+
+def _read_columns(path: str | Path, header: list[str],
+                  values: Callable[[_Cells], dict[str, Iterable] | None],
+                  check_rows: Callable[[str | Path, list[list[str]], int],
+                                       None]) -> dict[str, list]:
+    """A CSV file's values by column, READ_CHUNK rows at a time.
+
+    values(cells) converts and checks a chunk a column at a time, and
+    returns None if any row breaks a rule. A bad file raises the
+    MalformedCsv of its first bad row, at that row's first bad column,
+    as a row-by-row read would: once a chunk's column check fails, or
+    the reader stops at a row, check_rows(path, rows, first row number)
+    checks the rows of the chunk read so far one at a time, and raises
+    the error of the first bad one.
+    """
+    columns: dict[str, list] = {}
+    reader = _read_rows(path, header)
+    first = 2  # the row number of the chunk's first row
+    while True:
+        rows: list[list[str]] = []
+        try:
+            for _, row in reader:
+                rows.append(row)
+                if len(rows) == READ_CHUNK:
+                    break
+        except MalformedCsv:
+            check_rows(path, rows, first)  # a bad cell comes first
+            raise
+        chunk = values(dict(zip(header, zip(*rows))) if rows
+                       else dict.fromkeys(header, ()))
+        if chunk is None:
+            check_rows(path, rows, first)
+            raise AssertionError("a column check failed but every row passes")
+        for name, column in chunk.items():
+            columns.setdefault(name, []).extend(column)
+        if len(rows) < READ_CHUNK:
+            return columns
+        first += READ_CHUNK
+
+
+def _by_distinct(convert: Callable[[str], object],
+                 cells: Iterable[str]) -> dict[str, object]:
+    """convert(cell) of each distinct cell, keyed by the cell."""
+    return {cell: convert(cell) for cell in set(cells)}
+
+
+def _lookup(values: Mapping, cells: Iterable) -> Iterable:
+    return map(values.__getitem__, cells)
+
+
+def _optional_number(cell: str) -> float | None:
+    """float of a cell, None for a blank one; ValueError on any other."""
+    return float(s) if (s := cell.strip()) else None
+
+
+def _iso_date(cell: str) -> date:
+    return date.fromisoformat(cell.strip())
+
+
 def _parse_date(path, lineno, column, raw: str) -> date:
     try:
-        return date.fromisoformat(raw.strip())
+        return _iso_date(raw)
     except ValueError:
         raise MalformedCsv(str(path), lineno, column,
                            f"not an ISO date: {raw!r}") from None
 
 
 def _parse_optional_number(path, lineno, column, raw: str) -> float | None:
-    raw = raw.strip()
-    if raw == "":
-        return None
     try:
-        return float(raw)
+        return _optional_number(raw)
     except ValueError:
         raise MalformedCsv(str(path), lineno, column,
-                           f"not a number: {raw!r}") from None
+                           f"not a number: {raw.strip()!r}") from None
 
 
 # The oldest age, in years, that the readers accept.
 MAX_AGE = 120
 
 
+def _age_ok(age: float | None) -> bool:
+    return age is None or 0 <= age <= MAX_AGE
+
+
+def _income_ok(income: float | None) -> bool:
+    return income is None or 0 <= income < math.inf
+
+
 def _parse_age(path, lineno, raw: str) -> float | None:
     age = _parse_optional_number(path, lineno, "age", raw)
-    if age is not None and not (0 <= age <= MAX_AGE):
+    if not _age_ok(age):
         raise MalformedCsv(str(path), lineno, "age",
                            f"age {age} outside [0, {MAX_AGE}]")
     return age
@@ -441,54 +518,85 @@ def _parse_age(path, lineno, raw: str) -> float | None:
 
 def _parse_income(path, lineno, raw: str) -> float | None:
     income = _parse_optional_number(path, lineno, "income", raw)
-    if income is not None and not (0 <= income < math.inf):
+    if not _income_ok(income):
         raise MalformedCsv(str(path), lineno, "income",
                            f"income {income} must be finite and >= 0")
     return income
 
 
-def _key(cares_id: str, family_id: str, case_id: str) -> ClientKey:
-    return ClientKey(cares_id.strip(), family_id.strip(), case_id.strip())
+def _flag(cell: str) -> str:
+    return cell.strip().lower()
 
 
-@_collector_paused()
-def read_demographics(path: str | Path) -> list[DemographicRecord]:
-    records = []
-    for lineno, (cares_id, family_id, case_id, age, race, family_type,
-                 reason_homeless, employment, citizenship, income,
-                 entry_date, admitted) in _read_rows(path, DEMOGRAPHICS_HEADER):
-        age_years = _parse_age(path, lineno, age)
-        flag = admitted.strip().lower()
-        if flag not in ("true", "false"):
+def _check_demographic_rows(path, rows: list[list[str]], first: int) -> None:
+    for lineno, row in enumerate(rows, start=first):
+        _parse_age(path, lineno, row[3])
+        if _flag(row[11]) not in ("true", "false"):
             raise MalformedCsv(str(path), lineno, "admitted",
-                               f"expected true/false, got {admitted!r}")
-        income_amount = _parse_income(path, lineno, income)
-        entry = _parse_date(path, lineno, "entry_date", entry_date)
-        records.append(DemographicRecord(
-            _key(cares_id, family_id, case_id), age_years, race, family_type,
-            reason_homeless, employment, citizenship, income_amount, entry,
-            flag == "true"))
-    return records
+                               f"expected true/false, got {row[11]!r}")
+        _parse_income(path, lineno, row[9])
+        _parse_date(path, lineno, "entry_date", row[10])
+
+
+def _demographic_values(cells: _Cells) -> dict[str, Iterable] | None:
+    try:
+        ages = _by_distinct(_optional_number, cells["age"])
+        incomes = _by_distinct(_optional_number, cells["income"])
+        dates = _by_distinct(_iso_date, cells["entry_date"])
+    except ValueError:
+        return None
+    flags = _by_distinct(_flag, cells["admitted"])
+    if not (set(flags.values()) <= {"true", "false"}
+            and all(map(_age_ok, ages.values()))
+            and all(map(_income_ok, incomes.values()))):
+        return None
+    admitted = {cell: flag == "true" for cell, flag in flags.items()}
+    return {
+        **{name: map(str.strip, cells[name]) for name in KEY_COLUMNS},
+        "age": _lookup(ages, cells["age"]),
+        **{name: cells[name] for name in schema.CATEGORICAL_FIELDS},
+        "income": _lookup(incomes, cells["income"]),
+        "entry_date": _lookup(dates, cells["entry_date"]),
+        "admitted": _lookup(admitted, cells["admitted"]),
+    }
 
 
 @_collector_paused()
-def _read_dated(path: str | Path, header: list[str], record_type):
-    """Rows of key, date and one text cell, as record_type(key, date, text)."""
-    records = []
-    for lineno, (cares_id, family_id, case_id, day, text) in _read_rows(
-            path, header):
-        records.append(record_type(
-            _key(cares_id, family_id, case_id),
-            _parse_date(path, lineno, header[3], day), text))
-    return records
+def read_demographics(path: str | Path) -> RawTable:
+    """demographics.csv's values, each column checked a chunk at a time
+    (see _read_columns): ages blank or in [0, MAX_AGE], incomes blank or
+    finite and >= 0, ISO entry dates and true/false admitted flags."""
+    return RawTable(_read_columns(path, DEMOGRAPHICS_HEADER,
+                                  _demographic_values,
+                                  _check_demographic_rows))
 
 
-def read_exits(path: str | Path) -> list[ExitRecord]:
-    return _read_dated(path, EXITS_HEADER, ExitRecord)
+@_collector_paused()
+def _read_dated(path: str | Path, header: list[str]) -> RawTable:
+    """A file of key, ISO date and one text cell per row."""
+    day = header[3]
+
+    def values(cells: _Cells) -> dict[str, Iterable] | None:
+        try:
+            dates = _by_distinct(_iso_date, cells[day])
+        except ValueError:
+            return None
+        return {**{name: map(str.strip, cells[name]) for name in KEY_COLUMNS},
+                day: _lookup(dates, cells[day]), header[4]: cells[header[4]]}
+
+    def check_rows(path, rows: list[list[str]], first: int) -> None:
+        for lineno, row in enumerate(rows, start=first):
+            _parse_date(path, lineno, day, row[3])
+
+    return RawTable(_read_columns(path, header, values, check_rows))
 
 
-def read_incidents(path: str | Path) -> list[IncidentRecord]:
-    return _read_dated(path, INCIDENTS_HEADER, IncidentRecord)
+def read_exits(path: str | Path) -> RawTable:
+    return _read_dated(path, EXITS_HEADER)
+
+
+def read_incidents(path: str | Path) -> RawTable:
+    return _read_dated(path, INCIDENTS_HEADER)
 
 
 # --- CSV output --------------------------------------------------------------
@@ -550,18 +658,34 @@ def format_number(value: float | None) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
+def _profile_columns(profiles: Iterable[ClientProfile]) -> dict[str, tuple]:
+    """The profiles.csv columns of a sequence of profiles."""
+    rows = [(p.id, p.age, p.race, p.family_type, p.reason_homeless,
+             p.employment, p.citizenship, p.income, len(p.episodes),
+             sum(not ep.closed for ep in p.episodes), p.total_los_days,
+             p.incident_count, p.readmit) for p in profiles]
+    return (dict(zip(PROFILES_HEADER, zip(*rows))) if rows
+            else dict.fromkeys(PROFILES_HEADER, ()))
+
+
 def write_profiles(profiles: Sequence[ClientProfile], path: str | Path) -> None:
-    _write_csv(path, PROFILES_HEADER, (
-        [p.id,
-         format_number(p.age),
-         f"{p.race}", f"{p.family_type}", f"{p.reason_homeless}",
-         f"{p.employment}", f"{p.citizenship}",
-         format_number(p.income),
-         f"{len(p.episodes)}",
-         f"{sum(1 for ep in p.episodes if not ep.closed)}",
-         f"{p.total_los_days}", f"{p.incident_count}", f"{p.readmit}"]
-        for p in profiles
-    ))
+    """Write profiles.csv, its rows streamed from the columns of a
+    ProfileTable; any other sequence of profiles is first read into the
+    same columns. Each distinct age and income is formatted once."""
+    columns = (profiles.columns if isinstance(profiles, ProfileTable)
+               else _profile_columns(profiles))
+    _write_csv(path, PROFILES_HEADER, zip(*(
+        columns[name] if name == "id"
+        else _formatted(columns[name]) if name in ("age", "income")
+        else map(str, columns[name])
+        for name in PROFILES_HEADER)))
+
+
+def _formatted(numbers: Sequence[float | None]) -> Iterable[str]:
+    """format_number of each number, each distinct one formatted once
+    (0.0 and -0.0 share a key, and both format as "0")."""
+    texts = {number: format_number(number) for number in set(numbers)}
+    return map(texts.__getitem__, numbers)
 
 
 _UNDATED_CLOSED = ResidenceEpisode(date.min, date.min)
@@ -576,30 +700,44 @@ _INT_COLUMNS = schema.CATEGORICAL_FIELDS + _COUNT_FIELDS + ("readmit",)
 
 def _profile(profile_id, age, race, family_type, reason_homeless, employment,
              citizenship, income, n_episodes, n_open, total_los_days,
-             incident_count, readmit) -> ClientProfile:
+             incident_count, readmit,
+             episodes: tuple[ResidenceEpisode, ...] | None = None
+             ) -> ClientProfile:
     """The record of one profiles.csv row, given its values in file
-    order, with n_episodes undated episodes (closed ones first)."""
+    order and its episodes; with none given, n_episodes undated
+    episodes (closed ones first)."""
+    if episodes is None:
+        episodes = ((_UNDATED_CLOSED,) * (n_episodes - n_open)
+                    + (_UNDATED_OPEN,) * n_open)
     return ClientProfile(
         profile_id, age, race, family_type, reason_homeless, employment,
-        citizenship, income,
-        (_UNDATED_CLOSED,) * (n_episodes - n_open) + (_UNDATED_OPEN,) * n_open,
-        total_los_days, incident_count, readmit)
+        citizenship, income, episodes, total_los_days, incident_count,
+        readmit)
 
 
 class ProfileTable(Sequence):
-    """profiles.csv's validated values, one tuple per column.
+    """Profiles by column: what read_profiles and unify return.
 
     ``columns`` maps each PROFILES_HEADER name, in file order, to its
     column: ids as str, ages and incomes as float or None, and every
-    other column as int. The table is also a read-only sequence of
-    ClientProfile, built only when a row is indexed or iterated;
-    features.encode reads the columns directly.
+    other column as int. ``episodes`` is None for a table read from
+    profiles.csv, which keeps no dates; for unify's, it maps
+    ``entry_date``, ``exit_date`` and ``exit_reason`` to one entry per
+    episode, client by client and each client's in entry order (exit
+    date and reason None while a stay is open).
+
+    The table is also a read-only sequence of ClientProfile, built only
+    when a row is indexed or iterated: with dated episodes, or else with
+    n_episodes undated ones (see read_profiles). features.encode and
+    write_profiles read the columns directly.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "episodes")
 
-    def __init__(self, columns: dict[str, tuple]):
+    def __init__(self, columns: dict[str, Sequence],
+                 episodes: dict[str, Sequence] | None = None):
         self.columns = columns
+        self.episodes = episodes
 
     def __len__(self) -> int:
         return len(self.columns["id"])
@@ -607,10 +745,27 @@ class ProfileTable(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        return _profile(*(column[index] for column in self.columns.values()))
+        i = range(len(self))[index]
+        values = [column[i] for column in self.columns.values()]
+        if self.episodes is None:
+            return _profile(*values)
+        start = sum(islice(self.columns["n_episodes"], i))
+        return _profile(*values,
+                        tuple(self._dated_episodes(start, start + values[8])))
 
     def __iter__(self):
-        return starmap(_profile, zip(*self.columns.values()))
+        rows = zip(*self.columns.values())
+        if self.episodes is None:
+            return starmap(_profile, rows)
+        episodes = self._dated_episodes()
+        return (_profile(*row, tuple(islice(episodes, row[8])))
+                for row in rows)
+
+    def _dated_episodes(self, start: int = 0, stop: int | None = None):
+        """The ResidenceEpisode of each dated episode from start to stop."""
+        return map(ResidenceEpisode, *(
+            islice(self.episodes[name], start, stop)
+            for name in ("entry_date", "exit_date", "exit_reason")))
 
 
 def _profile_row_problem(values: list[int]) -> tuple[str, str] | None:
@@ -627,12 +782,13 @@ def _profile_row_problem(values: list[int]) -> tuple[str, str] | None:
         return "n_episodes", "must be >= 1: a linked profile has an episode"
     if n_open > n:
         return "n_open_episodes", f"more open episodes than {n} episodes"
-    if readmit != (n >= 2):
-        return "readmit", f"must be {int(n >= 2)} with {n} episodes"
+    if readmit != derive_label(n):
+        return "readmit", f"must be {derive_label(n)} with {n} episodes"
     return None
 
 
-def _check_rows(path: str | Path, rows: list[list[str]], first: int) -> None:
+def _check_profile_rows(path: str | Path, rows: list[list[str]],
+                        first: int) -> None:
     """Raise the MalformedCsv of the first row that breaks a rule, at its
     first bad column: the integer columns, then their rules, then age,
     then income. rows[0] is the file's row number first."""
@@ -651,45 +807,32 @@ def _check_rows(path: str | Path, rows: list[list[str]], first: int) -> None:
         _parse_income(path, lineno, row[7])
 
 
-def _optional_numbers(cells) -> list[float | None]:
-    """float of each cell, None for a blank one; ValueError on any other."""
-    return [float(s) if (s := cell.strip()) else None for cell in cells]
-
-
-def _chunk_values(path: str | Path, rows: list[list[str]],
-                  first: int) -> dict[str, tuple]:
-    """The values of rows, the first of them row number first, by column
-    name. Each column is converted and checked in one pass; if any row
-    breaks a rule, _check_rows finds the first one and raises its error."""
-    if not rows:
-        return {name: () for name in PROFILES_HEADER}
-    cells = dict(zip(PROFILES_HEADER, zip(*rows)))
+def _profile_values(cells: _Cells) -> dict[str, tuple] | None:
+    """A chunk's values by column name, each column converted and
+    checked in one pass; None if any row breaks a rule."""
+    if not cells["id"]:
+        return dict.fromkeys(PROFILES_HEADER, ())
     try:
         ints = {name: tuple(map(int, cells[name])) for name in _INT_COLUMNS}
-        age = tuple(_optional_numbers(cells["age"]))
-        income = tuple(_optional_numbers(cells["income"]))
+        ages = _by_distinct(_optional_number, cells["age"])
+        incomes = _by_distinct(_optional_number, cells["income"])
     except ValueError:
-        valid = False
-    else:
-        n, n_open = ints["n_episodes"], ints["n_open_episodes"]
-        valid = (
-            all(set(ints[f]) <= schema.CATEGORIES[f].keys()
-                for f in schema.CATEGORICAL_FIELDS)
-            and all(min(ints[f]) >= 0 for f in _COUNT_FIELDS)
-            and min(n) >= 1
-            and not any(map(gt, n_open, n))
-            and list(ints["readmit"]) == [k >= 2 for k in n]
-            and all(0 <= a <= MAX_AGE for a in age if a is not None)
-            and all(0 <= x < math.inf for x in income if x is not None)
-        )
+        return None
+    n, n_open = ints["n_episodes"], ints["n_open_episodes"]
+    valid = (
+        all(set(ints[f]) <= schema.CATEGORIES[f].keys()
+            for f in schema.CATEGORICAL_FIELDS)
+        and all(min(ints[f]) >= 0 for f in _COUNT_FIELDS)
+        and min(n) >= 1
+        and not any(map(gt, n_open, n))
+        and list(ints["readmit"]) == list(map(derive_label, n))
+        and all(map(_age_ok, ages.values()))
+        and all(map(_income_ok, incomes.values()))
+    )
     if not valid:
-        _check_rows(path, rows, first)
-        raise AssertionError("a column check failed but every row passes")
-    return {"id": cells["id"], "age": age, "income": income, **ints}
-
-
-# Rows converted and checked per column pass: the raw rows held at once.
-READ_CHUNK = 4096
+        return None
+    return {"id": cells["id"], "age": tuple(_lookup(ages, cells["age"])),
+            "income": tuple(_lookup(incomes, cells["income"])), **ints}
 
 
 @_collector_paused()
@@ -698,32 +841,15 @@ def read_profiles(path: str | Path) -> ProfileTable:
     labels, ages and incomes (finite, >= 0) as read_demographics does.
 
     Every READ_CHUNK rows, each column is converted and checked in one
-    pass. A bad file raises the MalformedCsv of its first bad row, at
-    that row's first bad column in _check_rows' order, as a row-by-row
-    read would: once a column check fails, or the reader stops at a
-    row, the rows of the chunk read so far are checked one at a time to
-    find it.
+    pass (see _read_columns): a bad file raises the MalformedCsv of its
+    first bad row, at that row's first bad column in
+    _check_profile_rows' order.
 
     The file keeps episode counts but not dates, so each profile comes
     back with that many undated episodes (closed ones first), entered
     and exited on date.min; total_los_days keeps the stored sum.
     """
-    columns: dict[str, list] = {name: [] for name in PROFILES_HEADER}
-    reader = _read_rows(path, PROFILES_HEADER)
-    first = 2  # the row number of the chunk's first row
-    while True:
-        rows: list[list[str]] = []
-        try:
-            for _, row in reader:
-                rows.append(row)
-                if len(rows) == READ_CHUNK:
-                    break
-        except MalformedCsv:
-            _check_rows(path, rows, first)  # a bad cell comes first
-            raise
-        for name, values in _chunk_values(path, rows, first).items():
-            columns[name].extend(values)
-        if len(rows) < READ_CHUNK:
-            return ProfileTable({name: tuple(column)
-                                 for name, column in columns.items()})
-        first += READ_CHUNK
+    columns = _read_columns(path, PROFILES_HEADER, _profile_values,
+                            _check_profile_rows)
+    return ProfileTable({name: tuple(columns[name])
+                         for name in PROFILES_HEADER})

@@ -162,6 +162,14 @@ class CohortSpec:
                 f" accept, got {self.age_max}")
         if self.age_sd <= 0:
             raise InfeasibleSpec("age_sd must be positive")
+        mass = _normal_mass(self.age_mean, self.age_sd, self.age_min,
+                            self.age_max)
+        if mass < MIN_AGE_MASS:
+            raise InfeasibleSpec(
+                f"age_min {self.age_min} and age_max {self.age_max} hold"
+                f" {mass:.3g} of the age normal (age_mean {self.age_mean},"
+                f" age_sd {self.age_sd}); ages are drawn by rejection, which"
+                f" needs at least {MIN_AGE_MASS}")
         if self.signal_strength < 0:
             raise InfeasibleSpec("signal_strength must be >= 0")
 
@@ -193,13 +201,39 @@ def default_spec_path() -> Path:
     return Path(str(resources.files("readmit").joinpath("spec_default.json")))
 
 
+# The least share of the age normal that [age_min, age_max] may hold.
+# Rejection takes about (ln n) / mass rounds to place n draws in the
+# bounds: some 10^5 rounds at this floor.
+MIN_AGE_MASS = 1e-4
+# Redraw rounds after which a draw gives up. At MIN_AGE_MASS a draw is
+# still outside the bounds after this many with odds of e^-100.
+MAX_REDRAW_ROUNDS = 1_000_000
+
+
+def _normal_mass(mean: float, sd: float, lo: float, hi: float) -> float:
+    """P(lo <= X <= hi) for X ~ Normal(mean, sd), from erfc, so that a
+    far tail keeps its relative precision."""
+    scale = sd * math.sqrt(2.0)
+    a, b = (lo - mean) / scale, (hi - mean) / scale
+    if b < 0:  # both bounds below the mean: mirror them above it
+        a, b = -b, -a
+    return 0.5 * (math.erfc(a) - math.erfc(b))
+
+
 def _truncated_normal(rng, n, mean, sd, lo, hi) -> np.ndarray:
+    """n draws of Normal(mean, sd) within [lo, hi], by redrawing those
+    outside, in index order, until none is; InfeasibleSpec after
+    MAX_REDRAW_ROUNDS rounds. Each round looks only at the draws that
+    the last one redrew."""
     out = rng.normal(mean, sd, n)
-    bad = (out < lo) | (out > hi)
-    while bad.any():
-        out[bad] = rng.normal(mean, sd, int(bad.sum()))
-        bad = (out < lo) | (out > hi)
-    return out
+    bad = np.flatnonzero((out < lo) | (out > hi))
+    for _ in range(MAX_REDRAW_ROUNDS + 1):
+        if not bad.size:
+            return out
+        out[bad] = rng.normal(mean, sd, bad.size)
+        bad = bad[(out[bad] < lo) | (out[bad] > hi)]
+    raise InfeasibleSpec(
+        f"ages still outside [{lo}, {hi}] after {MAX_REDRAW_ROUNDS} redraws")
 
 
 def _solve_intercept(risk: np.ndarray, strength: float, target: float) -> float:

@@ -79,6 +79,22 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
+def write_trio_rows(out_dir: Path, demographics: list[list[str]],
+                    exits: list[list[str]], incidents: list[list[str]]
+                    ) -> list[Path]:
+    """Write the raw trio's rows of str cells under their headers; the
+    paths of demographics.csv, exits.csv and incidents.csv."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in
+             ("demographics.csv", "exits.csv", "incidents.csv")]
+    for path, header, rows in zip(
+            paths, (DEMOGRAPHICS_HEADER, EXITS_HEADER, INCIDENTS_HEADER),
+            (demographics, exits, incidents)):
+        _write_rows(path, header, rows)
+    return paths
+
+
 def write_linkage_trio(out_dir: Path, n: int = 400, seed: int = 9) -> None:
     """Write demographics.csv, exits.csv and incidents.csv for n clients
     that meet every linkage path: keys holding "|", "\\" or padding,
@@ -138,11 +154,7 @@ def write_linkage_trio(out_dir: Path, n: int = 400, seed: int = 9) -> None:
         incidents.append([*key, "2015-05-20", "Medical"])
     for rows in (demo, exits, incidents):
         rng.shuffle(rows)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_rows(out_dir / "demographics.csv", DEMOGRAPHICS_HEADER, demo)
-    _write_rows(out_dir / "exits.csv", EXITS_HEADER, exits)
-    _write_rows(out_dir / "incidents.csv", INCIDENTS_HEADER, incidents)
+    write_trio_rows(out_dir, demo, exits, incidents)
 
 
 def numpy_kernels_above_x86_v3() -> str:

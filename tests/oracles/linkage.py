@@ -9,15 +9,21 @@ conflicts. A blank key part is not checked while reading: unify raises
 EmptyKeyPart on the first admitted demographic, exit or incident record
 that has one, in that order.
 
-Given the same files, readmit.cohort must return equal records,
-profiles, warnings and removed counts, and raise MalformedCsv at the
-same row and column for every row the reference rejects while reading.
+The record types the reference readers return (ClientKey,
+DemographicRecord, ExitRecord, IncidentRecord) are defined here;
+readmit.cohort keeps none.
+
+Given the same files, readmit.cohort must read the same values (by
+column), return equal profiles, warnings and removed counts, and raise
+MalformedCsv at the same row and column for every row the reference
+rejects while reading.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,17 +34,50 @@ from readmit.cohort import (
     EXITS_HEADER,
     INCIDENTS_HEADER,
     PROFILES_HEADER,
-    ClientKey,
     ClientProfile,
     ConflictWarning,
-    DemographicRecord,
-    ExitRecord,
-    IncidentRecord,
     ResidenceEpisode,
     UnifyResult,
     derive_label,
 )
 from readmit.errors import EmptyKeyPart, MalformedCsv
+
+
+@dataclass(frozen=True)
+class ClientKey:
+    """Three-part identifier: individual, family, and current case."""
+
+    cares_id: str
+    family_id: str
+    case_id: str
+
+
+@dataclass(frozen=True)
+class DemographicRecord:
+    key: ClientKey
+    age: float | None
+    race: str
+    family_type: str
+    reason_homeless: str
+    employment: str
+    citizenship: str
+    income: float | None
+    entry_date: date
+    admitted: bool
+
+
+@dataclass(frozen=True)
+class ExitRecord:
+    key: ClientKey
+    exit_date: date
+    exit_reason: str
+
+
+@dataclass(frozen=True)
+class IncidentRecord:
+    key: ClientKey
+    incident_date: date
+    incident_type: str
 
 
 def _escape_part(part: str) -> str:
@@ -50,6 +89,14 @@ def make_id_combo(key: ClientKey) -> str:
     if any(not p for p in parts):
         raise EmptyKeyPart(f"blank key part in {key}")
     return "|".join(_escape_part(p) for p in parts)
+
+
+def record_columns(records: Sequence, header: list[str]) -> dict[str, list]:
+    """The records' values by header name, as readmit.cohort's readers
+    return a file's columns."""
+    return {name: [getattr(r.key, name) if hasattr(r.key, name)
+                   else getattr(r, name) for r in records]
+            for name in header}
 
 
 def _pair_episodes(
@@ -139,7 +186,7 @@ def unify(
                 episodes=episodes,
                 total_los_days=total_los,
                 incident_count=incident_counts.get(combo, 0),
-                readmit=derive_label(episodes),
+                readmit=derive_label(len(episodes)),
             )
         )
 

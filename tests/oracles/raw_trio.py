@@ -24,12 +24,16 @@ from readmit.cohort import (
     EXITS_HEADER,
     INCIDENTS_HEADER,
     ClientProfile,
+    id_parts,
+)
+from readmit.schema import category_label
+
+from tests.oracles.linkage import (
+    ClientKey,
     DemographicRecord,
     ExitRecord,
     IncidentRecord,
-    split_id_combo,
 )
-from readmit.schema import category_label
 
 INCIDENT_TYPES = ("Altercation", "Medical", "Property Damage", "Other")
 
@@ -81,7 +85,7 @@ def emit_raw_files(cohort: Sequence[ClientProfile],
     exit_rows: list[ExitRecord] = []
     incident_rows: list[IncidentRecord] = []
     for profile in cohort:
-        key = split_id_combo(profile.id)
+        key = ClientKey(*id_parts(profile.id))
         for ep in profile.episodes:
             demo_rows.append(
                 DemographicRecord(

@@ -303,7 +303,7 @@ def test_criterion_8_round_trip_and_determinism(tmp_path, capsys):
         read_exits(raw_dir / "exits.csv"),
         read_incidents(raw_dir / "incidents.csv"),
     )
-    assert rebuilt.profiles == cohort
+    assert list(rebuilt.profiles) == list(cohort)
 
     # Every command, re-run with the same seed, is byte-identical.
     def snapshot(path):

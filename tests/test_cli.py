@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from readmit.seeding import derive_seed
 from readmit.synthgen import CohortSpec, generate
 
 from tests.helpers import LINKAGE_SMALL
+from tests.oracles import linkage
 
 
 def dir_snapshot(path: Path) -> dict[str, bytes]:
@@ -52,6 +54,44 @@ def small_profiles_file(tmp_path, small_spec_file):
                  str(out / "incidents.csv"),
                  "-o", str(profiles)]) == 0
     return profiles
+
+
+def refuse_records(monkeypatch, command: str) -> None:
+    """Make building a ClientProfile or a ResidenceEpisode fail."""
+    def refuse(record, *args, **kwargs):
+        raise AssertionError(f"{command} built a {type(record).__name__}")
+
+    for record in (cohort.ClientProfile, cohort.ResidenceEpisode):
+        monkeypatch.setattr(record, "__init__", refuse)
+
+
+def inject_linkage_cases(raw: Path) -> None:
+    """Edit a synthesized trio so unify meets every linkage path: a
+    non-admitted copy of every 7th demographics row, another race on the
+    second row of each multi-entry client whose place in file order is a
+    multiple of 3, and the first exit row of every 5th client dropped."""
+    def rows(name):
+        with open(raw / name, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    def write(name, table):
+        with open(raw / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
+
+    demo = rows("demographics.csv")
+    seen: dict[tuple, int] = {}
+    for row in demo[1:]:
+        seen[tuple(row[:3])] = seen.get(tuple(row[:3]), 0) + 1
+        if seen[tuple(row[:3])] == 2 and len(seen) % 3 == 0:
+            row[4] = "Other" if row[4] != "Other" else "White"
+    demo += [row[:-1] + ["false"] for row in demo[1::7]]
+    write("demographics.csv", demo)
+    exits = rows("exits.csv")
+    first_exit: dict[tuple, int] = {}
+    for i, row in enumerate(exits[1:], start=1):
+        first_exit.setdefault(tuple(row[:3]), i)
+    drop = set(list(first_exit.values())[::5])
+    write("exits.csv", [row for i, row in enumerate(exits) if i not in drop])
 
 
 class TestRatioParsing:
@@ -131,14 +171,21 @@ class TestSynth:
         assert message in err
         assert not out.exists()
 
-    def test_builds_no_record(self, tmp_path, small_spec_file, monkeypatch):
-        def refuse(record, *args, **kwargs):
-            raise AssertionError(f"synth built a {type(record).__name__}")
+    def test_far_tail_age_bounds_exit_2_at_once(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 300, "age_mean": 35, "age_sd": 1,
+                                    "age_min": 100, "age_max": 120}))
+        out = tmp_path / "out"
+        started = time.perf_counter()
+        code = main(["synth", "--spec", str(spec), "-o", str(out)])
+        assert time.perf_counter() - started < 2.0
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "age_min 100 and age_max 120 hold 0 of the age normal" in err
+        assert not out.exists()
 
-        for record in (cohort.ClientKey, cohort.ClientProfile,
-                       cohort.ResidenceEpisode, cohort.DemographicRecord,
-                       cohort.ExitRecord, cohort.IncidentRecord):
-            monkeypatch.setattr(record, "__init__", refuse)
+    def test_builds_no_record(self, tmp_path, small_spec_file, monkeypatch):
+        refuse_records(monkeypatch, "synth")
         assert main(["synth", "--spec", str(small_spec_file),
                      "-o", str(tmp_path / "out")]) == 0
 
@@ -298,6 +345,41 @@ class TestUnify:
         assert "removed: 5" in capsys.readouterr().out
         assert (tmp_path / "p.csv").read_bytes() == \
             (LINKAGE_SMALL / "profiles_golden.csv").read_bytes()
+
+    def test_builds_no_record(self, tmp_path, small_spec_file, monkeypatch):
+        raw = tmp_path / "raw"
+        assert main(["synth", "--spec", str(small_spec_file), "--seed", "5",
+                     "-o", str(raw)]) == 0
+        inject_linkage_cases(raw)
+        files = [raw / name for name in
+                 ("demographics.csv", "exits.csv", "incidents.csv")]
+        reference = linkage.unify(linkage.read_demographics(files[0]),
+                                  linkage.read_exits(files[1]),
+                                  linkage.read_incidents(files[2]))
+        write_profiles(reference.profiles, tmp_path / "reference.csv")
+        expected = {
+            "linkage_small": (
+                [LINKAGE_SMALL / name for name in
+                 ("demographics.csv", "exits.csv", "incidents.csv")],
+                (LINKAGE_SMALL / "profiles_golden.csv").read_bytes(),
+                (LINKAGE_SMALL / "profiles_golden.csv.warnings.log")
+                .read_bytes()),
+            "injected": (
+                files, (tmp_path / "reference.csv").read_bytes(),
+                "".join(f"{w}\n" for w in reference.warnings).encode()),
+        }
+        assert reference.removed_not_admitted > 0
+        assert reference.warnings
+        assert any(not ep.closed for p in reference.profiles
+                   for ep in p.episodes)
+
+        refuse_records(monkeypatch, "unify")
+        for name, (inputs, profiles, warnings) in expected.items():
+            out = tmp_path / name / "profiles.csv"
+            assert main(["unify", *map(str, inputs), "-o", str(out)]) == 0
+            assert out.read_bytes() == profiles, name
+            assert (out.parent / "profiles.csv.warnings.log").read_bytes() \
+                == warnings, name
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "demo.csv"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import gc
 import hashlib
 import random
@@ -12,19 +13,15 @@ from readmit import cohort
 from readmit.cli import main
 from readmit.cohort import (
     PROFILES_HEADER,
-    ClientKey,
-    DemographicRecord,
-    ExitRecord,
-    IncidentRecord,
     ProfileTable,
     ResidenceEpisode,
     derive_label,
-    make_id_combo,
+    id_combos,
+    id_parts,
     read_demographics,
     read_exits,
     read_incidents,
     read_profiles,
-    split_id_combo,
     unify,
     write_profiles,
 )
@@ -32,33 +29,49 @@ from readmit.errors import (
     EmptyKeyPart,
     MalformedCsv,
     NoEpisodes,
+    UnmappableFamilyType,
 )
 
-from tests.helpers import LINKAGE_SMALL, write_linkage_trio
+from tests.helpers import LINKAGE_SMALL, write_linkage_trio, write_trio_rows
 from tests.oracles import linkage
 
 
-def demo_record(key, entry, admitted=True, age=30.0, employment="Employed",
-                income=None):
-    return DemographicRecord(
-        key=key, age=age, race="White", family_type="Single",
-        reason_homeless="Eviction", employment=employment,
-        citizenship="Citizen", income=income, entry_date=entry,
-        admitted=admitted,
-    )
+def demo_row(key, entry, admitted="true", age="30", employment="Employed",
+             income=""):
+    """The cells of one demographics.csv row."""
+    return [*key, age, "White", "Single", "Eviction", employment, "Citizen",
+            income, entry, admitted]
+
+
+def link(tmp_path, demo, exits=(), incidents=()):
+    """unify the trio of the given rows of str cells."""
+    paths = write_trio_rows(tmp_path, demo, list(exits), list(incidents))
+    return unify(*(read(path) for read, path in zip(
+        (read_demographics, read_exits, read_incidents), paths)))
+
+
+def random_triples(seed: int, alphabet: str, n: int, longest: int):
+    """n key triples of trimmed, non-blank parts drawn from alphabet."""
+    rng = random.Random(seed)
+    triples = []
+    for _ in range(n):
+        parts = tuple("".join(rng.choices(alphabet, k=rng.randint(1, longest)))
+                      .strip() for _ in range(3))
+        if all(parts):
+            triples.append(parts)
+    return triples
 
 
 class TestIdCombo:
     def test_basic_concatenation(self):
-        assert make_id_combo(ClientKey("C1", "F9", "K3")) == "C1|F9|K3"
+        assert id_combos(["C1"], ["F9"], ["K3"]) == ["C1|F9|K3"]
 
     def test_deterministic(self):
-        key = ClientKey("C1", "F9", "K3")
-        assert make_id_combo(key) == make_id_combo(key)
+        columns = (["C1", "C|2"], ["F9", "F9"], ["K3", "K\\3"])
+        assert id_combos(*columns) == id_combos(*columns)
 
     def test_escaping_forces_injectivity(self):
-        a = make_id_combo(ClientKey("A|B", "F", "K"))
-        b = make_id_combo(ClientKey("A", "B|F", "K"))
+        a, b = id_combos(["A|B", "A"], ["F", "B|F"], ["K", "K"])
         assert a == "A\\|B|F|K"
         assert b == "A|B\\|F|K"
         assert a != b
@@ -66,64 +79,59 @@ class TestIdCombo:
     @pytest.mark.parametrize("parts", [
         ("", "F", "K"), ("C", " ", "K"), ("C", "F", "\t"),
     ])
-    def test_blank_part_rejected(self, parts):
-        with pytest.raises(EmptyKeyPart):
-            make_id_combo(ClientKey(*parts))
+    def test_blank_part_rejected(self, tmp_path, parts):
+        message = ("blank key part in "
+                   f"{linkage.ClientKey(*(part.strip() for part in parts))}")
+        with pytest.raises(EmptyKeyPart) as caught:
+            link(tmp_path, [demo_row(("C0", "F0", "K0"), "2014-01-01"),
+                            demo_row(parts, "2014-01-01")])
+        assert str(caught.value) == message
+        with pytest.raises(EmptyKeyPart) as caught:
+            id_combos(*([part.strip()] for part in parts))
+        assert str(caught.value) == message
+
+    def test_blank_part_names_the_first_row(self):
+        """The first row with a blank part, over all three columns."""
+        with pytest.raises(EmptyKeyPart) as caught:
+            id_combos(["C1", "C2", ""], ["F1", "F2", "F3"], ["K1", "", "K3"])
+        assert str(caught.value) == ("blank key part in ClientKey("
+                                     "cares_id='C2', family_id='F2', "
+                                     "case_id='')")
 
     def test_split_inverts_make(self):
-        rng = random.Random(7)
-        alphabet = "ab|\\|c"
-        for _ in range(300):
-            parts = tuple(
-                "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
-                for _ in range(3)
-            )
-            if any(not p.strip() for p in parts):
-                continue
-            key = ClientKey(*parts)
-            assert split_id_combo(make_id_combo(key)) == ClientKey(
-                *(p.strip() for p in parts)
-            )
+        triples = random_triples(7, "ab|\\|c", 300, 6)
+        combos = id_combos(*map(list, zip(*triples)))
+        assert [tuple(id_parts(combo)) for combo in combos] == triples
 
     def test_injective_over_random_triples(self):
-        rng = random.Random(11)
-        alphabet = "xy|\\"
+        triples = random_triples(11, "xy|\\", 500, 5)
+        combos = id_combos(*map(list, zip(*triples)))
         seen = {}
-        for _ in range(500):
-            parts = tuple(
-                "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
-                for _ in range(3)
-            )
-            parts = tuple(p.strip() for p in parts)
-            if any(not p for p in parts):
-                continue
-            combo = make_id_combo(ClientKey(*parts))
-            if combo in seen:
-                assert seen[combo] == parts
-            seen[combo] = parts
+        for combo, parts in zip(combos, triples):
+            assert seen.setdefault(combo, parts) == parts
 
 
 class TestLabelAndStay:
     def test_single_episode_is_zero(self):
-        assert derive_label([ResidenceEpisode(date(2014, 1, 1))]) == 0
+        assert derive_label(1) == 0
 
     def test_two_episodes_is_one(self):
         eps = [
             ResidenceEpisode(date(2014, 1, 1), date(2014, 2, 1)),
             ResidenceEpisode(date(2014, 6, 1)),
         ]
-        assert derive_label(eps) == 1
+        assert derive_label(len(eps)) == 1
 
     def test_five_episodes_is_one(self):
         eps = [
             ResidenceEpisode(date(2014, m, 1), date(2014, m, 10))
             for m in range(1, 6)
         ]
-        assert derive_label(eps) == 1
+        assert derive_label(len(eps)) == 1
 
     def test_no_episodes_raises(self):
         with pytest.raises(NoEpisodes):
-            derive_label([])
+            derive_label(0)
 
     def test_exit_before_entry_rejected(self):
         with pytest.raises(ValueError):
@@ -131,13 +139,11 @@ class TestLabelAndStay:
 
 
 class TestUnify:
-    def test_single_join(self):
-        key = ClientKey("C1", "F1", "K1")
-        result = unify(
-            [demo_record(key, date(2014, 1, 1))],
-            [ExitRecord(key, date(2014, 2, 1), "Other")],
-            [],
-        )
+    KEY = ("C1", "F1", "K1")
+
+    def test_single_join(self, tmp_path):
+        result = link(tmp_path, [demo_row(self.KEY, "2014-01-01")],
+                      [[*self.KEY, "2014-02-01", "Other"]])
         assert len(result.profiles) == 1
         profile = result.profiles[0]
         assert len(profile.episodes) == 1
@@ -145,65 +151,57 @@ class TestUnify:
         assert profile.total_los_days == 31
         assert profile.readmit == 0
 
-    def test_not_admitted_dropped(self):
-        key = ClientKey("C1", "F1", "K1")
-        result = unify(
-            [demo_record(key, date(2014, 1, 1), admitted=False)],
-            [ExitRecord(key, date(2014, 2, 1), "Other")],
-            [],
-        )
-        assert result.profiles == []
+    def test_not_admitted_dropped(self, tmp_path):
+        result = link(tmp_path,
+                      [demo_row(self.KEY, "2014-01-01", admitted="false")],
+                      [[*self.KEY, "2014-02-01", "Other"]])
+        assert list(result.profiles) == []
         assert result.removed_not_admitted == 1
 
-    def test_two_entries_one_profile(self):
-        key = ClientKey("C1", "F1", "K1")
-        demo = [
-            demo_record(key, date(2014, 1, 1)),
-            demo_record(key, date(2014, 6, 1)),
-        ]
-        exits = [
-            ExitRecord(key, date(2014, 2, 1), "Other"),
-            ExitRecord(key, date(2014, 7, 1), "Other"),
-        ]
-        result = unify(demo, exits, [])
+    def test_two_entries_one_profile(self, tmp_path):
+        demo = [demo_row(self.KEY, "2014-01-01"),
+                demo_row(self.KEY, "2014-06-01")]
+        exits = [[*self.KEY, "2014-02-01", "Other"],
+                 [*self.KEY, "2014-07-01", "Other"]]
+        result = link(tmp_path, demo, exits)
         assert len(result.profiles) == 1
         assert len(result.profiles[0].episodes) == 2
         assert result.profiles[0].readmit == 1
 
-    def test_latest_entry_wins_and_warns(self):
-        key = ClientKey("C1", "F1", "K1")
-        demo = [
-            demo_record(key, date(2014, 1, 1), employment="Unemployed"),
-            demo_record(key, date(2015, 1, 1), employment="Employed"),
-        ]
-        result = unify(demo, [], [])
+    def test_latest_entry_wins_and_warns(self, tmp_path):
+        demo = [demo_row(self.KEY, "2014-01-01", employment="Unemployed"),
+                demo_row(self.KEY, "2015-01-01", employment="Employed")]
+        result = link(tmp_path, demo)
         assert result.profiles[0].employment == 1
         assert any(w.field == "employment" for w in result.warnings)
 
-    def test_same_day_exits_pair_deterministically(self):
-        key = ClientKey("C1", "F1", "K1")
-        demo = [
-            demo_record(key, date(2014, 1, 1)),
-            demo_record(key, date(2014, 1, 1)),
-        ]
-        exits = [
-            ExitRecord(key, date(2014, 2, 1), "B-reason"),
-            ExitRecord(key, date(2014, 2, 1), "A-reason"),
-        ]
-        forward = unify(demo, exits, [])
-        flipped = unify(demo, list(reversed(exits)), [])
-        assert forward.profiles == flipped.profiles
+    def test_same_day_exits_pair_deterministically(self, tmp_path):
+        demo = [demo_row(self.KEY, "2014-01-01"),
+                demo_row(self.KEY, "2014-01-01")]
+        exits = [[*self.KEY, "2014-02-01", "B-reason"],
+                 [*self.KEY, "2014-02-01", "A-reason"]]
+        forward = link(tmp_path / "forward", demo, exits)
+        flipped = link(tmp_path / "flipped", demo, reversed(exits))
+        assert list(forward.profiles) == list(flipped.profiles)
         reasons = [ep.exit_reason for ep in forward.profiles[0].episodes]
         assert reasons == ["A-reason", "B-reason"]
 
-    def test_incidents_counted(self):
-        key = ClientKey("C1", "F1", "K1")
-        incidents = [
-            IncidentRecord(key, date(2014, 1, 5), "Altercation"),
-            IncidentRecord(key, date(2014, 1, 9), "Medical"),
-        ]
-        result = unify([demo_record(key, date(2014, 1, 1))], [], incidents)
+    def test_incidents_counted(self, tmp_path):
+        incidents = [[*self.KEY, "2014-01-05", "Altercation"],
+                     [*self.KEY, "2014-01-09", "Medical"]]
+        result = link(tmp_path, [demo_row(self.KEY, "2014-01-01")], (),
+                      incidents)
         assert result.profiles[0].incident_count == 2
+
+    @pytest.mark.parametrize("first,second", [("Martian", "Venusian"),
+                                              ("Venusian", "Martian")])
+    def test_unmappable_family_type_of_the_first_client_by_id(
+            self, tmp_path, first, second):
+        rows = [demo_row(("C2", "F1", "K1"), "2014-01-01"),
+                demo_row(("C1", "F1", "K1"), "2014-03-01")]
+        rows[0][5], rows[1][5] = second, first
+        with pytest.raises(UnmappableFamilyType, match=repr(first)):
+            link(tmp_path, rows)
 
     def test_episode_conservation_and_uniqueness(self):
         demo = read_demographics(LINKAGE_SMALL / "demographics.csv")
@@ -213,24 +211,25 @@ class TestUnify:
 
         ids = [p.id for p in result.profiles]
         assert len(ids) == len(set(ids))
-        n_admitted = sum(1 for r in demo if r.admitted)
+        n_admitted = sum(demo.columns["admitted"])
         assert sum(len(p.episodes) for p in result.profiles) == n_admitted
         for p in result.profiles:
             assert p.readmit == (1 if len(p.episodes) >= 2 else 0)
 
-    def test_order_insensitive(self):
-        demo = read_demographics(LINKAGE_SMALL / "demographics.csv")
-        exits = read_exits(LINKAGE_SMALL / "exits.csv")
-        incidents = read_incidents(LINKAGE_SMALL / "incidents.csv")
-        baseline = unify(demo, exits, incidents)
+    def test_order_insensitive(self, tmp_path):
+        trio = []
+        for name in ("demographics.csv", "exits.csv", "incidents.csv"):
+            with open(LINKAGE_SMALL / name, newline="",
+                      encoding="utf-8") as fh:
+                trio.append(list(csv.reader(fh))[1:])
+        baseline = link(tmp_path / "baseline", *trio)
 
         rng = random.Random(3)
-        for _ in range(5):
-            rng.shuffle(demo)
-            rng.shuffle(exits)
-            rng.shuffle(incidents)
-            shuffled = unify(demo, exits, incidents)
-            assert shuffled.profiles == baseline.profiles
+        for i in range(5):
+            for rows in trio:
+                rng.shuffle(rows)
+            shuffled = link(tmp_path / f"shuffled{i}", *trio)
+            assert list(shuffled.profiles) == list(baseline.profiles)
             assert shuffled.warnings == baseline.warnings
 
 
@@ -315,7 +314,7 @@ class TestRawWriters:
             '"C\r5","F5","K5","2014-01-05","Other"',
             "",
         ]
-        assert [r.key.cares_id for r in read_exits(path)] == [
+        assert read_exits(path).columns["cares_id"] == [
             "C1", "C\r2", "C3", "C4", "C\r5"]
 
     def test_columns_must_match_the_header_and_each_other(self, tmp_path):
@@ -340,17 +339,16 @@ class TestCollectorPause:
                                                      monkeypatch):
         write_linkage_trio(tmp_path)
         states = {}
-        for module, name in ((cohort, "_parse_age"), (cohort, "_parse_date"),
-                             (cohort.schema, "canonicalize"),
-                             (cohort, "_optional_numbers")):
+        for module, name in ((cohort, "_read_columns"),
+                             (cohort, "_by_distinct"),
+                             (cohort.schema, "canonicalize")):
             def spy(*args, _fn=getattr(module, name), _name=name):
                 states.setdefault(_name, set()).add(gc.isenabled())
                 return _fn(*args)
             monkeypatch.setattr(module, name, spy)
         self.link(tmp_path)
-        assert states == {"_parse_age": {False}, "_parse_date": {False},
-                          "canonicalize": {False},
-                          "_optional_numbers": {False}}
+        assert states == {"_read_columns": {False}, "_by_distinct": {False},
+                          "canonicalize": {False}}
         assert gc.isenabled()
 
     def test_a_disabled_collector_stays_disabled(self, tmp_path):
@@ -475,6 +473,29 @@ class TestProfileTable:
         table = read_profiles(path)
         assert len(table) == 0 and list(table) == []
         assert list(table.columns) == PROFILES_HEADER
+
+
+class TestUnifyTable:
+    """unify's table: profile columns plus dated episode columns."""
+
+    def test_records_equal_the_reference_linkage(self):
+        files = [LINKAGE_SMALL / name for name in
+                 ("demographics.csv", "exits.csv", "incidents.csv")]
+        table = unify(read_demographics(files[0]), read_exits(files[1]),
+                      read_incidents(files[2])).profiles
+        expected = linkage.unify(linkage.read_demographics(files[0]),
+                                 linkage.read_exits(files[1]),
+                                 linkage.read_incidents(files[2])).profiles
+        assert isinstance(table, ProfileTable)
+        assert list(table.columns) == PROFILES_HEADER
+        assert list(table) == expected
+        assert [table[i] for i in range(len(table))] == expected
+        assert table[-1] == expected[-1]
+        assert table[3:7] == expected[3:7]
+        assert len(table.episodes["entry_date"]) == sum(
+            table.columns["n_episodes"]) == 25
+        assert table.columns["n_open_episodes"] == [
+            sum(not ep.closed for ep in p.episodes) for p in expected]
 
 
 class TestProfileErrorOrder:

@@ -15,18 +15,14 @@ from readmit.cohort import (
     EXITS_HEADER,
     INCIDENTS_HEADER,
     PROFILES_HEADER,
-    ClientKey,
     ClientProfile,
-    DemographicRecord,
-    ExitRecord,
-    IncidentRecord,
     ResidenceEpisode,
-    make_id_combo,
+    id_combos,
+    id_parts,
     read_demographics,
     read_exits,
     read_incidents,
     read_profiles,
-    split_id_combo,
     unify,
     write_demographics,
     write_exits,
@@ -36,7 +32,15 @@ from readmit.cohort import (
 from readmit.errors import EmptyKeyPart, MalformedCsv, UnmappableFamilyType
 from readmit.features import CATEGORIES, CATEGORICAL_FIELDS
 
+from tests.helpers import write_trio_rows
 from tests.oracles import linkage, raw_trio
+from tests.oracles.linkage import (
+    ClientKey,
+    DemographicRecord,
+    ExitRecord,
+    IncidentRecord,
+    record_columns,
+)
 
 # Key parts are trimmed before joining, so a part that round-trips has no
 # surrounding whitespace; pipes and backslashes are drawn often.
@@ -45,10 +49,11 @@ key_parts = st.text(
 ).filter(lambda part: part == part.strip() and part != "")
 
 
-@given(key_parts, key_parts, key_parts)
-def test_id_combo_round_trip(cares_id, family_id, case_id):
-    key = ClientKey(cares_id, family_id, case_id)
-    assert split_id_combo(make_id_combo(key)) == key
+@given(st.lists(st.tuples(key_parts, key_parts, key_parts), min_size=1,
+                max_size=4))
+def test_id_combo_round_trip(keys):
+    combos = id_combos(*map(list, zip(*keys)))
+    assert [tuple(id_parts(combo)) for combo in combos] == keys
 
 
 # --- profiles.csv ------------------------------------------------------------
@@ -138,16 +143,18 @@ raw_incident = st.builds(IncidentRecord, key=raw_keys,
 @given(st.lists(raw_demographic, max_size=6), st.lists(raw_exit, max_size=6),
        st.lists(raw_incident, max_size=6))
 def test_raw_csv_round_trip(demo, exits, incidents):
-    assert csv_round_trip(
-        demo, by_column(write_demographics, DEMOGRAPHICS_HEADER,
-                        raw_trio.demographic_row), read_demographics) == demo
-    assert csv_round_trip(
-        exits, by_column(write_exits, EXITS_HEADER, raw_trio.exit_row),
-        read_exits) == exits
-    assert csv_round_trip(
-        incidents, by_column(write_incidents, INCIDENTS_HEADER,
-                             raw_trio.incident_row),
-        read_incidents) == incidents
+    for records, write, read, header, row in (
+            (demo, write_demographics, read_demographics,
+             DEMOGRAPHICS_HEADER, raw_trio.demographic_row),
+            (exits, write_exits, read_exits, EXITS_HEADER, raw_trio.exit_row),
+            (incidents, write_incidents, read_incidents, INCIDENTS_HEADER,
+             raw_trio.incident_row)):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.csv"
+            by_column(write, header, row)(records, path)
+            table = read(path)
+        assert len(table) == len(records)
+        assert table.columns == record_columns(records, header)
 
 
 def by_column(write, header, row):
@@ -192,15 +199,26 @@ incident = st.builds(IncidentRecord, key=keys, incident_date=few_days,
                      incident_type=st.sampled_from(["A", "B"]))
 
 
+def link_records(demo, exits, incidents):
+    """unify of the trio that holds the records' rows, in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_trio_rows(
+            Path(tmp), [raw_trio.demographic_row(r) for r in demo],
+            [raw_trio.exit_row(r) for r in exits],
+            [raw_trio.incident_row(r) for r in incidents])
+        return unify(read_demographics(paths[0]), read_exits(paths[1]),
+                     read_incidents(paths[2]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(demographic, max_size=12), st.lists(exit_record, max_size=8),
        st.lists(incident, max_size=6), st.randoms(use_true_random=False))
 def test_unify_is_invariant_to_row_order(demo, exits, incidents, rng):
-    expected = unify(demo, exits, incidents)
+    expected = link_records(demo, exits, incidents)
     for rows in (demo, exits, incidents):
         rng.shuffle(rows)
-    shuffled = unify(demo, exits, incidents)
-    assert shuffled.profiles == expected.profiles
+    shuffled = link_records(demo, exits, incidents)
+    assert list(shuffled.profiles) == list(expected.profiles)
     assert shuffled.warnings == expected.warnings
     assert shuffled.removed_not_admitted == expected.removed_not_admitted
 
@@ -215,13 +233,13 @@ def test_unify_is_invariant_to_row_order(demo, exits, incidents, rng):
 # demographic rows, which unify never links.
 KEY_PARTS = (["C1", " C1 ", "C|2", "C\\3"], ["F1", "F|\\"], ["K1", "K\\"])
 GOOD = {
-    "age": ["", "30", " 41.5 ", "0", "120"],
+    "age": ["", "30", " 41.5 ", "0", "120", "-0", "30.0"],
     "race": ["White", " black ", "unlisted", ""],
     "family_type": ["Single", "adult families", " Families with Children"],
     "reason": ["Eviction", "Discord", "other", "flood"],
     "employment": ["Employed", "unemployed", "Unknown", "retired"],
     "citizenship": ["Citizen", "Non-Resident", "x"],
-    "income": ["", "0", "1200", " 35.5 "],
+    "income": ["", "0", "1200", " 35.5 ", "1200.0"],
     "date": ["2014-01-01", "2014-01-02", " 2014-01-03 ", "2014-01-09"],
     "admitted": ["true", "false", " TRUE ", "False"],
     "text": ["Other", "Housed", ""],
@@ -229,7 +247,7 @@ GOOD = {
 BAD = {
     "key": ["", "  "],
     "age": ["121", "-1", "abc", "nan", "inf"],
-    "family_type": ["Martian"],
+    "family_type": ["Martian", "Venusian"],
     "income": ["-5", "inf", "x", "nan"],
     "date": ["2014-02-30", "bad", ""],
     "admitted": ["maybe", ""],
@@ -250,10 +268,14 @@ def raw_rows(draw, cells, bad: bool):
 
 @st.composite
 def raw_trios(draw):
-    blank, bad = draw(st.booleans()), draw(st.booleans())
+    # Each kind of bad cell in one example of four, so that most trios
+    # reach unify; unmappable family types also come alone, so that more
+    # of them reach it.
+    blank, bad, unmappable = (draw(st.integers(0, 3)) == 0 for _ in range(3))
 
     def pool(kind):
-        return GOOD[kind] + (BAD.get(kind, []) if bad else [])
+        odd = bad or (unmappable and kind == "family_type")
+        return GOOD[kind] + (BAD.get(kind, []) if odd else [])
 
     def key_pools(admitted="true"):
         linked = admitted.strip().lower() != "false"
@@ -269,25 +291,62 @@ def raw_trios(draw):
     def dated_cells(draw):
         return [*key_pools(), pool("date"), pool("text")]
 
-    return (draw(raw_rows(demo_cells, bad)),
-            draw(raw_rows(dated_cells, bad)),
-            draw(raw_rows(dated_cells, bad)))
+    demo = draw(raw_rows(demo_cells, bad))
+    exits = draw(raw_rows(dated_cells, bad))
+
+    def insert(rows, row):
+        rows.insert(draw(st.integers(0, len(rows))), row)
+
+    def demo_row(key, entry, age="30", income=""):
+        return [*key, age, "White", "Single", "Eviction", "Employed",
+                "Citizen", income, entry, "true"]
+
+    if draw(st.booleans()):  # two stays whose exits fall on one day
+        # Ages and incomes that differ as text: "-0" and "0" conflict,
+        # "30" and "30.0" do not.
+        key = ["S1", "F1", "K1"]
+        for entry in ("2014-01-01", "2014-01-02"):
+            insert(demo, demo_row(
+                key, entry, draw(st.sampled_from(["0", "-0", "30", "30.0"])),
+                draw(st.sampled_from(["", "1200", "1200.0"]))))
+        for reason in draw(st.permutations(["Housed", "Other"])):
+            insert(exits, [*key, "2014-01-03", reason])
+    if draw(st.booleans()):  # a lone stay whose only exit precedes it
+        key = ["L1", "F1", "K1"]
+        insert(demo, demo_row(key, "2014-01-09"))
+        insert(exits, [*key, "2014-01-01", "Housed"])
+    return demo, exits, draw(raw_rows(dated_cells, bad))
 
 
-def link(module, paths):
-    """What reading and linking the trio with module gives: the records,
-    profiles, warnings and removed count, or the error that stopped it."""
+HEADERS = (DEMOGRAPHICS_HEADER, EXITS_HEADER, INCIDENTS_HEADER)
+
+
+def link(module, paths, trio):
+    """What reading and linking the trio with module gives: the values
+    read, by column, then the profiles, warnings and removed count, or
+    what the error that stopped it names. A blank key part's row is
+    located by cohort.locate_blank_key, for the reference by
+    first_blank_key."""
     try:
-        records = [read(path) for read, path in zip(
+        tables = [read(path) for read, path in zip(
             (module.read_demographics, module.read_exits,
              module.read_incidents), paths)]
     except MalformedCsv as exc:
         return "malformed", exc.path, exc.row, exc.column, str(exc)
+    columns = [table.columns if module is cohort
+               else record_columns(table, header)
+               for table, header in zip(tables, HEADERS)]
     try:
-        result = module.unify(*records)
-    except (EmptyKeyPart, UnmappableFamilyType) as exc:
-        return type(exc).__name__, str(exc), records
-    return "linked", records, result.profiles, result.warnings, \
+        result = module.unify(*tables)
+    except EmptyKeyPart as exc:
+        if module is cohort:
+            error = cohort.locate_blank_key(list(zip(paths, tables)))
+            return "EmptyKeyPart", columns, str(exc), (error.path, error.row,
+                                                       error.column)
+        return "EmptyKeyPart", columns, str(exc), first_blank_key(paths, trio)
+    except UnmappableFamilyType as exc:
+        return "UnmappableFamilyType", columns, str(exc)
+    return "linked", columns, list(result.profiles), result.warnings, \
         result.removed_not_admitted
 
 
@@ -309,25 +368,23 @@ def first_blank_key(paths, trio):
 @settings(max_examples=200, deadline=None)
 @given(raw_trios())
 def test_linkage_matches_the_reference(trio):
+    """Read at 1, 3 and 4,096 rows per column pass, so that bad cells
+    fall on chunk boundaries."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [Path(tmp) / name for name in
-                 ("demographics.csv", "exits.csv", "incidents.csv")]
-        headers = (DEMOGRAPHICS_HEADER, EXITS_HEADER, INCIDENTS_HEADER)
-        for path, header, rows in zip(paths, headers, trio):
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
-        expected = link(linkage, paths)
-        assert link(cohort, paths) == expected
-        if expected[0] == "EmptyKeyPart":
-            records = expected[2]
-            error = cohort.locate_blank_key(list(zip(paths, records)))
-            path, row, column = first_blank_key(paths, trio)
-            assert (error.path, error.row, error.column) == (path, row,
-                                                             column)
-            assert str(records[paths.index(Path(path))][row - 2].key) \
-                in expected[1]
+        paths = write_trio_rows(Path(tmp), *trio)
+        expected = link(linkage, paths, trio)
+        read_chunk = cohort.READ_CHUNK
+        try:
+            for chunk in (1, 3, 4096):
+                cohort.READ_CHUNK = chunk
+                assert link(cohort, paths, trio) == expected
+        finally:
+            cohort.READ_CHUNK = read_chunk
+        if expected[0] == "EmptyKeyPart":  # the message names the row's key
+            message, (path, row, _) = expected[2:]
+            cells = trio[paths.index(Path(path))][row - 2]
+            key = linkage.ClientKey(*(part.strip() for part in cells[:3]))
+            assert str(key) in message
 
 
 profile_cells = [

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from readmit.cohort import (
-    ClientKey,
     ClientProfile,
     ResidenceEpisode,
-    make_id_combo,
+    id_combos,
     read_demographics,
     read_exits,
     read_incidents,
@@ -226,7 +225,7 @@ class TestEmitRawFiles:
         cohort = generate(small_spec())
         emit_raw_files(cohort, tmp_path)
         result = self.read_back(tmp_path)
-        assert result.profiles == cohort
+        assert list(result.profiles) == list(cohort)
         assert result.warnings == []
         assert result.removed_not_admitted == 0
 
@@ -234,14 +233,14 @@ class TestEmitRawFiles:
         table = generate(small_spec(age_mean=110.0, age_max=120.0))
         assert table.age.max() == 120.0
         emit_raw_files(table, tmp_path)
-        assert self.read_back(tmp_path).profiles == table
+        assert list(self.read_back(tmp_path).profiles) == list(table)
 
     def test_round_trip_full_default(self, tmp_path):
         cohort = generate(CohortSpec())
         emit_raw_files(cohort, tmp_path)
         result = self.read_back(tmp_path)
         assert len(result.profiles) == 6779
-        assert result.profiles == cohort
+        assert list(result.profiles) == list(cohort)
 
 
 # Records no draw makes: open episodes, "|", "\\", "," and '"' in id
@@ -250,7 +249,7 @@ class TestEmitRawFiles:
 # exit reason, and incident counts above len(INCIDENT_TYPES).
 HAND_BUILT = [
     ClientProfile(
-        id=make_id_combo(ClientKey("C|1", "F\\1", 'K,"1"')), age=None,
+        id=id_combos(["C|1"], ["F\\1"], ['K,"1"'])[0], age=None,
         race=3, family_type=2, reason_homeless=4, employment=2,
         citizenship=3, income=None,
         episodes=(ResidenceEpisode(date(2014, 1, 1), date(2014, 2, 1),
@@ -357,6 +356,29 @@ class TestReadableDraws:
                   "Other": 1.0} if field == "race_weights" else float("inf"))
         with pytest.raises(InfeasibleSpec, match=f"{field} must be finite"):
             small_spec(**{field: value}).validate()
+
+    def test_far_tail_age_bounds_rejected_before_drawing(self):
+        spec = small_spec(age_mean=35.0, age_sd=1.0, age_min=100.0,
+                          age_max=120.0)
+        with pytest.raises(InfeasibleSpec,
+                           match="age_min 100.0 and age_max 120.0 hold 0 "):
+            spec.validate()
+        # P(X > 38.7) is 1.08e-4 for sd 1, just above the floor.
+        small_spec(age_mean=35.0, age_sd=1.0, age_min=38.7,
+                   age_max=120.0).validate()
+
+    def test_normal_mass(self):
+        mass = synthgen._normal_mass
+        assert mass(0.0, 1.0, -1.0, 1.0) == pytest.approx(0.6826894921370859)
+        assert mass(0.0, 1.0, 2.0, 3.0) == mass(0.0, 1.0, -3.0, -2.0)
+        assert mass(10.0, 2.0, 30.0, 40.0) == pytest.approx(
+            7.6198530241604696e-24, rel=1e-9)
+
+    def test_redraw_rounds_are_capped(self, monkeypatch):
+        monkeypatch.setattr(synthgen, "MAX_REDRAW_ROUNDS", 3)
+        with pytest.raises(InfeasibleSpec, match="after 3 redraws"):
+            synthgen._truncated_normal(np.random.default_rng(0), 1000, 0.0,
+                                       1.0, 3.0, 4.0)
 
     def test_overflowing_income_rejected(self):
         with pytest.raises(InfeasibleSpec, match="income_mean 1e.308 and "
