@@ -61,6 +61,11 @@ class MinorityTooSmall(ReadmitError):
     """Minority class is too small for the requested neighbor count."""
 
 
+class NonFiniteRow(ReadmitError):
+    """A minority row holds a NaN or infinite value, so it has no
+    distance to the other minority rows."""
+
+
 # --- models ----------------------------------------------------------------
 
 class SingleClass(ReadmitError):

@@ -16,13 +16,15 @@ FoldTrace per fold. CvResult.row() is that ratio's report.json row.
 Each (ratio, fold) fit is one task (run_fold) with its seeds fixed in
 advance. GBM tasks run in a pool of forked worker processes, one per
 CPU in this process's affinity mask; with a single CPU (for example
-under ``taskset -c 0``) they run in this process. Logistic tasks always
-run in this process: IRLS's matrix products already use every core.
-The pool gets the tasks with the most rows to fit (training plus
-synthetic) first, and results are gathered in task order, so the
-output is bit-identical to a serial run. Each worker holds one fit's
-working memory, so a GBM sweep's total memory grows with the worker
-count.
+under ``taskset -c 0``) they run in this process. Each worker searches
+SMOTE's neighbours on one thread, since the workers already use every
+CPU between them. Logistic tasks always run in this process, where the
+neighbour search spreads over every CPU and IRLS's matrix products use
+every core. The pool gets the tasks with the most rows to fit
+(training plus synthetic) first, and results are gathered in task
+order, so the output is bit-identical to a serial run. Each worker
+holds one fit's working memory, so a GBM sweep's total memory grows
+with the worker count.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import models as models_mod
+from . import resample
 from .errors import EmptyMatrix, LengthMismatch, NoPositives, SingleClass
 from .features import ColumnStats, EncodedDataset, encode, standardize
 from .resample import smote, stratified_folds, synthetic_count
@@ -288,11 +291,9 @@ def worker_count(n_tasks: int) -> int:
     per task. One where ``fork`` is unavailable, or while other Python
     threads run: a forked child would inherit their locks but not them.
     """
-    if (not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return min(len(os.sched_getaffinity(0)), n_tasks)
+    return min(resample.cpu_count(), n_tasks)
 
 
 # Set once in each pool worker, before it runs any task.
@@ -302,6 +303,8 @@ _worker_inputs: CvInputs | None = None
 def _start_worker(inputs: CvInputs, parent: int) -> None:
     global _worker_inputs
     _worker_inputs = inputs
+    # The workers already use every CPU between them.
+    resample.SEARCH_THREADS = 1
     threading.Thread(target=_exit_with_parent, args=(parent,),
                      daemon=True).start()
 

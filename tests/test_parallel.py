@@ -3,8 +3,9 @@
 A GBM sweep runs its (ratio, fold) fits in a pool of forked workers.
 These tests force one worker and then two and compare, check that a
 task's error reaches the CLI with the serial exit code and message,
-that the longest fits are handed out first, and that no worker
-outlives the sweep.
+that the longest fits are handed out first, that each worker searches
+SMOTE's neighbours on one thread, and that no worker outlives the
+sweep.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -25,8 +27,9 @@ import pytest
 
 import readmit
 from readmit import errors
-from readmit import evaluate
+from readmit import evaluate, resample
 from readmit.cli import main
+from readmit.features import FeatureSchema, encode
 from readmit.models import GbmParams, TrainConfig
 from readmit.resample import ORIGINAL, SmoteConfig
 from readmit.synthgen import CohortSpec, generate
@@ -186,6 +189,46 @@ def test_worker_error_exits_2_like_serial(tmp_path, capsys, set_workers):
     assert multiprocessing.active_children() == []
 
 
+def test_search_threads_one_per_worker_and_the_budget_in_train(
+        tmp_path, cohort, set_workers, monkeypatch):
+    # Log the process and thread that search each share of neighbour
+    # blocks; forked workers inherit the patch.
+    log = tmp_path / "search.txt"
+    distance_blocks = resample._distance_blocks
+
+    def recording_blocks(*args):
+        main_thread = threading.current_thread() is threading.main_thread()
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {int(main_thread)}\n")
+        return distance_blocks(*args)
+
+    def read_and_clear() -> list[tuple[int, bool]]:
+        lines = [line.split() for line in log.read_text().splitlines()]
+        log.unlink()
+        return [(int(pid), main == "1") for pid, main in lines]
+
+    monkeypatch.setattr(resample, "_distance_blocks", recording_blocks)
+    # Small blocks, so that a fold's 50 or so minority rows make several.
+    monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 4)
+    monkeypatch.setattr(resample, "SEARCH_THREADS", 2)
+    set_workers(2)
+    evaluate.sweep(cohort, ratios=[0.5, 1.0], model_kind="gbm",
+                   train_config=SMALL_GBM, n_folds=2, seed=3)
+    searches = read_and_clear()
+    assert len(searches) == 4  # one share per oversampled fold
+    assert os.getpid() not in {pid for pid, _ in searches}
+    assert all(main for _, main in searches)
+
+    # In this process the search takes the whole budget: two threads.
+    threads_before = threading.active_count()
+    evaluate.fit_model(encode(cohort, FeatureSchema()).dataset, "gbm",
+                       SmoteConfig(ratio=1.0), SMALL_GBM)
+    searches = read_and_clear()
+    assert {pid for pid, _ in searches} == {os.getpid()}
+    assert sorted(main for _, main in searches) == [False, True]
+    assert threading.active_count() == threads_before
+
+
 def _running(pid: int) -> bool:
     try:
         stat = Path(f"/proc/{pid}/stat").read_text()
@@ -239,8 +282,8 @@ def test_workers_exit_when_their_parent_is_killed(tmp_path):
 # while reading CSVs.
 FOLD_TASK_ERRORS = [
     errors.UnmappableFamilyType, errors.MissingAge, errors.EmptyAfterFiltering,
-    errors.WidthMismatch, errors.MinorityTooSmall, errors.SingleClass,
-    errors.Diverged,
+    errors.WidthMismatch, errors.MinorityTooSmall, errors.NonFiniteRow,
+    errors.SingleClass, errors.Diverged,
 ]
 
 

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from readmit import resample
-from readmit.errors import ClassTooSmall, MinorityTooSmall
+from readmit.errors import ClassTooSmall, MinorityTooSmall, NonFiniteRow
 from readmit.features import EncodedDataset, FeatureSchema
 from readmit.resample import (
     ORIGINAL,
@@ -171,6 +173,21 @@ class TestSmote:
         with pytest.raises(ValueError):
             SmoteConfig(ratio=0.5, k=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_minority_row_is_named(self, bad):
+        # 12 minority rows of 4 columns; the first bad cell is named.
+        rng = np.random.default_rng(5)
+        matrix = rng.normal(size=(36, 4))
+        labels = np.repeat(np.array([0, 1, 0]), 12)  # minority rows 12..23
+        matrix[30, 0] = np.nan  # a majority row is never searched
+        matrix[17, 2] = bad
+        matrix[20, 0] = bad
+        data = EncodedDataset(matrix=matrix, labels=labels,
+                              schema=FeatureSchema())
+        want = f"^row 17, column 2: minority value {bad!r} "
+        with pytest.raises(NonFiniteRow, match=want):
+            smote_with_trace(data, SmoteConfig(ratio=1.0, k=3))
+
 
 def brute_force_sq_distances(points):
     """Reference distance rule, one pair at a time: the binary columns
@@ -221,19 +238,30 @@ def tie_heavy_points(kind: str, m: int, seed: int) -> np.ndarray:
 KINDS = ["binary", "rounded", "duplicated", "mixed", "wide"]
 
 
+# The neighbour search's result must not depend on how many threads it
+# shares its blocks out to.
+THREAD_BUDGETS = (1, 2, 3)
+
+
+def assert_matches_stable_argsort(monkeypatch, points, k):
+    want = stable_argsort_neighbors(points, k)
+    for threads in THREAD_BUDGETS:
+        monkeypatch.setattr(resample, "SEARCH_THREADS", threads)
+        got = resample._nearest_minority_neighbors(points, k)
+        assert np.array_equal(got, want), (threads, len(points), k)
+
+
 class TestNearestNeighbors:
     @pytest.mark.parametrize("block", [2, 3])
     @pytest.mark.parametrize("kind", KINDS)
     def test_blocks_match_stable_argsort(self, monkeypatch, block, kind):
         monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", block)
-        for m in (block - 1, block, block + 1, 2 * block + 1):
+        for m in (block - 1, block, block + 1, 2 * block + 1, 4 * block + 1):
             if m < 2:
                 continue
             points = tie_heavy_points(kind, m, seed=10 * block + m)
             for k in sorted({1, min(2, m - 1), m - 1}):
-                got = resample._nearest_minority_neighbors(points, k)
-                want = stable_argsort_neighbors(points, k)
-                assert np.array_equal(got, want), (m, k)
+                assert_matches_stable_argsort(monkeypatch, points, k)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_many_blocks_match_stable_argsort(self, monkeypatch, kind):
@@ -241,32 +269,46 @@ class TestNearestNeighbors:
         for seed in range(20):
             points = tie_heavy_points(kind, 40, seed=seed)
             for k in (1, 5, 11, 39):
-                got = resample._nearest_minority_neighbors(points, k)
-                want = stable_argsort_neighbors(points, k)
-                assert np.array_equal(got, want), (seed, k)
+                assert_matches_stable_argsort(monkeypatch, points, k)
 
-    def test_default_block_matches_stable_argsort(self):
+    def test_threads_switching_often_match_stable_argsort(self,
+                                                          monkeypatch):
+        # Up to three threads, handing the interpreter lock over as often
+        # as they can: each block still writes only its own rows.
+        monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(5):
+                points = tie_heavy_points("mixed", 60, seed=seed)
+                assert_matches_stable_argsort(monkeypatch, points, 7)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_default_block_matches_stable_argsort(self, monkeypatch):
         m = resample.NEIGHBOR_BLOCK * 2 + 1
-        points = tie_heavy_points("binary", m, seed=1)
-        got = resample._nearest_minority_neighbors(points, 5)
-        assert np.array_equal(got, stable_argsort_neighbors(points, 5))
+        for kind in KINDS:
+            points = tie_heavy_points(kind, m, seed=1)
+            for k in (1, 5, m - 1):
+                assert_matches_stable_argsort(monkeypatch, points, k)
 
     @pytest.mark.parametrize("block", [3, 64])
     def test_identical_rows_take_the_lowest_indices(self, monkeypatch, block):
         monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", block)
-        for m, k in ((6, 5), (10, 3), (150, 5)):
+        for m, k in ((6, 5), (10, 3), (150, 5), (3000, 5)):
             points = np.tile([0.25, 1.0, 0.0], (m, 1))
-            got = resample._nearest_minority_neighbors(points, k)
-            want = [[j for j in range(m) if j != i][:k] for i in range(m)]
-            assert got.tolist() == want, (m, k)
+            want = [[j for j in range(k + 1) if j != i][:k] for i in range(m)]
+            for threads in THREAD_BUDGETS:
+                monkeypatch.setattr(resample, "SEARCH_THREADS", threads)
+                got = resample._nearest_minority_neighbors(points, k)
+                assert got.tolist() == want, (threads, m, k)
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_block_distances_are_exact_and_symmetric(self, monkeypatch,
-                                                      kind):
-        monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 3)
+    def test_block_distances_are_exact_and_symmetric(self, kind):
         points = tie_heavy_points(kind, 31, seed=4)  # last block: 1 row
-        d2 = np.vstack([block.copy() for _, block, _
-                        in resample._distance_blocks(points)])
+        words, other = resample._packed_columns(points)
+        d2 = np.vstack([block.copy() for _, block in resample._distance_blocks(
+            words, other, range(0, len(points), 3), 3)])
         want = brute_force_sq_distances(points)
         assert d2.tobytes() == want.tobytes()
         assert d2.tobytes() == np.ascontiguousarray(d2.T).tobytes()
@@ -279,7 +321,7 @@ class TestNearestNeighbors:
         (3000, "mixed"), (6000, "mixed"),
         (3000, "identical"), (3000, "two-binary"),
     ], ids=["3000", "6000", "identical-3000", "two-binary-3000"])
-    def test_peak_memory_linear_in_rows(self, m, kind):
+    def test_peak_memory_linear_in_rows(self, monkeypatch, m, kind):
         rng = np.random.default_rng(0)
         if kind == "mixed":
             points = np.hstack([
@@ -290,14 +332,57 @@ class TestNearestNeighbors:
             points = np.full((m, 4), 0.5)
         else:  # four distinct rows: every row ties with about m/4 others
             points = rng.integers(0, 2, size=(m, 2)).astype(np.float64)
-        tracemalloc.start()
-        try:
-            resample._nearest_minority_neighbors(points, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         block_bytes = resample.NEIGHBOR_BLOCK * m * 8
-        assert peak < 6 * block_bytes, peak / block_bytes
+        for threads in (1, 2):
+            monkeypatch.setattr(resample, "SEARCH_THREADS", threads)
+            tracemalloc.start()
+            try:
+                resample._nearest_minority_neighbors(points, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * block_bytes, (threads, peak / block_bytes)
+
+    def test_search_threads_share_out_the_blocks(self, monkeypatch):
+        # Each block is searched on exactly one thread, and each thread
+        # searches its own blocks: blocks of NEIGHBOR_BLOCK // threads rows.
+        seen = []
+        distance_blocks = resample._distance_blocks
+
+        def recording_blocks(words, other, starts, size):
+            seen.append((threading.current_thread(), list(starts), size))
+            return distance_blocks(words, other, starts, size)
+
+        monkeypatch.setattr(resample, "_distance_blocks", recording_blocks)
+        monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 8)
+        points = tie_heavy_points("mixed", 30, seed=2)
+        # 30 rows make four blocks of 8, so at most four threads start.
+        for threads, size, n_threads in ((1, 8, 1), (2, 4, 2), (3, 2, 3),
+                                         (9, 2, 4)):
+            monkeypatch.setattr(resample, "SEARCH_THREADS", threads)
+            seen.clear()
+            resample._nearest_minority_neighbors(points, 3)
+            assert len({thread for thread, _, _ in seen}) == n_threads
+            assert {s for _, _, s in seen} == {size}
+            starts = sorted(a for _, share, _ in seen for a in share)
+            assert starts == list(range(0, 30, size))
+
+    def test_search_error_in_a_thread_is_raised(self, monkeypatch):
+        distance_blocks = resample._distance_blocks
+
+        def failing_blocks(words, other, starts, size):
+            if starts[0] != 0:  # not the calling thread's share
+                raise MemoryError("block search failed")
+            return distance_blocks(words, other, starts, size)
+
+        monkeypatch.setattr(resample, "_distance_blocks", failing_blocks)
+        monkeypatch.setattr(resample, "SEARCH_THREADS", 2)
+        points = tie_heavy_points("mixed", 3 * resample.NEIGHBOR_BLOCK,
+                                  seed=3)
+        threads_before = threading.active_count()
+        with pytest.raises(MemoryError, match="block search failed"):
+            resample._nearest_minority_neighbors(points, 3)
+        assert threading.active_count() == threads_before
 
 
 @pytest.mark.skipif(not hasattr(os, "fork")
@@ -305,7 +390,9 @@ class TestNearestNeighbors:
                     reason="needs os.fork and /proc/self/task")
 def test_oversampling_in_a_forked_worker_starts_no_thread():
     """A GBM sweep's workers are forked; SMOTE in one must not wake a
-    BLAS thread pool, which would contend with the other workers."""
+    BLAS thread pool, which would contend with the other workers. (The
+    search's own threads end with the call; that a sweep's workers
+    start none is checked in tests/test_parallel.py.)"""
     rng = np.random.default_rng(3)
     minority, majority = 400, 1200
     matrix = np.hstack([
