@@ -252,7 +252,7 @@ def cmd_synth(args) -> int:
         "spec": spec_dict,
         "spec_sha256": hashlib.sha256(spec_blob).hexdigest(),
         "n_profiles": len(cohort),
-        "n_positive": int(cohort.readmit.sum()),
+        "n_positive": sum(cohort.columns["readmit"]),
         "files": ["demographics.csv", "exits.csv", "incidents.csv"],
     }
     _dump_json(manifest, out_dir / "cohort_manifest.json")

@@ -9,7 +9,10 @@ two or more distinct episodes, else 0.
 Every file is read, checked and linked by column: the readers return
 each file's validated values as a RawTable, and unify returns the
 profiles as a ProfileTable, whose ClientProfile records are built only
-when a row is indexed or iterated.
+when a row is indexed or iterated. ProfileTable is the one cohort
+table: read_profiles and synthgen.generate return it too, and
+write_profiles, synthgen.emit_raw_files and features.encode read its
+columns, a plain sequence of records first converted by profile_table.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import compress, groupby, islice, starmap
-from operator import gt
+from operator import eq, gt
 from pathlib import Path
 
 from .errors import EmptyKeyPart, MalformedCsv, NoEpisodes
@@ -197,6 +200,9 @@ PROFILES_HEADER = [
     "total_los_days", "incident_count", "readmit",
 ]
 
+# A ProfileTable's dated episode columns (see ProfileTable.episodes).
+EPISODE_COLUMNS = ("entry_date", "exit_date", "exit_reason")
+
 
 class RawTable:
     """One raw intake file's validated values, one list per column.
@@ -306,7 +312,7 @@ def unify(demo: RawTable, exits: RawTable, incidents: RawTable) -> UnifyResult:
     exit_date, exit_reason = (exits.columns["exit_date"],
                               exits.columns["exit_reason"])
     n_episodes, n_open, total_los = [], [], []
-    episodes = {"entry_date": [], "exit_date": [], "exit_reason": []}
+    episodes = {name: [] for name in EPISODE_COLUMNS}
     entries, exits_on, reasons = episodes.values()
     for combo in order:
         group, out = groups[combo], exits_by_id.get(combo, ())
@@ -658,22 +664,11 @@ def format_number(value: float | None) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def _profile_columns(profiles: Iterable[ClientProfile]) -> dict[str, tuple]:
-    """The profiles.csv columns of a sequence of profiles."""
-    rows = [(p.id, p.age, p.race, p.family_type, p.reason_homeless,
-             p.employment, p.citizenship, p.income, len(p.episodes),
-             sum(not ep.closed for ep in p.episodes), p.total_los_days,
-             p.incident_count, p.readmit) for p in profiles]
-    return (dict(zip(PROFILES_HEADER, zip(*rows))) if rows
-            else dict.fromkeys(PROFILES_HEADER, ()))
-
-
 def write_profiles(profiles: Sequence[ClientProfile], path: str | Path) -> None:
-    """Write profiles.csv, its rows streamed from the columns of a
-    ProfileTable; any other sequence of profiles is first read into the
-    same columns. Each distinct age and income is formatted once."""
-    columns = (profiles.columns if isinstance(profiles, ProfileTable)
-               else _profile_columns(profiles))
+    """Write profiles.csv, its rows streamed from the columns of
+    profile_table(profiles). Each distinct age and income is formatted
+    once."""
+    columns = profile_table(profiles).columns
     _write_csv(path, PROFILES_HEADER, zip(*(
         columns[name] if name == "id"
         else _formatted(columns[name]) if name in ("age", "income")
@@ -681,11 +676,12 @@ def write_profiles(profiles: Sequence[ClientProfile], path: str | Path) -> None:
         for name in PROFILES_HEADER)))
 
 
-def _formatted(numbers: Sequence[float | None]) -> Iterable[str]:
-    """format_number of each number, each distinct one formatted once
-    (0.0 and -0.0 share a key, and both format as "0")."""
-    texts = {number: format_number(number) for number in set(numbers)}
-    return map(texts.__getitem__, numbers)
+def _formatted(values: Sequence, text: Callable[..., str] = format_number
+               ) -> list[str]:
+    """text(value) of each value, each distinct value formatted once
+    (0.0 and -0.0 share a key; format_number gives "0" for both)."""
+    texts = {value: text(value) for value in set(values)}
+    return list(map(texts.__getitem__, values))
 
 
 _UNDATED_CLOSED = ResidenceEpisode(date.min, date.min)
@@ -715,21 +711,29 @@ def _profile(profile_id, age, race, family_type, reason_homeless, employment,
         readmit)
 
 
+def _transposed(rows: list[tuple], names: Sequence[str]) -> dict[str, tuple]:
+    """The columns of rows, one per name (empty ones when rows is)."""
+    return dict(zip(names, zip(*rows) if rows else [()] * len(names)))
+
+
 class ProfileTable(Sequence):
-    """Profiles by column: what read_profiles and unify return.
+    """Profiles by column: what read_profiles, unify and
+    synthgen.generate return.
 
     ``columns`` maps each PROFILES_HEADER name, in file order, to its
     column: ids as str, ages and incomes as float or None, and every
     other column as int. ``episodes`` is None for a table read from
-    profiles.csv, which keeps no dates; for unify's, it maps
-    ``entry_date``, ``exit_date`` and ``exit_reason`` to one entry per
-    episode, client by client and each client's in entry order (exit
-    date and reason None while a stay is open).
+    profiles.csv, which keeps no dates; otherwise it maps each
+    EPISODE_COLUMNS name to one entry per episode, client by client and
+    each client's in episode order: entry and exit dates as date and
+    exit reasons as str (exit date and reason None while a stay is
+    open).
 
     The table is also a read-only sequence of ClientProfile, built only
     when a row is indexed or iterated: with dated episodes, or else with
-    n_episodes undated ones (see read_profiles). features.encode and
-    write_profiles read the columns directly.
+    n_episodes undated ones (see read_profiles). It equals any sequence
+    of the same records. write_profiles, synthgen.emit_raw_files and
+    features.encode read the columns directly.
     """
 
     __slots__ = ("columns", "episodes")
@@ -738,6 +742,27 @@ class ProfileTable(Sequence):
                  episodes: dict[str, Sequence] | None = None):
         self.columns = columns
         self.episodes = episodes
+
+    @classmethod
+    def from_profiles(cls, profiles: Iterable[ClientProfile]) -> ProfileTable:
+        """The table of profiles' records and their dated episodes,
+        transposed in one pass and not validated."""
+        rows, episodes = [], []
+        for p in profiles:
+            rows.append((p.id, p.age, p.race, p.family_type,
+                         p.reason_homeless, p.employment, p.citizenship,
+                         p.income, len(p.episodes),
+                         sum(not ep.closed for ep in p.episodes),
+                         p.total_los_days, p.incident_count, p.readmit))
+            episodes.extend((ep.entry_date, ep.exit_date, ep.exit_reason)
+                            for ep in p.episodes)
+        return cls(_transposed(rows, PROFILES_HEADER),
+                   _transposed(episodes, EPISODE_COLUMNS))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
     def __len__(self) -> int:
         return len(self.columns["id"])
@@ -765,7 +790,28 @@ class ProfileTable(Sequence):
         """The ResidenceEpisode of each dated episode from start to stop."""
         return map(ResidenceEpisode, *(
             islice(self.episodes[name], start, stop)
-            for name in ("entry_date", "exit_date", "exit_reason")))
+            for name in EPISODE_COLUMNS))
+
+
+def profile_table(profiles: Sequence[ClientProfile]) -> ProfileTable:
+    """profiles as a ProfileTable: a table as it is, and any other
+    sequence of records through ProfileTable.from_profiles."""
+    return (profiles if isinstance(profiles, ProfileTable)
+            else ProfileTable.from_profiles(profiles))
+
+
+def check_codes(columns: Mapping[str, Sequence]) -> None:
+    """Raise a ValueError naming the first row, and in it the first
+    categorical field, whose code is not in the schema, given the "id"
+    column and each categorical field's codes."""
+    fields, known = schema.CATEGORICAL_FIELDS, schema.CATEGORIES
+    if all(set(columns[f]) <= known[f].keys() for f in fields):
+        return
+    for profile_id, *codes in zip(columns["id"], *map(columns.get, fields)):
+        for f, code in zip(fields, codes):
+            if code not in known[f]:
+                raise ValueError(
+                    f"profile {profile_id}: bad {f} code {code!r}")
 
 
 def _profile_row_problem(values: list[int]) -> tuple[str, str] | None:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .cohort import ClientProfile, ProfileTable
+from .cohort import ClientProfile, check_codes, profile_table
 from .errors import EmptyAfterFiltering, MissingAge, WidthMismatch
 from .schema import (  # noqa: F401
     CATEGORICAL_FIELDS,
@@ -46,8 +45,7 @@ class EncodeResult:
     dropped_missing_income: int
 
 
-# The profile fields encode reads, by their ClientProfile and
-# ProfileTable column names.
+# The profile columns encode reads.
 _ENCODED_FIELDS = ("id", "age", *CATEGORICAL_FIELDS, "income", "readmit")
 
 
@@ -55,24 +53,21 @@ def encode(profiles: Sequence[ClientProfile],
            schema: FeatureSchema) -> EncodeResult:
     """Build the design matrix for a set of profiles.
 
-    The matrix is built column by column: a ProfileTable (as
-    cohort.read_profiles returns) gives its columns directly, and any
-    other sequence of profiles is first transposed into the same columns
-    in one pass, so a synthgen.CohortTable builds its records once.
+    The matrix is built column by column from the columns of
+    cohort.profile_table(profiles): a ProfileTable (as read_profiles,
+    unify and synthgen.generate return) as it is, and a plain sequence
+    of records transposed once.
     Missing ages stay NaN, for standardize to fill with the median of
     each fit's own training rows.
     With income enabled, rows without an income value are dropped and
     counted; this is the pipeline's only income filter. A category code
     outside the schema is a ValueError naming the first kept profile
-    that has one.
+    that has one (cohort.check_codes).
     """
     if not profiles:
         raise ValueError("cannot encode an empty profile list")
-    if isinstance(profiles, ProfileTable):
-        columns = {f: profiles.columns[f] for f in _ENCODED_FIELDS}
-    else:
-        columns = dict(zip(_ENCODED_FIELDS, zip(
-            *map(attrgetter(*_ENCODED_FIELDS), profiles))))
+    table = profile_table(profiles)
+    columns = {f: table.columns[f] for f in _ENCODED_FIELDS}
 
     n_profiles = len(columns["id"])
     if schema.include_income:
@@ -85,9 +80,7 @@ def encode(profiles: Sequence[ClientProfile],
         raise EmptyAfterFiltering(
             f"income mode dropped all {dropped} rows (no income values)"
         )
-    if not all(set(columns[f]) <= CATEGORIES[f].keys()
-               for f in CATEGORICAL_FIELDS):
-        raise _first_bad_code(columns)
+    check_codes(columns)
 
     matrix = np.zeros((n, schema.n_columns), dtype=np.float64)
     matrix[:, 0] = np.array(columns["age"], dtype=np.float64)  # None: NaN
@@ -103,18 +96,6 @@ def encode(profiles: Sequence[ClientProfile],
         dataset=EncodedDataset(matrix=matrix, labels=labels, schema=schema),
         dropped_missing_income=dropped,
     )
-
-
-def _first_bad_code(columns: dict[str, Sequence]) -> ValueError:
-    """The error for the first row, and its first categorical field,
-    whose code is not in the schema."""
-    for i, profile_id in enumerate(columns["id"]):
-        for fname in CATEGORICAL_FIELDS:
-            code = columns[fname][i]
-            if code not in CATEGORIES[fname]:
-                return ValueError(
-                    f"profile {profile_id}: bad {fname} code {code!r}")
-    raise AssertionError("every code is in the schema")
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ solved by bisection so the expected positive rate hits the target, and
 the realized positive count is then forced to exactly round(n * rate)
 by flipping the draws closest to their Bernoulli boundary.
 
-A cohort is held by column, as a CohortTable, from the draw to the
-file: emit_raw_files writes the raw intake trio from the columns with
-numpy and one writerows call per file, and ClientProfile records are
-built only when a row of the table is indexed or iterated.
+A cohort is held by column, as the cohort.ProfileTable that unify and
+read_profiles also return, from the draw to the file: generate draws
+with numpy and converts each draw once, at its end, into the table's
+columns of Python values, and emit_raw_files writes the raw intake trio
+from those columns with one writerows call per file. ClientProfile
+records are built only when a row of the table is indexed or iterated.
 
 Only some default rates are published figures (cohort size, minority
 rate, employment rate, the ordering of homelessness reasons, mean
@@ -23,12 +25,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from datetime import date
-from functools import cached_property
 from importlib import resources
-from operator import attrgetter, eq
+from itertools import accumulate, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,11 @@ from .cohort import (
     KEY_COLUMNS,
     MAX_AGE,
     ClientProfile,
-    ResidenceEpisode,
-    format_number,
+    ProfileTable,
+    _formatted,
+    check_codes,
     id_parts,
+    profile_table,
     write_demographics,
     write_exits,
     write_incidents,
@@ -278,124 +281,7 @@ def _force_exact_count(y, p, u, target: int) -> np.ndarray:
     return y
 
 
-# ClientProfile's per-client fields, other than its episodes, in order.
-_CLIENT_FIELDS = ("id", "age", *CATEGORICAL_FIELDS, "income",
-                  "total_los_days", "incident_count", "readmit")
-_client_values = attrgetter(*_CLIENT_FIELDS)
-
-
-def _optional(values: np.ndarray) -> list[float | None]:
-    """The floats of values, None where one is NaN."""
-    return [None if v != v else v for v in values.tolist()]
-
-
-@dataclass(frozen=True, eq=False)
-class CohortTable(Sequence):
-    """A cohort held by column: what generate draws and emit_raw_files
-    writes.
-
-    One entry per client, in row order: ``id`` (id combos), ``codes``
-    (each categorical field's integer codes, by field name), ``age`` and
-    ``income`` (NaN where missing), ``n_episodes``, ``total_los_days``,
-    ``incident_count`` and ``readmit``. One entry per episode, client by
-    client and each client's in episode order: ``entry`` and ``exit``
-    (datetime64[D]; NaT while a stay is open) and ``exit_reason`` (str,
-    or None).
-
-    The table is also a read-only sequence of ClientProfile, built only
-    when a row is indexed or iterated, and it equals any sequence of the
-    same records.
-    """
-
-    id: list[str]
-    codes: dict[str, np.ndarray]
-    age: np.ndarray
-    income: np.ndarray
-    n_episodes: np.ndarray
-    entry: np.ndarray
-    exit: np.ndarray
-    exit_reason: np.ndarray
-    total_los_days: np.ndarray
-    incident_count: np.ndarray
-    readmit: np.ndarray
-
-    @classmethod
-    def from_profiles(cls, profiles: Iterable[ClientProfile]) -> CohortTable:
-        """The table of profiles' records, transposed in one pass."""
-        rows, episodes = [], []
-        for profile in profiles:
-            rows.append((*_client_values(profile), len(profile.episodes)))
-            episodes.extend((ep.entry_date, ep.exit_date, ep.exit_reason)
-                            for ep in profile.episodes)
-        names = (*_CLIENT_FIELDS, "n_episodes")
-        values = (dict(zip(names, zip(*rows))) if rows
-                  else dict.fromkeys(names, ()))
-        entry, exit_, reason = zip(*episodes) if episodes else ((), (), ())
-        counts = {name: np.array(values[name], dtype=np.int64)
-                  for name in ("n_episodes", "total_los_days",
-                               "incident_count", "readmit")}
-        return cls(
-            id=list(values["id"]),
-            codes={f: np.array(values[f], dtype=np.int64)
-                   for f in CATEGORICAL_FIELDS},
-            age=np.array(values["age"], dtype=np.float64),  # None: NaN
-            income=np.array(values["income"], dtype=np.float64),
-            entry=np.array(entry, dtype="datetime64[D]"),
-            exit=np.array(exit_, dtype="datetime64[D]"),  # None: NaT
-            exit_reason=np.array(reason, dtype=object),
-            **counts,
-        )
-
-    @cached_property
-    def _episode_ends(self) -> np.ndarray:
-        return np.cumsum(self.n_episodes)
-
-    def _records(self, lo: int, hi: int) -> list[ClientProfile]:
-        """The records of rows lo to hi - 1."""
-        if lo >= hi:
-            return []
-        ends = self._episode_ends
-        first, last = int(ends[lo] - self.n_episodes[lo]), int(ends[hi - 1])
-        episodes = list(map(ResidenceEpisode,
-                            self.entry[first:last].tolist(),
-                            self.exit[first:last].tolist(),
-                            self.exit_reason[first:last].tolist()))
-        columns = zip(
-            self.id[lo:hi], _optional(self.age[lo:hi]),
-            *(self.codes[f][lo:hi].tolist() for f in CATEGORICAL_FIELDS),
-            _optional(self.income[lo:hi]),
-            self.n_episodes[lo:hi].tolist(),
-            self.total_los_days[lo:hi].tolist(),
-            self.incident_count[lo:hi].tolist(),
-            self.readmit[lo:hi].tolist())
-        records = []
-        k = 0
-        for *fields, income, n, los, incidents, readmit in columns:
-            records.append(ClientProfile(
-                *fields, income, tuple(episodes[k:k + n]), los, incidents,
-                readmit))
-            k += n
-        return records
-
-    def __len__(self) -> int:
-        return len(self.id)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]
-        return self._records(i, i + 1)[0]
-
-    def __iter__(self):
-        return iter(self._records(0, len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-
-def generate(spec: CohortSpec) -> CohortTable:
+def generate(spec: CohortSpec) -> ProfileTable:
     """Generate one cohort, sorted by id, deterministic given spec.seed.
 
     Raises InfeasibleSpec when the spec cannot be met, or when an income
@@ -460,29 +346,50 @@ def generate(spec: CohortSpec) -> CohortTable:
     has_stay = np.column_stack([np.ones(n, dtype=bool), y])
     entry0 = np.datetime64(ENTRY_WINDOW_START, "D") + entry_offset
     entry1 = entry0 + stay0 + gap
-    return CohortTable(
-        id=[f"C{i}|F{i}|K{i}" for i in map("{:06d}".format, range(n))],
-        codes=dict(zip(CATEGORICAL_FIELDS,
-                       (race, family, reason, employment, citizenship))),
-        age=age,
-        income=np.where(income_missing, np.nan, income_vals),
-        n_episodes=1 + readmit,
-        entry=np.column_stack([entry0, entry1])[has_stay],
-        exit=np.column_stack([entry0 + stay0, entry1 + stay1])[has_stay],
-        exit_reason=np.array(EXIT_REASONS, dtype=object)[
-            np.column_stack([reason_exit0, reason_exit1])[has_stay]],
-        total_los_days=stay0 + readmit * stay1,
-        incident_count=incident_counts,
-        readmit=readmit,
-    )
+    episodes = {
+        "entry_date": np.column_stack([entry0, entry1])[has_stay].tolist(),
+        "exit_date": np.column_stack(
+            [entry0 + stay0, entry1 + stay1])[has_stay].tolist(),
+        "exit_reason": list(map(EXIT_REASONS.__getitem__, np.column_stack(
+            [reason_exit0, reason_exit1])[has_stay].tolist())),
+    }
+    columns = {
+        "id": [f"C{i}|F{i}|K{i}" for i in map("{:06d}".format, range(n))],
+        "age": age.tolist(),
+        **{f: codes.tolist() for f, codes in zip(
+            CATEGORICAL_FIELDS,
+            (race, family, reason, employment, citizenship))},
+        "income": [None if missing else value for missing, value in zip(
+            income_missing.tolist(), income_vals.tolist())],
+        "n_episodes": (1 + readmit).tolist(),
+        "n_open_episodes": [0] * n,
+        "total_los_days": (stay0 + readmit * stay1).tolist(),
+        "incident_count": incident_counts.tolist(),
+        "readmit": readmit.tolist(),
+    }
+    return ProfileTable(columns, episodes)
 
 
-def _number_texts(values: np.ndarray) -> np.ndarray:
-    """format_number of each value, blank for NaN, as an object array;
-    each distinct value is formatted once."""
-    distinct, index = np.unique(values, return_inverse=True)
-    texts = [format_number(None if v != v else v) for v in distinct.tolist()]
-    return np.array(texts, dtype=object)[index]
+def _taken(cells: Sequence, rows: np.ndarray) -> list:
+    """cells[i] for each i in rows."""
+    return np.array(cells, dtype=object)[rows].tolist()
+
+
+def _check_stays(columns: Mapping[str, Sequence],
+                 episodes: Mapping[str, Sequence]) -> None:
+    """Raise a ValueError naming the first profile whose total_los_days
+    is not the sum of its closed episodes' days, which linking would
+    give it."""
+    days = iter([(left - day).days if left is not None else 0
+                 for day, left in zip(episodes["entry_date"],
+                                      episodes["exit_date"])])
+    for profile_id, n, stays in zip(columns["id"], columns["n_episodes"],
+                                    columns["total_los_days"]):
+        linked = sum(islice(days, n))
+        if linked != stays:
+            raise ValueError(
+                f"profile {profile_id}: total_los_days {stays} is not the"
+                f" {linked} days of its closed episodes")
 
 
 def emit_raw_files(
@@ -493,66 +400,66 @@ def emit_raw_files(
     individual agree), one exit row per closed episode, and incident
     rows synthesized deterministically from each profile's count.
 
-    The files are written from the cohort's columns: a CohortTable's as
-    they are, and any other sequence of profiles first transposed into
-    a CohortTable. Each client's cells are formatted once and repeated
-    over its episodes and incidents, dates are datetime64[D] arithmetic,
-    and incident i (from 0) of a client falls i + 1 days after the
-    entry of its first episode, with type INCIDENT_TYPES[i % 4].
+    The files are written from the columns of profile_table(cohort),
+    which must hold episode dates (a table read from profiles.csv has
+    none) whose closed days sum to each profile's total_los_days; the
+    checks all run before any file is written. Each client's cells are
+    formatted once and repeated over its episodes and incidents, and
+    incident i (from 0) of a client falls i + 1 days after the entry of
+    its first episode, with type INCIDENT_TYPES[i % 4].
     """
-    table = (cohort if isinstance(cohort, CohortTable)
-             else CohortTable.from_profiles(cohort))
+    table = profile_table(cohort)
+    columns, episodes = table.columns, table.episodes
     if not len(table):
         raise ValueError("cannot emit an empty cohort")
-    if table.n_episodes.min() < 1:
-        i = int(np.argmin(table.n_episodes))
-        raise ValueError(f"profile {table.id[i]} has no episodes")
-    labels = {}
-    for f, codes in table.codes.items():
-        names = np.array([CATEGORIES[f][c] for c in range(len(CATEGORIES[f]))],
-                         dtype=object)
-        bad = (codes < 0) | (codes >= len(names))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"profile {table.id[i]}: unknown {f} code {codes[i]}")
-        labels[f] = names[codes]
+    n_episodes = columns["n_episodes"]
+    if min(n_episodes) < 1:
+        i = n_episodes.index(min(n_episodes))
+        raise ValueError(f"profile {columns['id'][i]} has no episodes")
+    check_codes(columns)
+    if episodes is None:
+        raise ValueError("cannot emit a cohort without episode dates")
+    _check_stays(columns, episodes)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    keys = dict(zip(KEY_COLUMNS, (np.array(part, dtype=object)
-                                  for part in zip(*map(id_parts, table.id)))))
-    client = {**keys, "age": _number_texts(table.age), **labels,
-              "income": _number_texts(table.income)}
-    n_episodes, counts = table.n_episodes, table.incident_count
-    demographics = {name: np.repeat(column, n_episodes)
-                    for name, column in client.items()}
-    demographics["entry_date"] = np.datetime_as_string(table.entry)
-    demographics["admitted"] = np.full(len(table.entry), "true", dtype=object)
+    keys = dict(zip(KEY_COLUMNS, zip(*map(id_parts, columns["id"]))))
+    client = {**keys, "age": _formatted(columns["age"]),
+              **{f: list(map(CATEGORIES[f].__getitem__, columns[f]))
+                 for f in CATEGORICAL_FIELDS},
+              "income": _formatted(columns["income"])}
+    rows = np.repeat(np.arange(len(table)), n_episodes)  # of each episode
+    demographics = {name: _taken(cells, rows)
+                    for name, cells in client.items()}
+    entries = episodes["entry_date"]
+    demographics["entry_date"] = _formatted(entries, date.isoformat)
+    demographics["admitted"] = ["true"] * len(entries)
 
-    closed = ~np.isnat(table.exit)
-    exits = {name: demographics[name][closed] for name in KEY_COLUMNS}
-    exits["exit_date"] = np.datetime_as_string(table.exit[closed])
-    exits["exit_reason"] = table.exit_reason[closed]
-    exits["exit_reason"][np.equal(exits["exit_reason"], None)] = ""
+    closed = [left is not None for left in episodes["exit_date"]]
+    exits = {name: list(compress(demographics[name], closed))
+             for name in KEY_COLUMNS}
+    exits["exit_date"] = _formatted(
+        list(compress(episodes["exit_date"], closed)), date.isoformat)
+    exits["exit_reason"] = ["" if reason is None else reason for reason
+                            in compress(episodes["exit_reason"], closed)]
 
-    # The index of each incident among its client's, from 0.
-    nth = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                              counts)
-    first_entry = table.entry[np.cumsum(n_episodes) - n_episodes]
-    incidents = {name: np.repeat(column, counts)
-                 for name, column in keys.items()}
-    incidents["incident_date"] = np.datetime_as_string(
-        np.repeat(first_entry, counts) + (nth + 1))
-    incidents["incident_type"] = np.array(INCIDENT_TYPES, dtype=object)[
-        nth % len(INCIDENT_TYPES)]
+    counts = columns["incident_count"]
+    rows = np.repeat(np.arange(len(table)), counts)  # of each incident
+    incidents = {name: _taken(parts, rows) for name, parts in keys.items()}
+    incidents["incident_date"], incidents["incident_type"] = [], []
+    firsts = accumulate(n_episodes[:-1], initial=0)
+    for first, count in zip(map(entries.__getitem__, firsts), counts):
+        for i in range(count):
+            incidents["incident_date"].append(
+                date.fromordinal(first.toordinal() + i + 1).isoformat())
+            incidents["incident_type"].append(
+                INCIDENT_TYPES[i % len(INCIDENT_TYPES)])
 
     paths = {}
-    for name, write, columns in (
+    for name, write, cells in (
             ("demographics", write_demographics, demographics),
             ("exits", write_exits, exits),
             ("incidents", write_incidents, incidents)):
         paths[name] = out_dir / f"{name}.csv"
-        write({column: cells.tolist() for column, cells in columns.items()},
-              paths[name])
+        write(cells, paths[name])
     return paths

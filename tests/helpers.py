@@ -13,6 +13,7 @@ from readmit.cohort import (
     INCIDENTS_HEADER,
     ClientProfile,
     ResidenceEpisode,
+    id_combos,
 )
 from readmit.features import CATEGORIES
 from readmit.features import EncodedDataset, FeatureSchema
@@ -54,6 +55,41 @@ def make_profile(
         incident_count=incident_count,
         readmit=1 if n_episodes >= 2 else 0,
     )
+
+
+# Records no draw makes: open episodes, "|", "\\", "," and '"' in id
+# parts and exit reasons, a "\r" in a cell, blank ages and incomes,
+# non-integral floats, episodes on date.min, a closed episode with no
+# exit reason, and incident counts above len(INCIDENT_TYPES).
+HAND_BUILT = [
+    ClientProfile(
+        id=id_combos(["C|1"], ["F\\1"], ['K,"1"'])[0], age=None,
+        race=3, family_type=2, reason_homeless=4, employment=2,
+        citizenship=3, income=None,
+        episodes=(ResidenceEpisode(date(2014, 1, 1), date(2014, 2, 1),
+                                   "Other"),
+                  ResidenceEpisode(date(2014, 6, 1))),
+        total_los_days=31, incident_count=9, readmit=1),
+    ClientProfile(
+        id="C\r2|F2|K2", age=31.5, race=0, family_type=0,
+        reason_homeless=0, employment=0, citizenship=0, income=1234.56,
+        episodes=(ResidenceEpisode(date(2015, 3, 1), date(2015, 3, 1),
+                                   "Moved\rout"),),
+        total_los_days=0, incident_count=0, readmit=0),
+    ClientProfile(
+        id="C3|F3|K3", age=0.1 + 0.2, race=1, family_type=1,
+        reason_homeless=2, employment=1, citizenship=1, income=1e-300,
+        episodes=(ResidenceEpisode(date(2016, 5, 2), date(2016, 6, 2)),
+                  ResidenceEpisode(date(2016, 1, 1), date(2016, 1, 9),
+                                   'Housed, "finally"')),
+        total_los_days=39, incident_count=5, readmit=1),
+    ClientProfile(
+        id="C4|F4|K4", age=120.0, race=2, family_type=2,
+        reason_homeless=3, employment=2, citizenship=2, income=1e20,
+        episodes=(ResidenceEpisode(date.min),
+                  ResidenceEpisode(date.min, date.min)),
+        total_los_days=0, incident_count=4, readmit=1),
+]
 
 
 def random_dataset(

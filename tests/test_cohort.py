@@ -32,7 +32,14 @@ from readmit.errors import (
     UnmappableFamilyType,
 )
 
-from tests.helpers import LINKAGE_SMALL, write_linkage_trio, write_trio_rows
+from readmit.synthgen import CohortSpec, generate
+
+from tests.helpers import (
+    HAND_BUILT,
+    LINKAGE_SMALL,
+    write_linkage_trio,
+    write_trio_rows,
+)
 from tests.oracles import linkage
 
 
@@ -436,10 +443,99 @@ def read_chunk(request, monkeypatch):
     return request.param
 
 
+LINKAGE_FILES = [LINKAGE_SMALL / name for name in
+                 ("demographics.csv", "exits.csv", "incidents.csv")]
+
+
+@pytest.fixture(params=["generate", "unify", "read_profiles",
+                        "from_profiles"])
+def produced(request):
+    """A table from each producer of a ProfileTable, and the records it
+    must read as: the reference linkage's for unify, the row-by-row
+    reader's for read_profiles, HAND_BUILT for from_profiles, and for
+    generate, whose only reference is the table itself, its iteration."""
+    if request.param == "generate":
+        table = generate(CohortSpec(n=400, seed=13))
+        return table, list(table)
+    if request.param == "unify":
+        readers = (read_demographics, read_exits, read_incidents)
+        table = unify(*(read(path) for read, path in
+                        zip(readers, LINKAGE_FILES))).profiles
+        return table, linkage.unify(
+            *(read(path) for read, path in zip(
+                (linkage.read_demographics, linkage.read_exits,
+                 linkage.read_incidents), LINKAGE_FILES))).profiles
+    if request.param == "read_profiles":
+        golden = LINKAGE_SMALL / "profiles_golden.csv"
+        return read_profiles(golden), linkage.read_profiles(golden)
+    return ProfileTable.from_profiles(HAND_BUILT), HAND_BUILT
+
+
+def empty_table(tmp_path, producer: str) -> ProfileTable:
+    """The empty table of a producer (generate draws at least 100)."""
+    if producer == "unify":
+        return link(tmp_path, []).profiles
+    if producer == "read_profiles":
+        path = tmp_path / "profiles.csv"
+        path.write_text(",".join(PROFILES_HEADER) + "\n")
+        return read_profiles(path)
+    return ProfileTable.from_profiles([])
+
+
+def as_lists(columns: dict) -> dict[str, list]:
+    return {name: list(column) for name, column in columns.items()}
+
+
 class TestProfileTable:
-    """read_profiles' table: validated columns that read as records."""
+    """The one cohort table: columns that read as records, whichever of
+    generate, unify, read_profiles or from_profiles built it."""
 
     GOLDEN = LINKAGE_SMALL / "profiles_golden.csv"
+
+    def test_a_sequence_of_its_records(self, produced):
+        table, expected = produced
+        n = len(expected)
+        assert isinstance(table, ProfileTable)
+        assert isinstance(table, Sequence)
+        assert len(table) == n and list(table) == expected
+        assert [table[i] for i in range(-n, n)] == expected * 2
+        assert table[1:3] == expected[1:3]
+        assert table[::-3] == expected[::-3]
+        assert table[-2:] == expected[-2:]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                table[i]
+
+    def test_equals_any_sequence_of_the_same_records(self, produced):
+        table, expected = produced
+        assert table == expected and expected == table
+        assert table == tuple(expected)
+        assert not table != expected
+        assert table != expected[:-1]
+        assert table != expected[::-1]
+        assert table != [*expected[:-1], expected[0]]
+        assert table != object()
+
+    def test_records_transpose_back_into_the_table(self, produced):
+        table, _ = produced
+        again = ProfileTable.from_profiles(list(table))
+        assert again == table
+        assert as_lists(again.columns) == as_lists(table.columns)
+        if table.episodes is not None:
+            assert as_lists(again.episodes) == as_lists(table.episodes)
+
+    @pytest.mark.parametrize("producer",
+                             ["unify", "read_profiles", "from_profiles"])
+    def test_empty_table(self, tmp_path, producer):
+        table = empty_table(tmp_path, producer)
+        assert len(table) == 0 and list(table) == []
+        assert table == [] and table == () and table[:] == []
+        assert table != HAND_BUILT[:1]
+        for i in (0, -1):
+            with pytest.raises(IndexError):
+                table[i]
+        assert as_lists(table.columns) == dict.fromkeys(PROFILES_HEADER, [])
+        assert ProfileTable.from_profiles(list(table)) == table
 
     def test_records_equal_the_row_by_row_reference(self, read_chunk):
         table = read_profiles(self.GOLDEN)

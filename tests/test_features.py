@@ -161,18 +161,6 @@ def cohort_profiles(kind: str) -> list:
     ]
 
 
-def table_of(profiles: list) -> ProfileTable:
-    """The profiles as a ProfileTable, built without validation."""
-    columns = {f: tuple(getattr(p, f) for p in profiles)
-               for f in ("id", "age", *CATEGORICAL_FIELDS, "income")}
-    columns["n_episodes"] = tuple(len(p.episodes) for p in profiles)
-    columns["n_open_episodes"] = tuple(
-        sum(not e.closed for e in p.episodes) for p in profiles)
-    for f in ("total_los_days", "incident_count", "readmit"):
-        columns[f] = tuple(getattr(p, f) for p in profiles)
-    return ProfileTable(columns)
-
-
 class TestEncodeInputs:
     """A ProfileTable and a list of the same records encode alike."""
 
@@ -217,7 +205,7 @@ class TestEncodeInputs:
         profiles = [make_profile(pid="A", income=1.0),
                     make_profile(pid="B", employment=7, income=None),
                     make_profile(pid="C", race=9, income=2.0)]
-        convert = table_of if as_table else list
+        convert = ProfileTable.from_profiles if as_table else list
         with pytest.raises(ValueError,
                            match=r"^profile B: bad employment code 7$"):
             encode(convert(profiles), FeatureSchema())
@@ -228,7 +216,7 @@ class TestEncodeInputs:
     def test_one_row_with_two_bad_codes_names_the_first_field(self):
         profiles = [make_profile(pid="A", race=-1, citizenship=4)]
         with pytest.raises(ValueError, match=r"^profile A: bad race code -1$"):
-            encode(table_of(profiles), FeatureSchema())
+            encode(ProfileTable.from_profiles(profiles), FeatureSchema())
 
 
 class TestStandardize:

@@ -21,11 +21,13 @@ neighbour distances are exact, so no kernel may move them. CI runs that
 test once more with OPENBLAS_CORETYPE=Haswell for the whole process,
 together with both GBM runs: boosted trees call no BLAS kernel.
 
-The inputs are pinned as well: `synth`'s raw trio, and the profiles.csv
-that `unify` links from it, for the golden cohort and for the default
-spec. The cohort's label comes from np.exp through the intercept
-bisection, and its files from numpy's date and rounding kernels, so CI
-runs that test once more on numpy's kernels up to X86_V3.
+The inputs are pinned as well: `synth`'s raw trio and manifest, and the
+profiles.csv that `unify` links from the trio, for the golden cohort
+and for the default spec. The cohort's label comes from np.exp through
+the intercept bisection, and its files from numpy's date and rounding
+kernels, so CI runs that test once more on numpy's kernels up to
+X86_V3. Its cells are formatted through dict and set lookups, so CI
+also runs it under two str hash seeds (PYTHONHASHSEED 0 and 1).
 """
 
 from __future__ import annotations
@@ -101,9 +103,10 @@ BLANKED_AGE_GOLDEN = {
 }
 
 
-# sha256 of `synth`'s raw trio, and of the profiles.csv that `unify`
-# links from it, for the golden cohort (`synth --seed 5`) and for the
-# bundled default spec (n=6,779) at `synth --seed 7`.
+# sha256 of `synth`'s raw trio and cohort_manifest.json, and of the
+# profiles.csv that `unify` links from the trio, for the golden cohort
+# (`synth --seed 5`) and for the bundled default spec (n=6,779) at
+# `synth --seed 7`.
 RAW_TRIO_GOLDEN = {
     "golden": {
         "demographics.csv":
@@ -114,6 +117,8 @@ RAW_TRIO_GOLDEN = {
             "2c6ec888f6423f9c2ce402ca63b32c9ea50c28280fd364f2d1921d699398e890",
         "profiles.csv":
             "ff31da7854ba0c8cb7cd2d9264a149cdb967fb4fcadf228ebd88a706bbb9880c",
+        "cohort_manifest.json":
+            "014d9c28a3ef0ac6acd3f756f74004584213c159f14d1c86961f9a2cfd5e3a34",
     },
     "default-seed-7": {
         "demographics.csv":
@@ -124,6 +129,8 @@ RAW_TRIO_GOLDEN = {
             "57c701bf22c5a56a59516a52efcc64fd9a2b1663d96d7767c19a4d5607831c93",
         "profiles.csv":
             "abd8039ede12014af3d4d9a40eea74b6bca3d1524b940dd4e8c84420dee189a1",
+        "cohort_manifest.json":
+            "e107e97a37ab672c87c6888c6db2ab76cba2141893d7a879b9abe2114a097118",
     },
 }
 

@@ -2,18 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from datetime import date
 
 import numpy as np
 import pytest
 
 from readmit.cohort import (
-    ClientProfile,
-    ResidenceEpisode,
-    id_combos,
+    ProfileTable,
     read_demographics,
     read_exits,
     read_incidents,
+    read_profiles,
     unify,
 )
 from readmit.errors import InfeasibleSpec
@@ -24,7 +22,6 @@ from readmit import synthgen
 from readmit.models import sigmoid
 from readmit.synthgen import (
     CohortSpec,
-    CohortTable,
     _solve_intercept,
     default_spec_path,
     emit_raw_files,
@@ -32,6 +29,7 @@ from readmit.synthgen import (
     load_spec,
 )
 
+from tests.helpers import HAND_BUILT, LINKAGE_SMALL
 from tests.oracles import raw_trio
 
 
@@ -231,7 +229,7 @@ class TestEmitRawFiles:
 
     def test_oldest_drawn_age_is_readable(self, tmp_path):
         table = generate(small_spec(age_mean=110.0, age_max=120.0))
-        assert table.age.max() == 120.0
+        assert max(table.columns["age"]) == 120.0
         emit_raw_files(table, tmp_path)
         assert list(self.read_back(tmp_path).profiles) == list(table)
 
@@ -243,69 +241,9 @@ class TestEmitRawFiles:
         assert list(result.profiles) == list(cohort)
 
 
-# Records no draw makes: open episodes, "|", "\\", "," and '"' in id
-# parts and exit reasons, a "\r" in a cell, blank ages and incomes,
-# non-integral floats, episodes on date.min, a closed episode with no
-# exit reason, and incident counts above len(INCIDENT_TYPES).
-HAND_BUILT = [
-    ClientProfile(
-        id=id_combos(["C|1"], ["F\\1"], ['K,"1"'])[0], age=None,
-        race=3, family_type=2, reason_homeless=4, employment=2,
-        citizenship=3, income=None,
-        episodes=(ResidenceEpisode(date(2014, 1, 1), date(2014, 2, 1),
-                                   "Other"),
-                  ResidenceEpisode(date(2014, 6, 1))),
-        total_los_days=31, incident_count=9, readmit=1),
-    ClientProfile(
-        id="C\r2|F2|K2", age=31.5, race=0, family_type=0,
-        reason_homeless=0, employment=0, citizenship=0, income=1234.56,
-        episodes=(ResidenceEpisode(date(2015, 3, 1), date(2015, 3, 1),
-                                   "Moved\rout"),),
-        total_los_days=0, incident_count=0, readmit=0),
-    ClientProfile(
-        id="C3|F3|K3", age=0.1 + 0.2, race=1, family_type=1,
-        reason_homeless=2, employment=1, citizenship=1, income=1e-300,
-        episodes=(ResidenceEpisode(date(2016, 5, 2), date(2016, 6, 2)),
-                  ResidenceEpisode(date(2016, 1, 1), date(2016, 1, 9),
-                                   'Housed, "finally"')),
-        total_los_days=39, incident_count=5, readmit=1),
-    ClientProfile(
-        id="C4|F4|K4", age=120.0, race=2, family_type=2,
-        reason_homeless=3, employment=2, citizenship=2, income=1e20,
-        episodes=(ResidenceEpisode(date.min),
-                  ResidenceEpisode(date.min, date.min)),
-        total_los_days=0, incident_count=4, readmit=1),
-]
-
-
 def trio_bytes(out_dir) -> dict[str, bytes]:
     return {name: (out_dir / f"{name}.csv").read_bytes()
             for name in ("demographics", "exits", "incidents")}
-
-
-class TestCohortTable:
-    def test_a_sequence_of_its_records(self):
-        table = generate(small_spec())
-        records = list(table)
-        assert len(table) == len(records) == 400
-        assert table == records and records == table
-        assert table == tuple(records)
-        assert [table[0], table[-1], table[399]] == [
-            records[0], records[-1], records[399]]
-        assert table[10:30:7] == records[10:30:7]
-        assert table[:3] == records[:3]
-        with pytest.raises(IndexError):
-            table[400]
-        assert table != records[:-1]
-        assert table != records[::-1]
-
-    def test_records_transpose_back_into_the_table(self):
-        table = generate(small_spec())
-        assert CohortTable.from_profiles(list(table)) == table
-        hand_built = CohortTable.from_profiles(HAND_BUILT)
-        assert hand_built == HAND_BUILT
-        assert [hand_built[i] for i in range(-4, 4)] == HAND_BUILT * 2
-        assert CohortTable.from_profiles([]) == []
 
 
 class TestEmitMatchesTheRecordWriter:
@@ -315,7 +253,7 @@ class TestEmitMatchesTheRecordWriter:
         if cohort == "drawn":
             table = generate(small_spec(n=2000))
         else:
-            table = CohortTable.from_profiles(HAND_BUILT)
+            table = ProfileTable.from_profiles(HAND_BUILT)
         emit_raw_files(table, tmp_path / "table")
         emit_raw_files(list(table), tmp_path / "records")
         raw_trio.emit_raw_files(list(table), tmp_path / "oracle")
@@ -339,9 +277,31 @@ class TestEmitMatchesTheRecordWriter:
         with pytest.raises(ValueError, match="has no episodes"):
             emit_raw_files([no_stay], tmp_path)
         bad_code = dataclasses.replace(HAND_BUILT[1], race=-1)
-        with pytest.raises(ValueError, match="unknown race code -1"):
+        with pytest.raises(ValueError, match="bad race code -1"):
             emit_raw_files([bad_code], tmp_path)
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("as_table", [True, False],
+                             ids=["table", "records"])
+    def test_profiles_without_stay_dates_are_refused(self, tmp_path,
+                                                     as_table):
+        """profiles.csv keeps no dates: relinking a trio emitted from
+        what it holds would lose every stay length."""
+        table = read_profiles(LINKAGE_SMALL / "profiles_golden.csv")
+        message = ("^cannot emit a cohort without episode dates$" if as_table
+                   else r"^profile C001\|F001\|K001: total_los_days 30 is"
+                        " not the 0 days of its closed episodes$")
+        with pytest.raises(ValueError, match=message):
+            emit_raw_files(table if as_table else list(table),
+                           tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_stay_lengths_must_match_the_episodes(self, tmp_path):
+        longer = dataclasses.replace(HAND_BUILT[2], total_los_days=40)
+        with pytest.raises(ValueError, match=r"^profile C3\|F3\|K3: "
+                           "total_los_days 40 is not the 39 days"):
+            emit_raw_files([*HAND_BUILT[:2], longer], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestReadableDraws:
