@@ -13,6 +13,11 @@ when a row is indexed or iterated. ProfileTable is the one cohort
 table: read_profiles and synthgen.generate return it too, and
 write_profiles, synthgen.emit_raw_files and features.encode read its
 columns, a plain sequence of records first converted by profile_table.
+
+Every file is written by column too: write_profiles and the raw
+writers hand _write_csv one column of str cells per header name, and
+it writes the rows as joined text, quoting only the columns, and the
+rows, that need it. The csv module is used only for reading.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import compress, groupby, islice, starmap
+from itertools import accumulate, compress, islice, repeat, starmap
 from operator import eq, gt
 from pathlib import Path
 
@@ -155,6 +160,21 @@ def id_parts(combo: IdCombo) -> list[str]:
     if len(parts) != 3:
         raise ValueError(f"id combo {combo!r} does not have three parts")
     return parts
+
+
+def id_part_columns(combos: Sequence[IdCombo]) -> list[list[str]]:
+    """The three key part columns of id combos, the inverse of id_combos.
+
+    The combos are split in one pass when none holds a backslash and
+    each holds exactly two "|"; otherwise each goes through id_parts,
+    which honors escapes and raises its ValueError.
+    """
+    text = "|".join(combos)
+    if "\\" in text or set(map(str.count, combos, repeat("|"))) != {2}:
+        split = list(map(id_parts, combos))
+        return [[parts[j] for parts in split] for j in range(3)]
+    parts = text.split("|")
+    return [parts[j::3] for j in range(3)]
 
 
 def _split_escaped(combo: IdCombo) -> list[str]:
@@ -607,24 +627,54 @@ def read_incidents(path: str | Path) -> RawTable:
 
 # --- CSV output --------------------------------------------------------------
 
-def _write_csv(path: str | Path, header: list[str],
-               rows: Iterable[Sequence[str]]) -> None:
-    """Write a header and rows of str fields, one writerows call per run
-    of rows.
+# The characters that make csv's minimal quoting wrap a cell in quotes
+# ("\r" only matters in a row that is written fully quoted anyway).
+_SPECIAL = (",", '"', "\n", "\r")
 
-    With "\n" line ends, csv leaves a lone "\r" unquoted, and reading
-    would split the row there; a row holding one is written fully quoted.
+
+def _quoted(cell: str) -> str:
+    """cell wrapped in quotes, its inner quotes doubled."""
+    return '"' + cell.replace('"', '""') + '"'
+
+
+def _column_cells(column: Sequence[str]) -> tuple[Sequence[str], list[int]]:
+    """A column's cells as csv's minimal quoting writes them (the column
+    itself when no cell needs quotes), and the rows whose cell holds a
+    "\r"."""
+    text = "".join(column)
+    if not any(ch in text for ch in _SPECIAL):
+        return column, []
+    cells = [_quoted(cell) if any(ch in cell for ch in _SPECIAL) else cell
+             for cell in column]
+    return cells, ([i for i, cell in enumerate(column) if "\r" in cell]
+                   if "\r" in text else [])
+
+
+def _write_csv(path: str | Path, header: Sequence[str],
+               columns: Sequence[Sequence[str]]) -> None:
+    """Write a header and the str cells of each of its two or more names'
+    columns: the bytes that the csv module's writer writes with "\n"
+    line ends, given header names that need no quotes.
+
+    Each column is scanned once, and only one holding ",", '"', "\n" or
+    "\r" is quoted cell by cell, by csv's minimal rule. With "\n" line
+    ends csv leaves a lone "\r" unquoted, and reading would split the
+    row there; a row holding one is written fully quoted. Rows are
+    joined and written READ_CHUNK at a time.
     """
+    cells, cr_rows = zip(*map(_column_cells, columns))
+    full = set().union(*cr_rows)
+    if full:
+        cells = [list(column) for column in cells]
+        for i in full:
+            for quoted, column in zip(cells, columns):
+                quoted[i] = _quoted(column[i])
+    rows = zip(*cells)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(header)
-        for has_cr, run in groupby(rows, key=_holds_cr):
-            (quoted if has_cr else writer).writerows(run)
-
-
-def _holds_cr(row: Sequence[str]) -> bool:
-    return "\r" in "".join(row)
+        fh.write(",".join(header) + "\n")
+        while lines := list(map(",".join, islice(rows, READ_CHUNK))):
+            lines.append("")
+            fh.write("\n".join(lines))
 
 
 def _write_raw(header: list[str], columns: Mapping[str, Sequence[str]],
@@ -633,7 +683,7 @@ def _write_raw(header: list[str], columns: Mapping[str, Sequence[str]],
         raise ValueError(f"columns {sorted(columns)} != {sorted(header)}")
     if len({len(column) for column in columns.values()}) > 1:
         raise ValueError("columns differ in length")
-    _write_csv(path, header, zip(*(columns[name] for name in header)))
+    _write_csv(path, header, [columns[name] for name in header])
 
 
 def write_demographics(columns: Mapping[str, Sequence[str]],
@@ -665,15 +715,24 @@ def format_number(value: float | None) -> str:
 
 
 def write_profiles(profiles: Sequence[ClientProfile], path: str | Path) -> None:
-    """Write profiles.csv, its rows streamed from the columns of
-    profile_table(profiles). Each distinct age and income is formatted
-    once."""
+    """Write profiles.csv from the columns of profile_table(profiles) as
+    joined column text (see _write_csv). Each distinct age and income
+    is formatted once, and every other cell is its str() (see
+    _int_texts)."""
     columns = profile_table(profiles).columns
-    _write_csv(path, PROFILES_HEADER, zip(*(
+    _write_csv(path, PROFILES_HEADER, [
         columns[name] if name == "id"
         else _formatted(columns[name]) if name in ("age", "income")
-        else map(str, columns[name])
-        for name in PROFILES_HEADER)))
+        else _int_texts(columns[name])
+        for name in PROFILES_HEADER])
+
+
+def _int_texts(values: Sequence) -> list[str]:
+    """str() of each value: each distinct value formatted once when
+    every value is an int (True and 1.0 equal 1 but print otherwise)."""
+    if set(map(type, values)) == {int}:
+        return _formatted(values, str)
+    return list(map(str, values))
 
 
 def _formatted(values: Sequence, text: Callable[..., str] = format_number
@@ -736,12 +795,14 @@ class ProfileTable(Sequence):
     features.encode read the columns directly.
     """
 
-    __slots__ = ("columns", "episodes")
+    __slots__ = ("columns", "episodes", "_starts")
 
     def __init__(self, columns: dict[str, Sequence],
                  episodes: dict[str, Sequence] | None = None):
         self.columns = columns
         self.episodes = episodes
+        # Each row's first dated episode, summed on the first index.
+        self._starts: list[int] | None = None
 
     @classmethod
     def from_profiles(cls, profiles: Iterable[ClientProfile]) -> ProfileTable:
@@ -774,7 +835,10 @@ class ProfileTable(Sequence):
         values = [column[i] for column in self.columns.values()]
         if self.episodes is None:
             return _profile(*values)
-        start = sum(islice(self.columns["n_episodes"], i))
+        if self._starts is None:
+            self._starts = list(accumulate(self.columns["n_episodes"],
+                                           initial=0))
+        start = self._starts[i]
         return _profile(*values,
                         tuple(self._dated_episodes(start, start + values[8])))
 

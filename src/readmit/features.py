@@ -110,6 +110,19 @@ class ColumnStats:
     scale: np.ndarray
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty float array holding no NaN, bit for bit,
+    without the numpy.ma import that np.median makes: the middle value,
+    or the two middle values summed and halved, each found by
+    np.partition, summed from +0.0 as np.mean does (so a zero median is
+    +0.0 whichever zero the partition puts in the middle)."""
+    h, odd = divmod(len(values), 2)
+    if odd:
+        return 0.0 + float(np.partition(values, h)[h])
+    part = np.partition(values, [h - 1, h])
+    return (0.0 + float(part[h - 1]) + float(part[h])) / 2
+
+
 def standardize(
     dataset: EncodedDataset, stats: ColumnStats | None = None
 ) -> tuple[EncodedDataset, ColumnStats]:
@@ -133,7 +146,7 @@ def standardize(
             if missing.all():
                 raise MissingAge(
                     f"no training row has a known {cols[j]} to impute from")
-            fill[j] = float(np.median(col[~missing]))
+            fill[j] = _median(col[~missing])
             col[missing] = fill[j]
             sd = float(np.std(col, ddof=1)) if len(col) > 1 else 0.0
             if sd > 0.0:

@@ -93,7 +93,7 @@ def log_loss(labels: np.ndarray, probs: np.ndarray) -> float:
 
 
 def _check_two_classes(labels: np.ndarray) -> None:
-    if len(np.unique(labels)) < 2:
+    if not labels.size or labels.min() == labels.max():
         raise SingleClass("training labels contain a single class")
 
 

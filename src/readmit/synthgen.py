@@ -12,8 +12,9 @@ A cohort is held by column, as the cohort.ProfileTable that unify and
 read_profiles also return, from the draw to the file: generate draws
 with numpy and converts each draw once, at its end, into the table's
 columns of Python values, and emit_raw_files writes the raw intake trio
-from those columns with one writerows call per file. ClientProfile
-records are built only when a row of the table is indexed or iterated.
+from those columns as joined column text (see cohort._write_csv), its
+key part columns split from the ids in one pass. ClientProfile records
+are built only when a row of the table is indexed or iterated.
 
 Only some default rates are published figures (cohort size, minority
 rate, employment rate, the ordering of homelessness reasons, mean
@@ -41,7 +42,7 @@ from .cohort import (
     ProfileTable,
     _formatted,
     check_codes,
-    id_parts,
+    id_part_columns,
     profile_table,
     write_demographics,
     write_exits,
@@ -423,7 +424,7 @@ def emit_raw_files(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    keys = dict(zip(KEY_COLUMNS, zip(*map(id_parts, columns["id"]))))
+    keys = dict(zip(KEY_COLUMNS, id_part_columns(columns["id"])))
     client = {**keys, "age": _formatted(columns["age"]),
               **{f: list(map(CATEGORIES[f].__getitem__, columns[f]))
                  for f in CATEGORICAL_FIELDS},

@@ -17,6 +17,7 @@ from readmit.cohort import (
     ResidenceEpisode,
     derive_label,
     id_combos,
+    id_part_columns,
     id_parts,
     read_demographics,
     read_exits,
@@ -32,7 +33,7 @@ from readmit.errors import (
     UnmappableFamilyType,
 )
 
-from readmit.synthgen import CohortSpec, generate
+from readmit.synthgen import CohortSpec, emit_raw_files, generate
 
 from tests.helpers import (
     HAND_BUILT,
@@ -109,6 +110,22 @@ class TestIdCombo:
         triples = random_triples(7, "ab|\\|c", 300, 6)
         combos = id_combos(*map(list, zip(*triples)))
         assert [tuple(id_parts(combo)) for combo in combos] == triples
+
+    @pytest.mark.parametrize("combos", [
+        ["C1|F1|K1", "C2|F2|K2"],
+        ["C\\|1|F1|K1", "C2|F\\\\2|K2", "C3|F3|K3"],
+        [],
+    ], ids=["plain", "escaped", "none"])
+    def test_part_columns_are_the_parts_of_each_combo(self, combos):
+        assert id_part_columns(combos) == [
+            [id_parts(combo)[j] for combo in combos] for j in range(3)]
+
+    @pytest.mark.parametrize("combos", [
+        ["A|B|C|D", "E|F"], ["A|B", "C|D|E"], ["A|B|C", "D|E|F\\"],
+    ], ids=["four-then-two", "two-then-three", "dangling-escape"])
+    def test_part_columns_refuse_what_id_parts_refuses(self, combos):
+        with pytest.raises(ValueError, match="id combo"):
+            id_part_columns(combos)
 
     def test_injective_over_random_triples(self):
         triples = random_triples(11, "xy|\\", 500, 5)
@@ -324,6 +341,21 @@ class TestRawWriters:
         assert read_exits(path).columns["cares_id"] == [
             "C1", "C\r2", "C3", "C4", "C\r5"]
 
+    def test_profile_cells_are_their_str(self, tmp_path):
+        """Integer cells are formatted once per distinct value only when
+        all are int: True and 1.0 equal 1 but print otherwise."""
+        columns = {name: [1, True, 1.0, 1] for name in PROFILES_HEADER}
+        columns.update(id=["a", "b", "c", "d"], age=[None] * 4,
+                       income=[None] * 4, readmit=[1, 0, 1, 1])
+        path = tmp_path / "profiles.csv"
+        write_profiles(ProfileTable(columns), path)
+        assert path.read_text().splitlines()[1:] == [
+            "a,,1,1,1,1,1,,1,1,1,1,1",
+            "b,,True,True,True,True,True,,True,True,True,True,0",
+            "c,,1.0,1.0,1.0,1.0,1.0,,1.0,1.0,1.0,1.0,1",
+            "d,,1,1,1,1,1,,1,1,1,1,1",
+        ]
+
     def test_columns_must_match_the_header_and_each_other(self, tmp_path):
         columns = {name: ["x"] for name in cohort.INCIDENTS_HEADER}
         with pytest.raises(ValueError, match="differ in length"):
@@ -486,6 +518,18 @@ def as_lists(columns: dict) -> dict[str, list]:
     return {name: list(column) for name, column in columns.items()}
 
 
+class CountedPasses(list):
+    """A list that counts the passes made over it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
 class TestProfileTable:
     """The one cohort table: columns that read as records, whichever of
     generate, unify, read_profiles or from_profiles built it."""
@@ -536,6 +580,25 @@ class TestProfileTable:
                 table[i]
         assert as_lists(table.columns) == dict.fromkeys(PROFILES_HEADER, [])
         assert ProfileTable.from_profiles(list(table)) == table
+
+    @pytest.mark.parametrize("producer", ["generate", "unify"])
+    def test_rows_index_in_any_order_from_offsets_summed_once(
+            self, tmp_path, producer):
+        table = generate(CohortSpec(n=2000, seed=5))
+        if producer == "unify":
+            paths = emit_raw_files(table, tmp_path)
+            table = unify(read_demographics(paths["demographics"]),
+                          read_exits(paths["exits"]),
+                          read_incidents(paths["incidents"])).profiles
+        expected = list(table)
+        counts = CountedPasses(table.columns["n_episodes"])
+        table = ProfileTable({**table.columns, "n_episodes": counts},
+                             table.episodes)
+        n = len(expected)
+        order = list(range(-n, n))
+        random.Random(3).shuffle(order)
+        assert [table[i] for i in order] == [expected[i] for i in order]
+        assert counts.passes == 1
 
     def test_records_equal_the_row_by_row_reference(self, read_chunk):
         table = read_profiles(self.GOLDEN)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from readmit.errors import (
     NoPositives,
     SingleClass,
 )
+import readmit
 from readmit import models
 from readmit.evaluate import (
     ConfusionMatrix,
@@ -403,6 +408,30 @@ class TestPipeline:
     def test_no_training_age_raises(self):
         with pytest.raises(MissingAge):
             self.fit(self.profiles([None] * 6))
+
+    @pytest.mark.parametrize("model_kind", ["logistic", "gbm"])
+    def test_fit_does_not_load_numpy_ma(self, model_kind):
+        """The median and the two-class check load no numpy.ma, which
+        would cost every train and sweep worker its import."""
+        script = (
+            "import sys\n"
+            "from readmit.evaluate import fit_model\n"
+            "from readmit.features import FeatureSchema, encode\n"
+            "from readmit.models import GbmParams, TrainConfig\n"
+            "from readmit.resample import SmoteConfig\n"
+            "from readmit.synthgen import CohortSpec, generate\n"
+            "data = encode(generate(CohortSpec(n=200, seed=3)),"
+            " FeatureSchema()).dataset\n"
+            f"fit_model(data, {model_kind!r}, SmoteConfig(ratio=1.0),"
+            " TrainConfig(gbm=GbmParams(n_trees=2)))\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(readmit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     @pytest.mark.parametrize("model_kind", ["logistic", "gbm"])
     def test_no_missing_values_ever(self, model_kind, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from readmit.cohort import ProfileTable, read_profiles, write_profiles
 from readmit.errors import (
@@ -10,6 +11,7 @@ from readmit.errors import (
     UnmappableFamilyType,
     WidthMismatch,
 )
+from readmit import features
 from readmit.features import (
     CATEGORIES,
     CATEGORICAL_FIELDS,
@@ -289,3 +291,16 @@ class TestStandardize:
                           for i in range(3)], FeatureSchema()).dataset
         with pytest.raises(MissingAge):
             standardize(dataset)
+
+    @given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 35.0]),
+                              st.floats(allow_nan=False,
+                                        allow_infinity=False)),
+                    min_size=1, max_size=12))
+    def test_median_is_np_median_bit_for_bit(self, values):
+        """Odd and even counts, ties, sums that overflow and zeros of
+        either sign (np.median's mean gives +0.0 for a zero median)."""
+        values = np.array(values)
+        with np.errstate(over="ignore"):
+            expected = np.float64(np.median(values))
+        assert np.float64(features._median(values)).tobytes() == \
+            expected.tobytes()

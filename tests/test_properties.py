@@ -18,6 +18,7 @@ from readmit.cohort import (
     ClientProfile,
     ResidenceEpisode,
     id_combos,
+    id_part_columns,
     id_parts,
     read_demographics,
     read_exits,
@@ -54,6 +55,39 @@ key_parts = st.text(
 def test_id_combo_round_trip(keys):
     combos = id_combos(*map(list, zip(*keys)))
     assert [tuple(id_parts(combo)) for combo in combos] == keys
+    assert id_part_columns(combos) == list(map(list, zip(*keys)))
+
+
+# --- the CSV writer ----------------------------------------------------------
+
+# The characters csv's quoting turns on, a space, a non-ASCII letter and
+# a plain one; max_size 4 from 0 draws empty cells too.
+csv_cells = st.text(st.sampled_from([",", '"', "\n", "\r", " ", "é", "x"]),
+                    max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(csv_cells, min_size=5, max_size=5), max_size=30),
+       st.sampled_from([1, 4, cohort.READ_CHUNK]))
+def test_column_writer_matches_the_csv_writer(rows, chunk):
+    """cohort._write_csv writes the bytes of the csv module's writer that
+    quotes a row holding a "\r" in full, READ_CHUNK rows at a time or
+    not, and leaves its columns as they were."""
+    columns = [list(column) for column in zip(*rows)] or [[]] * 5
+    before = [list(column) for column in columns]
+    saved = cohort.READ_CHUNK
+    with tempfile.TemporaryDirectory() as tmp:
+        written, expected = Path(tmp) / "written.csv", Path(tmp) / "csv.csv"
+        cohort.READ_CHUNK = chunk
+        try:
+            cohort._write_csv(written, EXITS_HEADER, columns)
+        finally:
+            cohort.READ_CHUNK = saved
+        raw_trio._write_csv(expected, EXITS_HEADER, rows)
+        assert written.read_bytes() == expected.read_bytes()
+        if not rows:
+            assert written.read_text() == ",".join(EXITS_HEADER) + "\n"
+    assert columns == before
 
 
 # --- profiles.csv ------------------------------------------------------------
