@@ -717,22 +717,13 @@ def format_number(value: float | None) -> str:
 def write_profiles(profiles: Sequence[ClientProfile], path: str | Path) -> None:
     """Write profiles.csv from the columns of profile_table(profiles) as
     joined column text (see _write_csv). Each distinct age and income
-    is formatted once, and every other cell is its str() (see
-    _int_texts)."""
+    is formatted once, and every other cell is its str()."""
     columns = profile_table(profiles).columns
     _write_csv(path, PROFILES_HEADER, [
         columns[name] if name == "id"
         else _formatted(columns[name]) if name in ("age", "income")
-        else _int_texts(columns[name])
+        else list(map(str, columns[name]))
         for name in PROFILES_HEADER])
-
-
-def _int_texts(values: Sequence) -> list[str]:
-    """str() of each value: each distinct value formatted once when
-    every value is an int (True and 1.0 equal 1 but print otherwise)."""
-    if set(map(type, values)) == {int}:
-        return _formatted(values, str)
-    return list(map(str, values))
 
 
 def _formatted(values: Sequence, text: Callable[..., str] = format_number

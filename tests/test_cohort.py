@@ -342,8 +342,8 @@ class TestRawWriters:
             "C1", "C\r2", "C3", "C4", "C\r5"]
 
     def test_profile_cells_are_their_str(self, tmp_path):
-        """Integer cells are formatted once per distinct value only when
-        all are int: True and 1.0 equal 1 but print otherwise."""
+        """Each integer cell is its str(): True and 1.0 equal 1 but
+        print otherwise."""
         columns = {name: [1, True, 1.0, 1] for name in PROFILES_HEADER}
         columns.update(id=["a", "b", "c", "d"], age=[None] * 4,
                        income=[None] * 4, readmit=[1, 0, 1, 1])
