@@ -30,7 +30,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from datetime import date
 from importlib import resources
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, repeat
+from operator import is_not
 from pathlib import Path
 
 import numpy as np
@@ -380,17 +381,25 @@ def _check_stays(columns: Mapping[str, Sequence],
                  episodes: Mapping[str, Sequence]) -> None:
     """Raise a ValueError naming the first profile whose total_los_days
     is not the sum of its closed episodes' days, which linking would
-    give it."""
-    days = iter([(left - day).days if left is not None else 0
-                 for day, left in zip(episodes["entry_date"],
-                                      episodes["exit_date"])])
-    for profile_id, n, stays in zip(columns["id"], columns["n_episodes"],
-                                    columns["total_los_days"]):
-        linked = sum(islice(days, n))
-        if linked != stays:
-            raise ValueError(
-                f"profile {profile_id}: total_los_days {stays} is not the"
-                f" {linked} days of its closed episodes")
+    give it. Days are differences of date ordinals, summed per profile
+    in numpy; every profile has an episode."""
+    exits = episodes["exit_date"]
+    closed = list(map(is_not, exits, repeat(None)))
+    days = np.zeros(len(exits), np.int64)
+    days[np.array(closed, bool)] = (
+        np.fromiter(map(date.toordinal, compress(exits, closed)), np.int64)
+        - np.fromiter(map(date.toordinal,
+                          compress(episodes["entry_date"], closed)),
+                      np.int64))
+    n_episodes = np.array(columns["n_episodes"])
+    linked = np.add.reduceat(days, np.cumsum(n_episodes) - n_episodes)
+    bad = np.flatnonzero(linked != np.array(columns["total_los_days"]))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"profile {columns['id'][i]}: total_los_days"
+            f" {columns['total_los_days'][i]} is not the {linked[i]} days"
+            " of its closed episodes")
 
 
 def emit_raw_files(

@@ -2,9 +2,11 @@
 
 The former implementation of readmit.cohort's readers
 (read_demographics, read_exits, read_incidents, read_profiles) and of
-unify, kept to check the positional readers and the single-record
-shortcuts. Each reader builds a dict per row; unify sorts every
-individual's records and scans all seven demographic fields for
+unify, kept to check the column readers and the bulk linkage of lone
+stays. Each reader reads every row with csv.reader and builds a dict
+per row; a csv.Error, such as a cell longer than
+csv.field_size_limit(), is the MalformedCsv of its row. unify sorts
+every individual's records and scans all seven demographic fields for
 conflicts. A blank key part is not checked while reading: unify raises
 EmptyKeyPart on the first admitted demographic, exit or incident record
 that has one, in that order.
@@ -195,9 +197,12 @@ def unify(
 
 
 def _read_rows(path: str | Path, expected_header: list[str]):
+    """Yield (row number, row dict) for each row. A csv.Error, such as a
+    cell longer than csv.field_size_limit(), raises the MalformedCsv of
+    its row (0 for the header)."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_errors(path, csv.reader(fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -214,6 +219,20 @@ def _read_rows(path: str | Path, expected_header: list[str]):
                     f"expected {len(expected_header)} fields, got {len(row)}",
                 )
             yield lineno, dict(zip(expected_header, row))
+
+
+def _csv_errors(path: Path, reader):
+    """reader's rows; a csv.Error raises the MalformedCsv of its row,
+    counted as _read_rows counts them (the header is row 0)."""
+    row = 0
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise MalformedCsv(str(path), row, None, str(exc)) from None
+        row = row + 1 if row else 2
 
 
 def _parse_date(path, lineno, column, raw: str) -> date:

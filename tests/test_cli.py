@@ -657,6 +657,51 @@ class TestNonUtf8Input:
             assert f"{bad}, row {line}:" in err
 
 
+class TestOverLimitCell:
+    """A cell longer than csv.field_size_limit() exits 2 naming the file
+    and its row, in a file that holds quotes and in one that does not."""
+
+    @staticmethod
+    def rewrite(source: Path, out: Path, row: int, column: str,
+                quoting: int) -> None:
+        """Copy a CSV with one cell (file row ``row``) replaced by one
+        character more than the limit allows."""
+        with source.open(newline="") as fh:
+            lines = list(csv.reader(fh))
+        lines[row - 1][lines[0].index(column)] = "x" * (
+            csv.field_size_limit() + 1)
+        with out.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n",
+                       quoting=quoting).writerows(lines)
+        assert (b'"' in out.read_bytes()) == (quoting == csv.QUOTE_ALL)
+
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL],
+                             ids=["unquoted", "quoted"])
+    def test_unify(self, tmp_path, capsys, quoting):
+        demo = tmp_path / "demographics.csv"
+        self.rewrite(LINKAGE_SMALL / "demographics.csv", demo, 3, "race",
+                     quoting)
+        code = main(["unify", str(demo), str(LINKAGE_SMALL / "exits.csv"),
+                     str(LINKAGE_SMALL / "incidents.csv"),
+                     "-o", str(tmp_path / "profiles.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert (f"error: {demo}, row 3: field larger than field limit "
+                f"({csv.field_size_limit()})") in err
+
+    @pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL],
+                             ids=["unquoted", "quoted"])
+    def test_train(self, tmp_path, small_profiles_file, capsys, quoting):
+        bad = tmp_path / "profiles.csv"
+        self.rewrite(small_profiles_file, bad, 4, "id", quoting)
+        code = main(["train", "--profiles", str(bad), "--n-trees", "2",
+                     "-o", str(tmp_path / "fit")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert (f"error: {bad}, row 4: field larger than field limit "
+                f"({csv.field_size_limit()})") in err
+
+
 class TestUnconvergedWarnings:
     """A logistic fit that stops at IRLS_MAX_ITER is reported on stderr;
     the artifacts do not record it."""

@@ -210,6 +210,40 @@ class TestUnify:
         reasons = [ep.exit_reason for ep in forward.profiles[0].episodes]
         assert reasons == ["A-reason", "B-reason"]
 
+    def test_lone_stays_equal_the_reference(self, tmp_path):
+        """Lone stays, linked in bulk, among individuals linked one at a
+        time: entered on date.min with no exit, closed on their entry
+        day, exited before entry, and exited later."""
+        demo = [demo_row(("A", "F", "K"), "0001-01-01"),
+                demo_row(("B", "F", "K"), "0001-01-01"),
+                demo_row(("C", "F", "K"), "2014-01-09"),
+                demo_row(("D", "F", "K"), "2014-03-01"),
+                demo_row(("D", "F", "K"), "2014-01-01", age="31"),
+                demo_row(("E", "F", "K"), "2014-01-01"),
+                demo_row(("G", "F", "K"), "2014-01-01")]
+        exits = [["B", "F", "K", "0001-01-01", "Other"],
+                 ["C", "F", "K", "2014-01-01", "Housed"],
+                 ["D", "F", "K", "2014-02-01", "Other"],
+                 ["E", "F", "K", "2014-01-05", "Other"],
+                 ["E", "F", "K", "2014-01-03", "Housed"],
+                 ["G", "F", "K", "2014-02-01", "Other"],
+                 ["Z", "F", "K", "2014-01-01", "Other"]]
+        incidents = [["G", "F", "K", "2014-01-02", "Medical"]]
+        paths = write_trio_rows(tmp_path, demo, exits, incidents)
+        result = unify(*(read(path) for read, path in zip(
+            (read_demographics, read_exits, read_incidents), paths)))
+        expected = linkage.unify(*(read(path) for read, path in zip(
+            (linkage.read_demographics, linkage.read_exits,
+             linkage.read_incidents), paths)))
+        assert list(result.profiles) == expected.profiles
+        assert result.warnings == expected.warnings
+        columns = result.profiles.columns
+        assert columns["n_open_episodes"] == [1, 0, 1, 1, 0, 0]
+        assert columns["total_los_days"] == [0, 0, 0, 31, 2, 31]
+        assert columns["incident_count"] == [0, 0, 0, 0, 0, 1]
+        assert [type(v) for name in ("n_open_episodes", "total_los_days")
+                for v in columns[name]] == [int] * 12
+
     def test_incidents_counted(self, tmp_path):
         incidents = [[*self.KEY, "2014-01-05", "Altercation"],
                      [*self.KEY, "2014-01-09", "Medical"]]
@@ -356,6 +390,20 @@ class TestRawWriters:
             "d,,1,1,1,1,1,,1,1,1,1,1",
         ]
 
+    @pytest.mark.parametrize("values", [
+        [0, 7, 4095, 4096], [-1, 0, 3, 2], [10 ** 20, 0, 1, 2]],
+        ids=["past-the-table", "negative", "large"])
+    def test_int_cells_beyond_the_table_are_their_str(self, tmp_path,
+                                                      values):
+        columns = {name: values for name in PROFILES_HEADER}
+        columns.update(id=["a", "b", "c", "d"], age=[None] * 4,
+                       income=[None] * 4)
+        path = tmp_path / "profiles.csv"
+        write_profiles(ProfileTable(columns), path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert [row[2] for row in rows[1:]] == list(map(str, values))
+        assert [row[-1] for row in rows[1:]] == list(map(str, values))
+
     def test_columns_must_match_the_header_and_each_other(self, tmp_path):
         columns = {name: ["x"] for name in cohort.INCIDENTS_HEADER}
         with pytest.raises(ValueError, match="differ in length"):
@@ -467,10 +515,11 @@ class TestCsvValidation:
             assert a.total_los_days == b.total_los_days
 
 
-@pytest.fixture(params=[3, 20, cohort.READ_CHUNK], ids=lambda n: f"chunk{n}")
+@pytest.fixture(params=[3, 20, 4096], ids=lambda n: f"chunk{n}")
 def read_chunk(request, monkeypatch):
     """Rows per column pass of read_profiles: 3 splits the 20-row golden
-    file and the files below across chunks, 20 fills one exactly."""
+    file and the files below across chunks, 20 fills one exactly, and
+    4,096 holds any of them whole."""
     monkeypatch.setattr(cohort, "READ_CHUNK", request.param)
     return request.param
 
@@ -705,3 +754,77 @@ class TestProfileErrorOrder:
         ])
         assert (row, column) == (3, None)
         assert message.endswith("expected 13 fields, got 2")
+
+
+class TestReadPaths:
+    """Lines are split as text up to the first chunk of them that holds a
+    '"' or a "\\r", and csv.reader reads the rest of the file."""
+
+    ROW = ("C{0},F{0},K{0},30,White,Single,Eviction,Employed,Citizen,,"
+           "2014-01-01,true")
+
+    @pytest.fixture(autouse=True)
+    def chunked(self, read_chunk):
+        pass
+
+    def write(self, tmp_path, rows: list[bytes]):
+        path = tmp_path / "demographics.csv"
+        path.write_bytes(b"\n".join(
+            [",".join(cohort.DEMOGRAPHICS_HEADER).encode(), *rows, b""]))
+        return path
+
+    def rows(self, n: int) -> list[bytes]:
+        return [self.ROW.format(i).encode() for i in range(n)]
+
+    @pytest.mark.parametrize("quoted", [False, True],
+                             ids=["unquoted", "quoted"])
+    def test_bad_byte_names_its_line(self, tmp_path, quoted):
+        rows = self.rows(400)  # about 30 kB: decoded in several blocks
+        if quoted:
+            rows[296] = rows[296].replace(b"White", b'"White"')  # row 298
+        rows[348] += b"\xff"  # row 350
+        with pytest.raises(MalformedCsv) as info:
+            read_demographics(self.write(tmp_path, rows))
+        assert (info.value.row, info.value.column) == (350, None)
+        assert str(info.value).endswith("byte b'\\xff' is not UTF-8")
+
+    def test_csv_reads_on_from_the_first_quote(self, tmp_path):
+        rows = self.rows(50)
+        plain = read_demographics(self.write(tmp_path, rows)).columns
+        rows[30] = rows[30].replace(b"White", b'"White"')
+        rows[40] += b"\r"  # a "\r\n" line end
+        assert read_demographics(self.write(tmp_path, rows)).columns == plain
+        rows[45] += b",extra"
+        with pytest.raises(MalformedCsv, match="row 47: expected 12 fields,"
+                           " got 13$"):
+            read_demographics(self.write(tmp_path, rows))
+
+    def test_a_short_row_then_a_long_one(self, tmp_path):
+        rows = self.rows(10)
+        rows[4] = rows[4].replace(b",true", b"")  # row 6: 11 cells
+        rows[5] += b",true"  # row 7: 13 cells
+        with pytest.raises(MalformedCsv, match="row 6: expected 12 fields,"
+                           " got 11$"):
+            read_demographics(self.write(tmp_path, rows))
+
+    def test_csv_reads_on_from_the_first_carriage_return(self, tmp_path):
+        path = tmp_path / "exits.csv"
+        rows = [f"C{i},F{i},K{i},2014-01-01,Other" for i in range(50)]
+        path.write_text("\n".join([",".join(cohort.EXITS_HEADER), *rows, ""]))
+        plain = read_exits(path).columns
+        path.write_bytes("".join(
+            [",".join(cohort.EXITS_HEADER) + "\n",
+             *(row + ("\r\n" if i >= 40 else "\n")
+               for i, row in enumerate(rows))]).encode())
+        assert read_exits(path).columns == plain
+
+    @pytest.mark.parametrize("quoted", [False, True],
+                             ids=["unquoted", "quoted"])
+    def test_header_cell_over_the_limit(self, tmp_path, quoted):
+        path = tmp_path / "exits.csv"
+        cell = "x" * (csv.field_size_limit() + 1)
+        header = [*cohort.EXITS_HEADER[:-1], f'"{cell}"' if quoted else cell]
+        path.write_text(",".join(header) + "\nC1,F1,K1,2014-01-01,Other\n")
+        with pytest.raises(MalformedCsv, match="row 0: field larger than "
+                           "field limit"):
+            read_exits(path)

@@ -451,3 +451,117 @@ def test_read_profiles_matches_the_reference(rows):
             except MalformedCsv as exc:
                 outcomes.append((exc.path, exc.row, exc.column, str(exc)))
         assert outcomes[0] == outcomes[1]
+
+
+# --- the CSV reader ----------------------------------------------------------
+
+# Text that is one cell only when quoted, or that a quote or a line end
+# splits.
+odd_cells = st.text(st.sampled_from([",", '"', "\r", "\n", "|", "\\", " ",
+                                     "x"]), max_size=4)
+# Text that every untyped column reads (key parts padded, or holding
+# "|" or "\\").
+text_cells = ["C1", " F|1 ", "K\\1", "White", ""]
+DATES = (["2014-01-01", " 2014-02-03 "], ["2014-13-01"])
+# Cells of each typed column: some it reads, and some it refuses.
+typed_cells = {
+    "age": (["30", " 41.5 ", ""], ["121", "x"]),
+    "income": (["", "1200", " 7 "], ["-5", "inf"]),
+    "entry_date": DATES,
+    "exit_date": DATES,
+    "incident_date": DATES,
+    "admitted": (["true", " FALSE "], ["maybe"]),
+    **dict.fromkeys(CATEGORICAL_FIELDS, (["0", "1"], ["9", "a"])),
+    "n_episodes": (["1"], ["0", "x"]),
+    "n_open_episodes": (["0", "1"], ["2"]),
+    "total_los_days": (["0", "30"], ["-3"]),
+    "incident_count": (["0", "2"], ["-1"]),
+    "readmit": (["0"], ["1", "z"]),
+}
+
+READERS = {
+    "demographics": (DEMOGRAPHICS_HEADER, read_demographics,
+                     linkage.read_demographics),
+    "exits": (EXITS_HEADER, read_exits, linkage.read_exits),
+    "incidents": (INCIDENTS_HEADER, read_incidents, linkage.read_incidents),
+    "profiles": (PROFILES_HEADER, read_profiles, linkage.read_profiles),
+}
+
+
+def csv_line(cells: list[str], quoting: str) -> str:
+    """cells joined as csv's minimal or full quoting writes them, or
+    joined as they are."""
+    if quoting == "none":
+        return ",".join(cells)
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"'
+        if quoting == "all" or any(ch in cell for ch in ',"\r\n') else cell
+        for cell in cells)
+
+
+@st.composite
+def csv_files(draw):
+    """(reader name, file text): a header and 0 to 12 rows, short, long
+    or blank ones among them, quoted in full, as csv needs or not at
+    all, each line ended by "\n" or "\r\n" and maybe the last by
+    neither, and maybe one cell of csv.field_size_limit() characters or
+    one more."""
+    name = draw(st.sampled_from(sorted(READERS)))
+    header = READERS[name][0]
+    bad, odd = draw(st.booleans()), draw(st.booleans())
+    untyped = st.sampled_from(text_cells) | odd_cells if odd \
+        else st.sampled_from(text_cells)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        width = draw(st.sampled_from([len(header)] * 40
+                                     + [0, len(header) - 1, len(header) + 1]))
+        rows.append([
+            draw(st.sampled_from(typed_cells[column][0] * 3
+                                 + typed_cells[column][1] * bad)
+                 if column in typed_cells else untyped)
+            for column in (header * 2)[:width]])
+    if any(rows) and draw(st.integers(0, 2)) == 0:
+        row = draw(st.sampled_from([r for r in rows if r]))
+        row[draw(st.integers(0, len(row) - 1))] = "x" * (
+            csv.field_size_limit() + draw(st.integers(0, 1)))
+    quoting = draw(st.sampled_from(["minimal"] * 2 + ["all", "none"]))
+    text = "".join(line + draw(st.sampled_from(["\n"] * 3 + ["\r\n"]))
+                   for line in [csv_line(header, quoting),
+                                *(csv_line(row, quoting) for row in rows)])
+    return name, text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def read_outcome(read, path: Path):
+    """The values read, or what the MalformedCsv that stopped it names."""
+    try:
+        return read(path)
+    except MalformedCsv as exc:
+        return exc.path, exc.row, exc.column, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+def test_reader_matches_the_csv_reader(file):
+    """Each reader reads the values, or raises the MalformedCsv, of the
+    reference that reads every row with csv.reader, at 1, 3 and 4,096
+    rows per chunk, so that the switch from split text to csv.reader
+    falls on and off chunk boundaries."""
+    name, text = file
+    header, read, reference = READERS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = read_outcome(reference, path)
+        if isinstance(expected, list):
+            expected = (expected if name == "profiles"
+                        else record_columns(expected, header))
+        saved = cohort.READ_CHUNK
+        try:
+            for chunk in (1, 3, 4096):
+                cohort.READ_CHUNK = chunk
+                got = read_outcome(read, path)
+                if not isinstance(got, tuple):
+                    got = list(got) if name == "profiles" else got.columns
+                assert got == expected
+        finally:
+            cohort.READ_CHUNK = saved
