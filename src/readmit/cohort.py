@@ -16,8 +16,10 @@ columns, a plain sequence of records first converted by profile_table.
 
 _read_columns, the one reader of all four files, splits lines as text
 and slices each column out of the cells; the module reads with csv
-only a file that holds a '"' or a "\r", from the first chunk of lines
-that holds one. unify links lone stays (one row, at most one exit) in
+only a file that holds a '"', a "\r" or a NUL, or that breaks the
+format (a row of the wrong width, a cell over csv.field_size_limit(),
+a byte that is not UTF-8), from the first chunk of lines that does, so
+csv raises every format error. unify links lone stays (one row, at most one exit) in
 bulk, a column at a time, and only the rest one individual at a time.
 
 Every file is written by column too: write_profiles and the raw
@@ -36,7 +38,6 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
-from functools import cache
 from itertools import (accumulate, chain, compress, count, islice, repeat,
                        starmap)
 from operator import (and_, attrgetter, eq, ge, getitem, gt, itemgetter, mul,
@@ -468,55 +469,48 @@ def _chunks(path: Path, fh, header: list[str], check_rows):
     READ_CHUNK rows after the header, ending with a chunk of fewer rows
     (none for a file of a header only).
 
-    READ_CHUNK lines that hold no '"' and no "\r" are split as text:
-    joined with "," and split once, each column a slice of the cells.
-    From the first chunk of lines that holds either, the rest of the
-    file goes through csv.reader (see _csv_chunks); the chunks before it
-    held no quotes, so they ended on a record boundary. Which path reads
-    a chunk depends only on the file's bytes, and both give the cells
-    and errors of csv.reader.
-
-    A bad header, a row of the wrong width, a cell longer than
-    csv.field_size_limit() and a byte that is not UTF-8 each raise their
-    MalformedCsv, once check_rows has checked the chunk's rows read
-    before it.
+    READ_CHUNK lines that hold no '"', no "\r" and no NUL are split as
+    text: joined with "," and split once, each column a slice of the
+    cells. From the first chunk of lines that holds one of them, or
+    that does not split into rows of the header's width, or that stops
+    at a byte that is not UTF-8, the rest of the file goes through
+    csv.reader (see _csv_chunks); the chunks before it held no quotes,
+    so they ended on a record boundary. Which path reads a chunk
+    depends only on the file's bytes, and a chunk split as text holds
+    the cells that csv.reader reads from it, so every error is raised
+    by csv.reader's path.
     """
     head, error = _take(path, fh, 1)
     if error is not None:
         raise error
     if not head:
         raise MalformedCsv(str(path), 0, None, "empty file")
-    if '"' in head[0] or "\r" in head[0]:
+    if _needs_csv(head[0]):
         yield from _csv_chunks(path, chain(head, _utf8_lines(path, fh)),
                                header, check_rows)
         return
-    _check_header(path, _split_row(head[0]), header)
+    _check_header(path, csv.reader(head), header)
     first = 2  # the row number of the chunk's first row
     while True:
         lines, error = _take(path, fh, READ_CHUNK)
         text = ",".join(lines)
-        if '"' in text or "\r" in text:
+        cells = (None if error is not None or _needs_csv(text)
+                 else _split_cells(text, lines, header))
+        if cells is None:
             rest = _utf8_lines(path, fh) if error is None else _raising(error)
             yield from _csv_chunks(path, chain(lines, rest), header,
                                    check_rows, first)
             return
-        cells = _split_cells(text, lines, header) if error is None else None
-        if cells is None:  # name the first bad row, or the bad byte
-            rows = list(map(_split_row, lines))
-            for lineno, row in enumerate(rows, start=first):
-                problem = (_over_limit(path, lineno, row)
-                           or _width_error(path, lineno, row, header))
-                if problem is not None:
-                    check_rows(path, rows[:lineno - first], first)
-                    raise problem
-            if error is None:
-                raise AssertionError("a chunk did not split but its rows do")
-            check_rows(path, rows, first)
-            raise error
-        yield first, cells, map(_split_row, lines)
+        yield first, cells, csv.reader(lines)
         if len(lines) < READ_CHUNK:
             return
         first += READ_CHUNK
+
+
+def _needs_csv(text: str) -> bool:
+    """Whether text holds a '"', a "\r" or a NUL, which only csv.reader
+    reads as it should (before Python 3.11 it refuses a NUL)."""
+    return '"' in text or "\r" in text or "\0" in text
 
 
 def _csv_chunks(path: Path, lines: Iterable[str], header: list[str],
@@ -525,11 +519,7 @@ def _csv_chunks(path: Path, lines: Iterable[str], header: list[str],
     from the header when first is None."""
     reader = csv.reader(lines)
     if first is None:
-        try:
-            row = next(reader)
-        except csv.Error as exc:
-            raise MalformedCsv(str(path), 0, None, str(exc)) from None
-        _check_header(path, row, header)
+        _check_header(path, reader, header)
         first = 2
     while True:
         rows: list[list[str]] = []
@@ -577,16 +567,9 @@ def _raising(error: Exception) -> Iterator[str]:
     yield
 
 
-def _split_row(line: str) -> list[str]:
-    """The cells that csv.reader reads from a line holding no '"' and no
-    "\r"."""
-    text = line[:-1] if line.endswith("\n") else line
-    return text.split(",") if text else []
-
-
 def _split_cells(text: str, lines: list[str], header: list[str]
                  ) -> dict[str, list[str]] | None:
-    """The cells of lines that hold no '"' and no "\r", by column name,
+    """The cells of lines that hold no '"', "\r" or NUL, by column name,
     given the lines joined with ","; None if some line does not hold
     len(header) cells or some cell is longer than csv.field_size_limit().
 
@@ -617,16 +600,6 @@ def _split_cells(text: str, lines: list[str], header: list[str]
     return columns
 
 
-def _over_limit(path: Path, lineno: int, row: list[str]
-                ) -> MalformedCsv | None:
-    """The error of a row split as text, if a cell of it is longer than
-    csv.field_size_limit(): csv.reader raises one for such a cell."""
-    if row and max(map(len, row)) > (limit := csv.field_size_limit()):
-        return MalformedCsv(str(path), lineno, None,
-                            f"field larger than field limit ({limit})")
-    return None
-
-
 def _width_error(path: Path, lineno: int, row: list[str],
                  header: list[str]) -> MalformedCsv | None:
     """The error of a row whose width is not the header's."""
@@ -636,10 +609,12 @@ def _width_error(path: Path, lineno: int, row: list[str],
                         f"expected {len(header)} fields, got {len(row)}")
 
 
-def _check_header(path: Path, row: list[str], expected: list[str]) -> None:
-    problem = _over_limit(path, 0, row)
-    if problem is not None:
-        raise problem
+def _check_header(path: Path, reader, expected: list[str]) -> None:
+    """Read the header row from a csv.reader and check it."""
+    try:
+        row = next(reader)
+    except csv.Error as exc:
+        raise MalformedCsv(str(path), 0, None, str(exc)) from None
     if row != expected:
         raise MalformedCsv(str(path), 0, None,
                            f"header {row!r} != expected {expected!r}")
@@ -902,20 +877,11 @@ def write_profiles(profiles: Sequence[ClientProfile], path: str | Path) -> None:
         for name in PROFILES_HEADER])
 
 
-@cache
-def _small_int_texts() -> dict[int, str]:
-    return {i: str(i) for i in range(4096)}
-
-
 def _int_texts(column: Sequence) -> list[str]:
-    """str() of each cell, looked up in a table when every cell is an
-    int from 0 to 4,095 (a bool or a float equal to one of them is not:
-    str(True) is "True")."""
+    """str() of each cell, each distinct cell once when every cell is an
+    int (a bool is not: str(True) is "True", though True == 1)."""
     if set(map(type, column)) == {int}:
-        try:
-            return list(map(_small_int_texts().__getitem__, column))
-        except KeyError:
-            pass
+        return _formatted(column, str)
     return list(map(str, column))
 
 
@@ -1107,9 +1073,7 @@ def _profile_values(cells: _Cells) -> dict[str, tuple] | None:
     if not cells["id"]:
         return dict.fromkeys(PROFILES_HEADER, ())
     try:
-        ints = {name: tuple(_lookup(_by_distinct(int, cells[name]),
-                                    cells[name]))
-                for name in _INT_COLUMNS}
+        ints = {name: tuple(map(int, cells[name])) for name in _INT_COLUMNS}
         ages = _by_distinct(_optional_number, cells["age"])
         incomes = _by_distinct(_optional_number, cells["income"])
     except ValueError:

@@ -391,10 +391,10 @@ class TestRawWriters:
         ]
 
     @pytest.mark.parametrize("values", [
-        [0, 7, 4095, 4096], [-1, 0, 3, 2], [10 ** 20, 0, 1, 2]],
-        ids=["past-the-table", "negative", "large"])
-    def test_int_cells_beyond_the_table_are_their_str(self, tmp_path,
-                                                      values):
+        [0, 7, 4095, 4096], [-1, 0, 3, 2], [10 ** 20, 0, 1, 2],
+        [True, 1, 0, 2]],
+        ids=["small", "negative", "large", "bool"])
+    def test_int_cells_are_their_str(self, tmp_path, values):
         columns = {name: values for name in PROFILES_HEADER}
         columns.update(id=["a", "b", "c", "d"], age=[None] * 4,
                        income=[None] * 4)
