@@ -29,6 +29,7 @@ from pathlib import Path
 from . import __version__
 from . import cohort as cohort_mod
 from .errors import (
+    ClassTooSmall,
     EmptyKeyPart,
     InfeasibleSpec,
     MalformedCsv,
@@ -122,7 +123,7 @@ def _resolve(args, cfg: dict, key: str):
         if isinstance(value, bool) != (kind is bool) or (
                 kind is int and not isinstance(value, str) and typed != value):
             raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         raise UsageError(
             f"{where} must be {kind.__name__}, got {value!r}"
         ) from None
@@ -500,6 +501,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except MinorityTooSmall as exc:  # a training fold cannot support --k
         print(f"error: option --k: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ClassTooSmall as exc:  # a class has fewer rows than --folds
+        print(f"error: option --folds: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

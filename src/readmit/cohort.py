@@ -19,8 +19,9 @@ and slices each column out of the cells; the module reads with csv
 only a file that holds a '"', a "\r" or a NUL, or that breaks the
 format (a row of the wrong width, a cell over csv.field_size_limit(),
 a byte that is not UTF-8), from the first chunk of lines that does, so
-csv raises every format error. unify links lone stays (one row, at most one exit) in
-bulk, a column at a time, and only the rest one individual at a time.
+csv raises every format error. Each value rule is one converter of a
+cell, applied to a chunk's distinct cells, and the same converters find
+a bad chunk's first bad row. unify links everyone in one walk.
 
 Every file is written by column too: write_profiles and the raw
 writers hand _write_csv one column of str cells per header name, and
@@ -38,10 +39,10 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import (accumulate, chain, compress, count, islice, repeat,
-                       starmap)
-from operator import (and_, attrgetter, eq, ge, getitem, gt, itemgetter, mul,
-                      ne, sub)
+from functools import partial
+from itertools import (accumulate, chain, compress, count, groupby, islice,
+                       repeat, starmap)
+from operator import eq, itemgetter
 from pathlib import Path
 
 from .errors import EmptyKeyPart, MalformedCsv, NoEpisodes
@@ -278,25 +279,6 @@ def _conflicts(combo: IdCombo, rows: list[int],
             yield ConflictWarning(combo, fname, values[-1], tuple(distinct))
 
 
-def _pair_episodes(entries: list[date], exits: list[tuple[date, str]]
-                   ) -> list[tuple[date, date | None, str | None]]:
-    """Greedy chronological pairing of sorted entries with exits sorted
-    by (date, reason): each entry takes the earliest unused exit on or
-    after it; entries left over become open episodes. The (entry, exit
-    date, exit reason) of each episode, in entry order."""
-    remaining = list(exits)
-    episodes = []
-    for entry in entries:
-        for k, (day, reason) in enumerate(remaining):
-            if day >= entry:
-                del remaining[k]
-                episodes.append((entry, day, reason))
-                break
-        else:
-            episodes.append((entry, None, None))
-    return episodes
-
-
 @_collector_paused()
 def unify(demo: RawTable, exits: RawTable, incidents: RawTable) -> UnifyResult:
     """Link the three files' columns into one profile per individual.
@@ -305,64 +287,33 @@ def unify(demo: RawTable, exits: RawTable, incidents: RawTable) -> UnifyResult:
     individual the most recent entry's demographics win; disagreements
     are reported as warnings, never failures. Output is sorted by id.
 
-    A lone stay, an individual with one demographic row and at most one
-    exit, is linked in bulk, a column at a time: one episode, closed
-    when its exit falls on or after its entry and open otherwise. Only
-    the rest are linked one at a time: their rows are sorted (by entry
-    date, then by the str of each field, so row order never matters)
-    and scanned for conflicts, and their entries and exits are paired
-    by _pair_episodes. Each distinct category label is canonicalized
-    once.
+    Every individual is linked in one walk over the admitted rows,
+    sorted by id, and the exits, sorted by (id, date, reason). An
+    individual's rows are sorted by entry date, then by the str of each
+    field, so row order never matters, and an individual with several
+    is scanned for conflicts. Each entry takes the earliest unused exit
+    on or after it: as the entries ascend, an exit earlier than one can
+    never be taken by a later one, so one pointer walks the exits.
+    Entries left over are open episodes. Each distinct category label
+    is canonicalized once.
     """
     d = demo.columns
     admitted = d["admitted"]
-    rows = list(compress(range(len(demo)), admitted))
-    demo_ids = id_combos(*demo.key_columns(admitted))
-    exit_ids = id_combos(*exits.key_columns())
+    linked = sorted(zip(id_combos(*demo.key_columns(admitted)),
+                        compress(count(), admitted)))
+    outs = sorted(zip(id_combos(*exits.key_columns()),
+                      exits.columns["exit_date"], exits.columns["exit_reason"]))
     incident_counts = Counter(id_combos(*incidents.key_columns()))
-    n_rows, n_exits = Counter(demo_ids), Counter(exit_ids)
-    order = sorted(n_rows)
     entry = d["entry_date"]
-    exit_date, exit_reason = (exits.columns["exit_date"],
-                              exits.columns["exit_reason"])
-
-    # Every individual as a lone stay, in id order: the entry of its row,
-    # closed by its exit if that is no earlier. Exit row -1 stands for
-    # none; closes masks out the date.min and None it reads.
-    latest = list(map(dict(zip(demo_ids, rows)).__getitem__, order))
-    starts = list(map(entry.__getitem__, latest))
-    out = list(map(dict(zip(exit_ids, count())).get, order, repeat(-1)))
-    ends = list(map([*exit_date, date.min].__getitem__, out))
-    closes = list(map(and_, map(ne, out, repeat(-1)), map(ge, ends, starts)))
-    lone = list(zip(starts, map(getitem, zip(repeat(None), ends), closes),
-                    map(getitem, zip(repeat(None), map(
-                        [*exit_reason, None].__getitem__, out)), closes)))
-    n_episodes, readmit = [1] * len(order), [0] * len(order)
-    n_open = list(map(sub, repeat(1), closes))
-    total_los = list(map(mul, map(attrgetter("days"), map(sub, ends, starts)),
-                         closes))
-
-    # The rest, one at a time, their episodes spliced in among the lone.
-    several = {combo for combo, n in n_rows.items() if n > 1}
-    several.update(combo for combo, n in n_exits.items()
-                   if n > 1 and combo in n_rows)
-    flags = list(map(several.__contains__, demo_ids))
-    groups: dict[IdCombo, list[int]] = {combo: [] for combo in several}
-    for combo, row in zip(compress(demo_ids, flags), compress(rows, flags)):
-        groups[combo].append(row)
-    exits_by_id: dict[IdCombo, list[tuple[date, str]]] = {
-        combo: [] for combo in several}
-    for combo, pair in compress(zip(exit_ids, zip(exit_date, exit_reason)),
-                                map(several.__contains__, exit_ids)):
-        exits_by_id[combo].append(pair)
     age, race, family, reason, employment, citizenship, income = map(
         d.__getitem__, _DEMO_FIELDS)
+
+    order, latest, n_episodes, n_open, total_los = [], [], [], [], []
     episodes: list[tuple] = []
     warnings: list[ConflictWarning] = []
-    done = 0  # individuals whose episodes are in episodes
-    flags = list(map(several.__contains__, order))
-    for p, combo in zip(compress(count(), flags), compress(order, flags)):
-        group = groups[combo]
+    k = 0  # the first exit not yet taken or passed
+    for combo, group in groupby(linked, itemgetter(0)):
+        group = list(map(itemgetter(1), group))
         if len(group) > 1:
             keys = {i: (entry[i], (str(age[i]), race[i], family[i], reason[i],
                                    employment[i], citizenship[i],
@@ -371,18 +322,23 @@ def unify(demo: RawTable, exits: RawTable, incidents: RawTable) -> UnifyResult:
             group.sort(key=keys.__getitem__)
             if len(set(map(itemgetter(1), keys.values()))) > 1:
                 warnings.extend(_conflicts(combo, group, d))
-            latest[p] = group[-1]
-        pairs = _pair_episodes(list(map(entry.__getitem__, group)),
-                               sorted(exits_by_id[combo]))
-        stays = [(end - day).days for day, end, _ in pairs if end is not None]
-        n_episodes[p] = len(pairs)
-        n_open[p] = len(pairs) - len(stays)
-        total_los[p] = sum(stays)
-        readmit[p] = derive_label(len(pairs))
-        episodes += lone[done:p]
-        episodes += pairs
-        done = p + 1
-    episodes += lone[done:]
+        closed = stay = 0
+        for day in map(entry.__getitem__, group):
+            while k < len(outs) and outs[k][:2] < (combo, day):
+                k += 1
+            if k < len(outs) and outs[k][0] == combo:
+                _, end, why = outs[k]
+                k += 1
+                closed += 1
+                stay += (end - day).days
+                episodes.append((day, end, why))
+            else:
+                episodes.append((day, None, None))
+        order.append(combo)
+        latest.append(group[-1])
+        n_episodes.append(len(group))
+        n_open.append(len(group) - closed)
+        total_los.append(stay)
 
     columns: dict[str, list] = {"id": order}
     for fname in _DEMO_FIELDS:
@@ -397,10 +353,10 @@ def unify(demo: RawTable, exits: RawTable, incidents: RawTable) -> UnifyResult:
     columns["total_los_days"] = total_los
     columns["incident_count"] = list(map(incident_counts.get, order,
                                          repeat(0)))
-    columns["readmit"] = readmit
+    columns["readmit"] = list(map(derive_label, n_episodes))
     return UnifyResult(
         profiles=ProfileTable(columns, _transposed(episodes, EPISODE_COLUMNS)),
-        warnings=warnings, removed_not_admitted=len(demo) - len(rows))
+        warnings=warnings, removed_not_admitted=len(demo) - len(linked))
 
 
 def locate_blank_key(sources: Sequence[tuple[str | Path, RawTable]]
@@ -431,41 +387,69 @@ def locate_blank_key(sources: Sequence[tuple[str | Path, RawTable]]
 # at 1,024 against 75 ms at 4,096 (2-core VM, 2 MB L2 per core).
 READ_CHUNK = 1024
 
-# A chunk's rows, by column name, as read (str cells).
-_Cells = Mapping[str, Sequence[str]]
-
 
 def _read_columns(path: str | Path, header: list[str],
-                  values: Callable[[_Cells], dict[str, Iterable] | None],
-                  check_rows: Callable[[str | Path, Iterable[list[str]], int],
-                                       None]) -> dict[str, list]:
+                  rules: Sequence[tuple]) -> dict[str, list]:
     """A CSV file's values by column, READ_CHUNK rows at a time.
 
+    rules are a file's value rules, in the order a row is checked:
+    (column, convert), or (column, convert, other column). convert(cell)
+    is a cell's value, or raises ValueError(reason); with another column
+    named, convert((value, other value)) checks a row's two values, as
+    converted by the rules before it. A column that no rule names is
+    kept as read.
+
     The header and each row's width are checked as the rows are read
-    (see _chunks). values(cells) converts and checks a chunk a column at
-    a time, and returns None if any row breaks a rule. A bad file raises
-    the MalformedCsv of its first bad row, at that row's first bad
-    column, as a row-by-row read would: once a chunk's column check
-    fails, or the read stops at a row, check_rows(path, rows, first row
-    number) checks the rows of the chunk read so far one at a time, and
-    raises the error of the first bad one.
+    (see _chunks), and each chunk's values by the rules (see
+    _converted). A bad file raises the MalformedCsv of its first bad
+    row, at that row's first bad rule, as a row-by-row read would: a
+    chunk that stops at a row that cannot be read is converted first,
+    so a bad cell before that row wins.
     """
     path = Path(path)
-    columns: dict[str, list] = {}
+    columns: dict[str, list] = {name: [] for name in header}
     with open(path, newline="", encoding="utf-8") as fh:
-        for first, cells, rows in _chunks(path, fh, header, check_rows):
-            chunk = values(cells)
-            if chunk is None:
-                check_rows(path, rows, first)
-                raise AssertionError(
-                    "a column check failed but every row passes")
-            for name, column in chunk.items():
-                columns.setdefault(name, []).extend(column)
+        for first, cells in _chunks(path, fh, header):
+            for name, values in _converted(path, first, cells, rules).items():
+                columns[name].extend(values)
     return columns
 
 
-def _chunks(path: Path, fh, header: list[str], check_rows):
-    """Yield (first row number, cells by column name, rows) for each
+def _converted(path: Path, first: int, cells: Mapping[str, Sequence[str]],
+               rules: Sequence[tuple]) -> dict[str, Sequence]:
+    """A chunk's values by column name, each rule in turn converting
+    the distinct cells (or pairs) of its column; first is the file's row
+    number of the chunk's first row.
+
+    When a rule refuses a value, the rows from the first it refuses on
+    are dropped, and the later rules check the rows before it; the
+    MalformedCsv of the last refusal, the lowest (row, rule), is raised.
+    """
+    values = dict(cells)
+    error = None
+    for column, convert, *other in rules:
+        args = (values[column] if not other
+                else list(zip(values[column], values[other[0]])))
+        converted, reasons = {}, {}
+        for arg in set(args):
+            try:
+                converted[arg] = convert(arg)
+            except ValueError as exc:
+                reasons[arg] = str(exc)
+        if reasons:
+            row = next(compress(count(), map(reasons.__contains__, args)))
+            error = MalformedCsv(str(path), first + row, column,
+                                 reasons[args[row]])
+            values = {name: value[:row] for name, value in values.items()}
+            args = args[:row]
+        values[column] = list(map(converted.__getitem__, args))
+    if error is not None:
+        raise error
+    return values
+
+
+def _chunks(path: Path, fh, header: list[str]):
+    """Yield (first row number, cells by column name) for each
     READ_CHUNK rows after the header, ending with a chunk of fewer rows
     (none for a file of a header only).
 
@@ -486,8 +470,9 @@ def _chunks(path: Path, fh, header: list[str], check_rows):
     if not head:
         raise MalformedCsv(str(path), 0, None, "empty file")
     if _needs_csv(head[0]):
-        yield from _csv_chunks(path, chain(head, _utf8_lines(path, fh)),
-                               header, check_rows)
+        reader = csv.reader(chain(head, _utf8_lines(path, fh)))
+        _check_header(path, reader, header)
+        yield from _csv_chunks(path, reader, header, 2)
         return
     _check_header(path, csv.reader(head), header)
     first = 2  # the row number of the chunk's first row
@@ -498,10 +483,10 @@ def _chunks(path: Path, fh, header: list[str], check_rows):
                  else _split_cells(text, lines, header))
         if cells is None:
             rest = _utf8_lines(path, fh) if error is None else _raising(error)
-            yield from _csv_chunks(path, chain(lines, rest), header,
-                                   check_rows, first)
+            yield from _csv_chunks(path, csv.reader(chain(lines, rest)),
+                                   header, first)
             return
-        yield first, cells, csv.reader(lines)
+        yield first, cells
         if len(lines) < READ_CHUNK:
             return
         first += READ_CHUNK
@@ -513,30 +498,27 @@ def _needs_csv(text: str) -> bool:
     return '"' in text or "\r" in text or "\0" in text
 
 
-def _csv_chunks(path: Path, lines: Iterable[str], header: list[str],
-                check_rows, first: int | None = None):
-    """_chunks of lines read by csv.reader, from row number first, or
-    from the header when first is None."""
-    reader = csv.reader(lines)
-    if first is None:
-        _check_header(path, reader, header)
-        first = 2
+def _csv_chunks(path: Path, reader, header: list[str], first: int):
+    """_chunks of the rows of a csv.reader, from row number first. A row
+    that cannot be read ends its chunk, the rows before it, and then
+    raises its MalformedCsv."""
     while True:
         rows: list[list[str]] = []
+        error = None
         try:
             for row in islice(reader, READ_CHUNK):
-                problem = _width_error(path, first + len(rows), row, header)
-                if problem is not None:
-                    raise problem
+                if len(row) != len(header):
+                    raise MalformedCsv(
+                        str(path), first + len(rows), None,
+                        f"expected {len(header)} fields, got {len(row)}")
                 rows.append(row)
-        except MalformedCsv:
-            check_rows(path, rows, first)  # a bad cell comes first
-            raise
+        except MalformedCsv as exc:
+            error = exc
         except csv.Error as exc:
-            check_rows(path, rows, first)
-            raise MalformedCsv(str(path), first + len(rows), None,
-                               str(exc)) from None
-        yield first, _transposed(rows, header), rows
+            error = MalformedCsv(str(path), first + len(rows), None, str(exc))
+        yield first, _transposed(rows, header)
+        if error is not None:
+            raise error
         if len(rows) < READ_CHUNK:
             return
         first += READ_CHUNK
@@ -570,8 +552,9 @@ def _raising(error: Exception) -> Iterator[str]:
 def _split_cells(text: str, lines: list[str], header: list[str]
                  ) -> dict[str, list[str]] | None:
     """The cells of lines that hold no '"', "\r" or NUL, by column name,
-    given the lines joined with ","; None if some line does not hold
-    len(header) cells or some cell is longer than csv.field_size_limit().
+    given the lines joined with ","; None if there are none, if some line
+    does not hold len(header) cells, or if some cell is longer than
+    csv.field_size_limit().
 
     text is split once, each column is a slice, and the last column's
     line ends are split off it. When the cell count is right and every
@@ -579,8 +562,6 @@ def _split_cells(text: str, lines: list[str], header: list[str]
     cells, since each ends in one.
     """
     width = len(header)
-    if not lines:
-        return dict.fromkeys(header, ())
     cells = text.split(",")
     if len(cells) != width * len(lines):
         return None
@@ -598,15 +579,6 @@ def _split_cells(text: str, lines: list[str], header: list[str]
                     for column in columns.values())):
         return None
     return columns
-
-
-def _width_error(path: Path, lineno: int, row: list[str],
-                 header: list[str]) -> MalformedCsv | None:
-    """The error of a row whose width is not the header's."""
-    if len(row) == len(header):
-        return None
-    return MalformedCsv(str(path), lineno, None,
-                        f"expected {len(header)} fields, got {len(row)}")
 
 
 def _check_header(path: Path, reader, expected: list[str]) -> None:
@@ -634,145 +606,80 @@ def _not_utf8(path: Path) -> MalformedCsv:
                         f"byte {data[bad:bad + 1]!r} is not UTF-8")
 
 
-def _by_distinct(convert: Callable[[str], object],
-                 cells: Iterable[str]) -> dict[str, object]:
-    """convert(cell) of each distinct cell, keyed by the cell."""
-    return {cell: convert(cell) for cell in set(cells)}
-
-
-def _lookup(values: Mapping, cells: Iterable) -> Iterable:
-    return map(values.__getitem__, cells)
-
-
-def _optional_number(cell: str) -> float | None:
-    """float of a cell, None for a blank one; ValueError on any other."""
-    return float(s) if (s := cell.strip()) else None
-
-
-def _iso_date(cell: str) -> date:
-    return date.fromisoformat(cell.strip())
-
-
-def _parse_date(path, lineno, column, raw: str) -> date:
-    try:
-        return _iso_date(raw)
-    except ValueError:
-        raise MalformedCsv(str(path), lineno, column,
-                           f"not an ISO date: {raw!r}") from None
-
-
-def _parse_optional_number(path, lineno, column, raw: str) -> float | None:
-    try:
-        return _optional_number(raw)
-    except ValueError:
-        raise MalformedCsv(str(path), lineno, column,
-                           f"not a number: {raw.strip()!r}") from None
-
-
 # The oldest age, in years, that the readers accept.
 MAX_AGE = 120
 
 
-def _age_ok(age: float | None) -> bool:
-    return age is None or 0 <= age <= MAX_AGE
+def _number(cell: str) -> float | None:
+    """float of a cell, None for a blank one."""
+    if not (text := cell.strip()):
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
 
 
-def _income_ok(income: float | None) -> bool:
-    return income is None or 0 <= income < math.inf
-
-
-def _parse_age(path, lineno, raw: str) -> float | None:
-    age = _parse_optional_number(path, lineno, "age", raw)
-    if not _age_ok(age):
-        raise MalformedCsv(str(path), lineno, "age",
-                           f"age {age} outside [0, {MAX_AGE}]")
+def _age(cell: str) -> float | None:
+    age = _number(cell)
+    if age is not None and not 0 <= age <= MAX_AGE:
+        raise ValueError(f"age {age} outside [0, {MAX_AGE}]")
     return age
 
 
-def _parse_income(path, lineno, raw: str) -> float | None:
-    income = _parse_optional_number(path, lineno, "income", raw)
-    if not _income_ok(income):
-        raise MalformedCsv(str(path), lineno, "income",
-                           f"income {income} must be finite and >= 0")
+def _income(cell: str) -> float | None:
+    income = _number(cell)
+    if income is not None and not 0 <= income < math.inf:
+        raise ValueError(f"income {income} must be finite and >= 0")
     return income
 
 
-def _flag(cell: str) -> str:
-    return cell.strip().lower()
-
-
-def _check_demographic_rows(path, rows: list[list[str]], first: int) -> None:
-    for lineno, row in enumerate(rows, start=first):
-        _parse_age(path, lineno, row[3])
-        if _flag(row[11]) not in ("true", "false"):
-            raise MalformedCsv(str(path), lineno, "admitted",
-                               f"expected true/false, got {row[11]!r}")
-        _parse_income(path, lineno, row[9])
-        _parse_date(path, lineno, "entry_date", row[10])
-
-
-def _demographic_values(cells: _Cells) -> dict[str, Iterable] | None:
+def _iso_date(cell: str) -> date:
     try:
-        ages = _by_distinct(_optional_number, cells["age"])
-        incomes = _by_distinct(_optional_number, cells["income"])
-        dates = _by_distinct(_iso_date, cells["entry_date"])
+        return date.fromisoformat(cell.strip())
     except ValueError:
-        return None
-    flags = _by_distinct(_flag, cells["admitted"])
-    if not (set(flags.values()) <= {"true", "false"}
-            and all(map(_age_ok, ages.values()))
-            and all(map(_income_ok, incomes.values()))):
-        return None
-    admitted = {cell: flag == "true" for cell, flag in flags.items()}
-    return {
-        **{name: map(str.strip, cells[name]) for name in KEY_COLUMNS},
-        "age": _lookup(ages, cells["age"]),
-        # One str object per distinct label, shared by its cells.
-        **{name: _lookup(_by_distinct(str, cells[name]), cells[name])
-           for name in schema.CATEGORICAL_FIELDS},
-        "income": _lookup(incomes, cells["income"]),
-        "entry_date": _lookup(dates, cells["entry_date"]),
-        "admitted": _lookup(admitted, cells["admitted"]),
-    }
+        raise ValueError(f"not an ISO date: {cell!r}") from None
+
+
+def _admitted(cell: str) -> bool:
+    flag = cell.strip().lower()
+    if flag not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {cell!r}")
+    return flag == "true"
 
 
 @_collector_paused()
+def _read_raw(path: str | Path, header: list[str],
+              rules: Sequence[tuple]) -> RawTable:
+    """A raw intake file's values (see _read_columns), key parts
+    trimmed."""
+    columns = _read_columns(path, header, rules)
+    for name in KEY_COLUMNS:
+        columns[name] = list(map(str.strip, columns[name]))
+    return RawTable(columns)
+
+
 def read_demographics(path: str | Path) -> RawTable:
-    """demographics.csv's values, each column checked a chunk at a time
-    (see _read_columns): ages blank or in [0, MAX_AGE], incomes blank or
-    finite and >= 0, ISO entry dates and true/false admitted flags."""
-    return RawTable(_read_columns(path, DEMOGRAPHICS_HEADER,
-                                  _demographic_values,
-                                  _check_demographic_rows))
-
-
-@_collector_paused()
-def _read_dated(path: str | Path, header: list[str]) -> RawTable:
-    """A file of key, ISO date and one text cell per row."""
-    day, text = header[3:]
-
-    def values(cells: _Cells) -> dict[str, Iterable] | None:
-        try:
-            dates = _by_distinct(_iso_date, cells[day])
-        except ValueError:
-            return None
-        return {**{name: map(str.strip, cells[name]) for name in KEY_COLUMNS},
-                day: _lookup(dates, cells[day]),
-                text: _lookup(_by_distinct(str, cells[text]), cells[text])}
-
-    def check_rows(path, rows: list[list[str]], first: int) -> None:
-        for lineno, row in enumerate(rows, start=first):
-            _parse_date(path, lineno, day, row[3])
-
-    return RawTable(_read_columns(path, header, values, check_rows))
+    """demographics.csv's values, checked in row order: ages blank or in
+    [0, MAX_AGE], true/false admitted flags, incomes blank or finite and
+    >= 0, and ISO entry dates (see _read_columns)."""
+    return _read_raw(path, DEMOGRAPHICS_HEADER, (
+        ("age", _age), ("admitted", _admitted), ("income", _income),
+        ("entry_date", _iso_date),
+        # One str object per distinct label, shared by its cells.
+        *((name, str) for name in schema.CATEGORICAL_FIELDS)))
 
 
 def read_exits(path: str | Path) -> RawTable:
-    return _read_dated(path, EXITS_HEADER)
+    """exits.csv's values: ISO exit dates (see _read_columns)."""
+    return _read_raw(path, EXITS_HEADER,
+                     (("exit_date", _iso_date), ("exit_reason", str)))
 
 
 def read_incidents(path: str | Path) -> RawTable:
-    return _read_dated(path, INCIDENTS_HEADER)
+    """incidents.csv's values: ISO incident dates (see _read_columns)."""
+    return _read_raw(path, INCIDENTS_HEADER,
+                     (("incident_date", _iso_date), ("incident_type", str)))
 
 
 # --- CSV output --------------------------------------------------------------
@@ -1028,88 +935,71 @@ def check_codes(columns: Mapping[str, Sequence]) -> None:
                     f"profile {profile_id}: bad {f} code {code!r}")
 
 
-def _profile_row_problem(values: list[int]) -> tuple[str, str] | None:
-    """(column, reason) of the first rule a profiles.csv row breaks,
-    given its integer cells in _INT_COLUMNS order."""
-    for f, code in zip(schema.CATEGORICAL_FIELDS, values):
-        if code not in schema.CATEGORIES[f]:
-            return f, f"unknown {f} code {code}"
-    for f, count in zip(_COUNT_FIELDS, values[5:]):
-        if count < 0:
-            return f, f"negative count {count}"
-    n, n_open, readmit = values[5], values[6], values[9]
-    if n == 0:
-        return "n_episodes", "must be >= 1: a linked profile has an episode"
-    if n_open > n:
-        return "n_open_episodes", f"more open episodes than {n} episodes"
-    if readmit != derive_label(n):
-        return "readmit", f"must be {derive_label(n)} with {n} episodes"
-    return None
-
-
-def _check_profile_rows(path: str | Path, rows: list[list[str]],
-                        first: int) -> None:
-    """Raise the MalformedCsv of the first row that breaks a rule, at its
-    first bad column: the integer columns, then their rules, then age,
-    then income. rows[0] is the file's row number first."""
-    for lineno, row in enumerate(rows, start=first):
-        values = []
-        for column, cell in zip(_INT_COLUMNS, row[2:7] + row[8:]):
-            try:
-                values.append(int(cell))
-            except ValueError:
-                raise MalformedCsv(str(path), lineno, column,
-                                   f"not an integer: {cell!r}") from None
-        problem = _profile_row_problem(values)
-        if problem is not None:
-            raise MalformedCsv(str(path), lineno, *problem)
-        _parse_age(path, lineno, row[1])
-        _parse_income(path, lineno, row[7])
-
-
-def _profile_values(cells: _Cells) -> dict[str, tuple] | None:
-    """A chunk's values by column name, each column converted and
-    checked in one pass; None if any row breaks a rule."""
-    if not cells["id"]:
-        return dict.fromkeys(PROFILES_HEADER, ())
+def _integer(cell: str) -> int:
     try:
-        ints = {name: tuple(map(int, cells[name])) for name in _INT_COLUMNS}
-        ages = _by_distinct(_optional_number, cells["age"])
-        incomes = _by_distinct(_optional_number, cells["income"])
+        return int(cell)
     except ValueError:
-        return None
-    n, n_open = ints["n_episodes"], ints["n_open_episodes"]
-    valid = (
-        all(set(ints[f]) <= schema.CATEGORIES[f].keys()
-            for f in schema.CATEGORICAL_FIELDS)
-        and all(min(ints[f]) >= 0 for f in _COUNT_FIELDS)
-        and min(n) >= 1
-        and not any(map(gt, n_open, n))
-        and list(ints["readmit"]) == list(map(derive_label, n))
-        and all(map(_age_ok, ages.values()))
-        and all(map(_income_ok, incomes.values()))
-    )
-    if not valid:
-        return None
-    return {"id": cells["id"], "age": tuple(_lookup(ages, cells["age"])),
-            "income": tuple(_lookup(incomes, cells["income"])), **ints}
+        raise ValueError(f"not an integer: {cell!r}") from None
+
+
+def _code(field_name: str, code: int) -> int:
+    if code not in schema.CATEGORIES[field_name]:
+        raise ValueError(f"unknown {field_name} code {code}")
+    return code
+
+
+def _count(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"negative count {n}")
+    return n
+
+
+def _has_episode(n: int) -> int:
+    if n < 1:
+        raise ValueError("must be >= 1: a linked profile has an episode")
+    return n
+
+
+def _open_episodes(counts: tuple[int, int]) -> int:
+    n_open, n = counts
+    if n_open > n:
+        raise ValueError(f"more open episodes than {n} episodes")
+    return n_open
+
+
+def _label(values: tuple[int, int]) -> int:
+    readmit, n = values
+    if readmit != derive_label(n):
+        raise ValueError(f"must be {derive_label(n)} with {n} episodes")
+    return readmit
+
+
+# profiles.csv's rules in row order: the integer columns, then their
+# rules, then age, then income.
+_PROFILE_RULES = (
+    *((name, _integer) for name in _INT_COLUMNS),
+    *((name, partial(_code, name)) for name in schema.CATEGORICAL_FIELDS),
+    *((name, _count) for name in _COUNT_FIELDS),
+    ("n_episodes", _has_episode),
+    ("n_open_episodes", _open_episodes, "n_episodes"),
+    ("readmit", _label, "n_episodes"),
+    ("age", _age),
+    ("income", _income),
+)
 
 
 @_collector_paused()
 def read_profiles(path: str | Path) -> ProfileTable:
     """Load profiles.csv as a ProfileTable, checking codes, counts,
-    labels, ages and incomes (finite, >= 0) as read_demographics does.
-
-    Every READ_CHUNK rows, each column is converted and checked in one
-    pass (see _read_columns): a bad file raises the MalformedCsv of its
-    first bad row, at that row's first bad column in
-    _check_profile_rows' order.
+    labels, ages and incomes (finite, >= 0) as read_demographics does:
+    a bad file raises the MalformedCsv of its first bad row, at that
+    row's first bad column in _PROFILE_RULES' order (see
+    _read_columns).
 
     The file keeps episode counts but not dates, so each profile comes
     back with that many undated episodes (closed ones first), entered
     and exited on date.min; total_los_days keeps the stored sum.
     """
-    columns = _read_columns(path, PROFILES_HEADER, _profile_values,
-                            _check_profile_rows)
+    columns = _read_columns(path, PROFILES_HEADER, _PROFILE_RULES)
     return ProfileTable({name: tuple(columns[name])
                          for name in PROFILES_HEADER})

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassTooSmall, MinorityTooSmall, NonFiniteRow
+from .errors import ClassTooSmall, MinorityTooSmall, NonFiniteRow, SingleClass
 from .features import EncodedDataset
 from .schema import ORIGINAL, SmoteConfig
 
@@ -44,7 +44,8 @@ def stratified_folds(labels, n_folds: int, seed: int) -> FoldPlan:
     """Assign rows to folds, preserving the class mix in every fold.
 
     Per class: seeded shuffle, then round-robin over folds. Deterministic
-    given (labels, n_folds, seed).
+    given (labels, n_folds, seed). Labels of one class raise SingleClass,
+    and a class of fewer than n_folds rows raises ClassTooSmall.
     """
     labels = np.asarray(labels)
     if n_folds < 2:
@@ -55,6 +56,8 @@ def stratified_folds(labels, n_folds: int, seed: int) -> FoldPlan:
     rng = np.random.default_rng(seed)
     for cls in (0, 1):
         idx = np.flatnonzero(labels == cls)
+        if not len(idx):
+            raise SingleClass(f"labels hold no row of class {cls}")
         if len(idx) < n_folds:
             raise ClassTooSmall(
                 f"class {cls} has {len(idx)} rows, fewer than {n_folds} folds"

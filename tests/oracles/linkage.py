@@ -2,8 +2,9 @@
 
 The former implementation of readmit.cohort's readers
 (read_demographics, read_exits, read_incidents, read_profiles) and of
-unify, kept to check the column readers and the bulk linkage of lone
-stays. Each reader reads every row with csv.reader and builds a dict
+unify, kept to check the column readers, with their one converter per
+rule, and the linkage's one walk over id-sorted rows and exits. Each
+reader reads every row with csv.reader and builds a dict
 per row; a csv.Error, such as a cell longer than
 csv.field_size_limit(), is the MalformedCsv of its row. unify sorts
 every individual's records and scans all seven demographic fields for

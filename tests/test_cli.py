@@ -535,6 +535,44 @@ class TestSweep:
             assert code == 2, err
             assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("model", ["logistic", "gbm"])
+    def test_more_folds_than_a_class_exits_2(
+        self, tmp_path, small_profiles_file, capsys, model
+    ):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--profiles", str(small_profiles_file),
+                     "--model", model, "--n-trees", "5", "--folds", "1000",
+                     "--ratios", "original", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: option --folds: class ")
+        assert err.rstrip().endswith("fewer than 1000 folds")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("synth", "seed", "1e400"),
+        ("train", "seed", "1e400"),
+        ("sweep", "seed", "1e400"),
+        ("sweep", "folds", "1e400"),
+        ("train", "k", "-1e400"),
+        ("sweep", "k", "-1e400"),
+    ])
+    def test_infinite_config_int_exits_2_naming_the_key(
+        self, tmp_path, small_spec_file, small_profiles_file, capsys,
+        command, key, value
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(f'{{"{key}": {value}}}')  # JSON reads 1e400 as inf
+        source = (["--spec", str(small_spec_file)] if command == "synth"
+                  else ["--profiles", str(small_profiles_file)])
+        capsys.readouterr()
+        code = main([command, *source, "--config", str(config),
+                     "-o", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == (f"error: config key {key!r} must be int, "
+                       f"got {float(value)!r}\n")
+
     def test_seed_env_must_be_an_integer(self, tmp_path, small_profiles_file,
                                          monkeypatch, capsys):
         monkeypatch.setenv("READMIT_SEED", "seven")

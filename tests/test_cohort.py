@@ -427,14 +427,14 @@ class TestCollectorPause:
         write_linkage_trio(tmp_path)
         states = {}
         for module, name in ((cohort, "_read_columns"),
-                             (cohort, "_by_distinct"),
+                             (cohort, "_converted"),
                              (cohort.schema, "canonicalize")):
             def spy(*args, _fn=getattr(module, name), _name=name):
                 states.setdefault(_name, set()).add(gc.isenabled())
                 return _fn(*args)
             monkeypatch.setattr(module, name, spy)
         self.link(tmp_path)
-        assert states == {"_read_columns": {False}, "_by_distinct": {False},
+        assert states == {"_read_columns": {False}, "_converted": {False},
                           "canonicalize": {False}}
         assert gc.isenabled()
 
@@ -739,6 +739,23 @@ class TestProfileErrorOrder:
         assert (row, column) == (2, "readmit")
         assert message.endswith("must be 0 with 1 episodes")
 
+    @pytest.mark.parametrize("line,column,reason", [
+        ("B,30,9,0,0,0,0,,1,0,5,0,x", "readmit", "not an integer: 'x'"),
+        ("B,30,9,0,0,0,0,,1,0,-5,0,0", "race", "unknown race code 9"),
+        ("B,30,0,0,0,0,0,,0,0,-5,0,0", "total_los_days", "negative count -5"),
+        ("B,30,0,0,0,0,0,,0,1,5,0,0", "n_episodes",
+         "must be >= 1: a linked profile has an episode"),
+        ("B,30,0,0,0,0,0,,1,2,5,0,1", "n_open_episodes",
+         "more open episodes than 1 episodes"),
+        ("B,130,0,0,0,0,0,-1,1,0,5,0,0", "age", "age 130.0 outside [0, 120]"),
+    ], ids=["ints-before-codes", "codes-before-counts", "counts-before-n",
+            "n-before-open", "open-before-readmit", "age-before-income"])
+    def test_each_rule_before_the_next_in_one_row(self, tmp_path, line,
+                                                  column, reason):
+        row, got, message = self.read_error(tmp_path, [self.GOOD, line])
+        assert (row, got) == (3, column)
+        assert message.endswith(f": {reason}")
+
     def test_bad_row_before_the_reader_stops(self, tmp_path):
         row, column, _ = self.read_error(tmp_path, [
             *[self.GOOD] * 300,
@@ -754,6 +771,58 @@ class TestProfileErrorOrder:
         ])
         assert (row, column) == (3, None)
         assert message.endswith("expected 13 fields, got 2")
+
+
+class TestDemographicErrorOrder:
+    """A bad demographics.csv names its first bad row, and in it the
+    first bad column in row order: age, admitted, income, entry_date."""
+
+    GOOD = "C,F,K,30,White,Single,Eviction,Employed,Citizen,,2014-01-01,true"
+
+    @pytest.fixture(autouse=True)
+    def chunked(self, read_chunk):
+        pass
+
+    def read_error(self, tmp_path, lines: list[str]) -> tuple:
+        path = tmp_path / "demographics.csv"
+        path.write_text("\n".join([",".join(cohort.DEMOGRAPHICS_HEADER),
+                                   *lines]) + "\n")
+        with pytest.raises(MalformedCsv) as info:
+            read_demographics(path)
+        return info.value.row, info.value.column, str(info.value)
+
+    @pytest.mark.parametrize("row,column,reason", [
+        ("C,F,K,x,White,Single,Eviction,Employed,Citizen,y,never,maybe",
+         "age", "not a number: 'x'"),
+        ("C,F,K,30,White,Single,Eviction,Employed,Citizen,y,never,maybe",
+         "admitted", "expected true/false, got 'maybe'"),
+        ("C,F,K,30,White,Single,Eviction,Employed,Citizen,-1,never,true",
+         "income", "income -1.0 must be finite and >= 0"),
+        ("C,F,K,30,White,Single,Eviction,Employed,Citizen,,never,true",
+         "entry_date", "not an ISO date: 'never'"),
+    ], ids=["age", "admitted", "income", "entry_date"])
+    def test_first_bad_column_of_a_row(self, tmp_path, row, column, reason):
+        assert self.read_error(tmp_path, [self.GOOD, row]) == (
+            3, column,
+            f"{tmp_path / 'demographics.csv'}, row 3, column {column!r}: "
+            f"{reason}")
+
+    def test_earlier_row_wins_over_an_earlier_column(self, tmp_path):
+        row, column, _ = self.read_error(tmp_path, [
+            *[self.GOOD] * 3,
+            self.GOOD.replace("2014-01-01", "2014-02-30"),  # entry_date
+            self.GOOD.replace(",30,", ",130,"),  # age, the first column
+        ])
+        assert (row, column) == (5, "entry_date")
+
+    def test_bad_cell_before_a_short_row(self, tmp_path):
+        row, column, _ = self.read_error(tmp_path, [
+            *[self.GOOD] * 300,
+            self.GOOD.replace(",,", ",x,"),  # income
+            self.GOOD,
+            "C,F,K",  # too few fields: the reader stops here
+        ])
+        assert (row, column) == (302, "income")
 
 
 class TestReadPaths:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from readmit import resample
-from readmit.errors import ClassTooSmall, MinorityTooSmall, NonFiniteRow
+from readmit.errors import (ClassTooSmall, MinorityTooSmall, NonFiniteRow,
+                            SingleClass)
 from readmit.features import EncodedDataset, FeatureSchema
 from readmit.resample import (
     ORIGINAL,
@@ -60,6 +61,11 @@ class TestStratifiedFolds:
     def test_class_too_small(self):
         with pytest.raises(ClassTooSmall):
             stratified_folds([1, 1, 0, 0, 0, 0], 3, seed=0)
+
+    @pytest.mark.parametrize("labels", [[0] * 6, [1] * 6])
+    def test_one_class_is_not_a_fold_count_problem(self, labels):
+        with pytest.raises(SingleClass, match="no row of class"):
+            stratified_folds(labels, 2, seed=0)
 
     def test_non_binary_labels_rejected(self):
         with pytest.raises(ValueError):
