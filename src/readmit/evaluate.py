@@ -12,6 +12,9 @@ Its predict scores the held-out rows with those statistics.
 A sweep returns one CvResult per ratio, in the order given: the ratio's
 label, the pooled confusion matrix, AUC and ROC curve, and one
 FoldTrace per fold. CvResult.row() is that ratio's report.json row.
+Every ratio of a sweep uses one fold plan and the same per-fold SMOTE
+seeds, so a row depends only on the cohort, its ratio, the master seed
+and the options; cv_evaluate is a sweep of one ratio.
 
 Each (ratio, fold) fit is one task (run_fold) with its seeds fixed in
 advance. GBM tasks run in a pool of forked worker processes, one per
@@ -269,22 +272,6 @@ def run_fold(inputs: CvInputs, task: FoldTask) -> tuple[np.ndarray, FoldTrace]:
                       pipeline.n_synthetic, pipeline.converged))
 
 
-def _fold_tasks(labels, smote_config: SmoteConfig, n_folds: int,
-                seed: int) -> list[FoldTask]:
-    plan = stratified_folds(labels, n_folds, derive_seed(seed, "folds"))
-    return [
-        FoldTask(
-            fold=fold,
-            train_idx=plan.train_indices(fold),
-            test_idx=plan.test_indices(fold),
-            smote_config=replace(
-                smote_config, seed=derive_seed(seed, "smote", fold)
-            ),
-        )
-        for fold in range(n_folds)
-    ]
-
-
 def worker_count(n_tasks: int) -> int:
     """Processes to run n_tasks fold fits on: one per CPU this process
     may use (its affinity mask, so ``taskset`` limits it), at most one
@@ -370,79 +357,6 @@ def _run_folds(inputs: CvInputs, tasks: list[FoldTask], workers: int,
         pool.shutdown(cancel_futures=True)
 
 
-def _cross_validate(
-    profiles: Sequence,
-    model_kind: str,
-    runs: Sequence[tuple[SmoteConfig, int]],
-    train_config: TrainConfig,
-    n_folds: int,
-    include_income: bool,
-) -> tuple[list[CvResult], int]:
-    """One pooled CV result per (smote_config, seed) in ``runs``, and the
-    number of profiles income mode dropped.
-
-    The cohort is encoded once, missing ages left NaN for each fold to
-    impute from its training rows. Every (run, fold) fit is one
-    independent task. GBM tasks run on worker_count processes, logistic
-    tasks in this process.
-    """
-    enc = encode(profiles, FeatureSchema(include_income=include_income))
-    labels = enc.dataset.labels
-    inputs = CvInputs(data=enc.dataset, model_kind=model_kind,
-                      train_config=train_config)
-    plans = [_fold_tasks(labels, cfg, n_folds, seed) for cfg, seed in runs]
-    tasks = [task for plan in plans for task in plan]
-    workers = worker_count(len(tasks)) if model_kind == "gbm" else 1
-    outputs = _run_folds(inputs, tasks, workers,
-                         [_fit_rows(labels, task) for task in tasks])
-
-    results = []
-    for i, ((smote_config, _), plan) in enumerate(zip(runs, plans)):
-        pooled = np.empty(len(labels), dtype=np.float64)
-        traces: list[FoldTrace] = []
-        for task, (scores, trace) in zip(plan, outputs[i * n_folds:]):
-            pooled[task.test_idx] = scores
-            traces.append(trace)
-        cm = confusion(labels, pooled)
-        curve = roc_curve(labels, pooled)
-        results.append(CvResult(
-            ratio=ratio_label(smote_config.ratio),
-            confusion=cm,
-            auc=auc(curve),
-            curve=curve,
-            pooled_scores=pooled,
-            labels=labels,
-            traces=traces,
-        ))
-    return results, enc.dropped_missing_income
-
-
-def cv_evaluate(
-    profiles: Sequence,
-    model_kind: str,
-    smote_config: SmoteConfig,
-    train_config: TrainConfig,
-    n_folds: int = 5,
-    seed: int = 0,
-    include_income: bool = False,
-) -> CvResult:
-    """Pooled out-of-fold evaluation over stratified folds.
-
-    Each fold is one run_fold task. The pooled scores cover every
-    profile exactly once (in income mode, every profile with an income).
-    Fold assignment and per-fold oversampling seeds derive from ``seed``
-    via stable labels, so identical inputs reproduce identical results,
-    whatever the worker count; ``smote_config.seed`` is not used.
-    """
-    results, _ = _cross_validate(
-        profiles, model_kind, [(smote_config, seed)], train_config,
-        n_folds, include_income,
-    )
-    return results[0]
-
-
-# --- ratio sweep ---------------------------------------------------------------
-
 def sweep(
     profiles: Sequence,
     ratios: Sequence[float | str],
@@ -456,14 +370,61 @@ def sweep(
     """One pooled CV result per oversampling ratio, in the given order,
     and the number of profiles income mode dropped.
 
-    Each ratio gets an independent seed derived from the master seed and
-    its position, so results are reproducible in isolation. Every
-    (ratio, fold) fit is built up front and run as one set of tasks.
+    Every ratio uses one fold plan and the same per-fold oversampling
+    seeds, derived from ``seed``: a ratio's result depends only on the
+    cohort, the ratio, ``seed`` and the options, and differences between
+    ratios are paired over the same folds. The cohort is encoded once,
+    missing ages left NaN for each fold to impute from its training
+    rows. Each (ratio, fold) fit is one run_fold task; GBM tasks run on
+    worker_count processes, logistic tasks in this process.
     """
     if not ratios:
         raise ValueError("ratios must be non-empty")
-    runs = [(SmoteConfig(ratio=ratio, k=k), derive_seed(seed, "ratio", i))
-            for i, ratio in enumerate(ratios)]
-    return _cross_validate(profiles, model_kind, runs,
-                           train_config or TrainConfig(), n_folds,
-                           include_income)
+    configs = [SmoteConfig(ratio=ratio, k=k) for ratio in ratios]
+    enc = encode(profiles, FeatureSchema(include_income=include_income))
+    labels = enc.dataset.labels
+    inputs = CvInputs(data=enc.dataset, model_kind=model_kind,
+                      train_config=train_config or TrainConfig())
+    plan = stratified_folds(labels, n_folds, derive_seed(seed, "folds"))
+    splits = [(plan.train_indices(fold), plan.test_indices(fold))
+              for fold in range(n_folds)]
+    tasks = [FoldTask(fold, train_idx, test_idx,
+                      replace(cfg, seed=derive_seed(seed, "smote", fold)))
+             for cfg in configs
+             for fold, (train_idx, test_idx) in enumerate(splits)]
+    workers = worker_count(len(tasks)) if model_kind == "gbm" else 1
+    outputs = _run_folds(inputs, tasks, workers,
+                         [_fit_rows(labels, task) for task in tasks])
+
+    results = []
+    for i, cfg in enumerate(configs):
+        runs = outputs[i * n_folds:(i + 1) * n_folds]
+        pooled = np.empty(len(labels), dtype=np.float64)
+        for (_, test_idx), (scores, _) in zip(splits, runs):
+            pooled[test_idx] = scores
+        curve = roc_curve(labels, pooled)
+        results.append(CvResult(
+            ratio=ratio_label(cfg.ratio),
+            confusion=confusion(labels, pooled),
+            auc=auc(curve),
+            curve=curve,
+            pooled_scores=pooled,
+            labels=labels,
+            traces=[trace for _, trace in runs],
+        ))
+    return results, enc.dropped_missing_income
+
+
+def cv_evaluate(
+    profiles: Sequence,
+    model_kind: str,
+    smote_config: SmoteConfig,
+    train_config: TrainConfig,
+    n_folds: int = 5,
+    seed: int = 0,
+    include_income: bool = False,
+) -> CvResult:
+    """sweep's result for the one ratio ``smote_config.ratio``, with
+    ``smote_config.k`` neighbours; ``smote_config.seed`` is not used."""
+    return sweep(profiles, [smote_config.ratio], model_kind, smote_config.k,
+                 train_config, n_folds, seed, include_income)[0][0]

@@ -377,6 +377,8 @@ def _grow_tree(
                        minlength=len(bins.values)).take(support)
     level = [(0, np.arange(n), support, hist, counts)]
     for depth in range(max_depth):
+        if not level:  # every node of the last level stayed a leaf
+            break
         last = depth + 1 == max_depth
         nxt = []
         for node, rows, support, hist, counts in level:

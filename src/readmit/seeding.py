@@ -1,7 +1,8 @@
 """Deterministic sub-seed derivation.
 
-A single master seed fans out to independent component seeds through
-stable text labels, so any stage can be reproduced in isolation.
+A single master seed fans out to component seeds through stable text
+labels, so a stage's seed depends on the master seed and its label
+alone; every ratio of a sweep shares its "folds" and ("smote", fold) seeds.
 """
 
 from __future__ import annotations

@@ -51,26 +51,26 @@ from tests.helpers import numpy_kernels_above_x86_v3
 
 GOLDEN = {
     "sweep/report.json":
-        "4132197dbd712ecc63dabceef09136a287148d278a17aac0a96174262d7e5bc1",
+        "dc03818e65da454a7b87c890861a45d0fdce4812896e59730ac279506f0c5f2a",
     "sweep/roc_original.csv":
-        "f8d5b41c10cfaabd7bcb965008cb3ae026951a9ac2df477c33c3ca9d1cd41544",
+        "4a59704bfdbda22a78ba7a0e2866e88e36944da9d7a503fd4a59e652610f9144",
     "sweep/roc_0.5.csv":
-        "9609f21c13af87784e2cb448065c9af6962f55becbc57be8d09576f539f33faa",
+        "12d471abcf8890b616d94af921e42a4613a89611d4ad8bb64ea22f43ee0ea163",
     "sweep/roc_1.0.csv":
-        "e4e746ec27b4ce64a2c66dc3c35449c83d5791e84bbf333851d551f59e9ab1d9",
+        "a2e8d9a45276fd5fb9420bb772c2bbf2799574e12ad94ad28c274c12bd138318",
     "fit/model.json":
         "957e2b041a2459ba3cf90f210f10cb9a23ad7b420932c34f0eca17e0056ee7ce",
 }
 
 GOLDEN_LOGISTIC = {
     "sweep/report.json":
-        "8eac5166da829ba8cd022697a3f8fc62d219b25311ae6127d4f1c762097a2f18",
+        "593ab593cd4373f37b0755209c12c4a2d816e4555985e66d7ac68f9462a319ee",
     "sweep/roc_original.csv":
-        "ed5d0822213bd59b6aecfa59e50805ba04b0ee2a77adeae2cfabebcbe5251df3",
+        "04b34dd3cf42bb681c2fa32db6ff97db28369e5626aae206f6a7c43255641930",
     "sweep/roc_0.5.csv":
-        "ef47e631c599deb29457ba97c8e71660c7ae2af09191fa20a37de60a47597762",
+        "5dba587f54cd88c8de1ba5f37fa720b942d196d9adec7bdc74c64354edba29b6",
     "sweep/roc_1.0.csv":
-        "880f97f9c871a83f8ea75c7a93e9d57e29b52227661b1d531ed373a0a7cf5fbf",
+        "f6525bd9204fceab140d8150e5529e63b2e7cd90e5206a57212e22b7f9f6d81c",
     "fit/model.json":
         "92e66f8910b67347a7d4c99324c661f355fb2294a47cf762a8c8e64fd2281db7",
 }
@@ -78,25 +78,25 @@ GOLDEN_LOGISTIC = {
 BLANKED_AGE_GOLDEN = {
     "gbm": {
         "sweep/report.json":
-            "2457e43ff686aa058d5b8735da307d78a4982ab1a073aaf152185a9b0e9c4d04",
+            "2b09acfdbf89ec4448cfba1d2b056004c30c5dcc80f27070a259f097d7f51da3",
         "sweep/roc_original.csv":
-            "12171c1ea9fdab4c52d8cd20050833b9915c8ef183fc7f3b79d1a092f16f3d94",
+            "ab5fd5a24aa50dfb6357a990947a57a26d7d418af2834d947cc0c6c8835b18f7",
         "sweep/roc_0.5.csv":
-            "d0e6b35fcf3f617dd59484f2e3fa742b23790d146a62828fa807d09476cd0332",
+            "b8e2b21bd3f3db5727406ef36793daf8009248a5ca86c5ced238e295e9d9fd82",
         "sweep/roc_1.0.csv":
-            "2e4f8a5108e37ba186cca75894f29b4e3e29d09c9d3365a8b175a511d7a81b29",
+            "64024f0e9257fb91062e5a03691c4ca6db74eb4c7dae071a25a84b51bba8b53f",
         "fit/model.json":
             "0e658482bb324a1be841d4e08e35704f92fdff4a4d941c3d4d398d37d7e3fb53",
     },
     "logistic": {
         "sweep/report.json":
-            "675e643e338f4cc0d5abf44ebc72d05d8942c2065b5d912868ad1b4c41f17ae5",
+            "18b5c22dbe78234e10b5259166363a8e8cf1d7fa13d610dfff2883c09763484e",
         "sweep/roc_original.csv":
-            "651d20b0ccd23cbd383da07377cb706c3cc959bb42604efbd7dbc0ec00f333e2",
+            "2bcc995ef44020af56ac122c7c45e32d60ca3f02f9454154dfef585fb52fac1a",
         "sweep/roc_0.5.csv":
-            "9ea6960acd1128efdbdb11c4220476db3e1db88ed4dda0637fc407016fe5dbb4",
+            "01c9fc2b723d6e6597098c691b4afec8a0e8733be0dfa6a8321742fc2b23efd9",
         "sweep/roc_1.0.csv":
-            "726b7683d1f97ec85eb67f3372e72837bbb1c5be1bbebee0837c65bb8af1edac",
+            "8d3c2819ee81e5d1f688e52e6e44441f218b892b850dfe0817f123d14f89bc3b",
         "fit/model.json":
             "87f21b327ccea9d4a9242468b73d5f30bd5ab160f0bd1c6935e143263b4d509a",
     },

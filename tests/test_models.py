@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -434,6 +435,32 @@ class TestGbm:
         for tree in model.trees:
             # depth 2 allows at most 1 + 2 + 4 = 7 nodes
             assert tree.n_nodes <= 7
+
+    @pytest.mark.skipif(not hasattr(signal, "alarm"),
+                        reason="needs signal.alarm")
+    def test_growth_stops_when_no_node_splits(self):
+        # A depth far beyond what the rows can fill must end as soon as a
+        # level holds no node to split, and grow the same trees as a depth
+        # the trees never reach.
+        data = logistic_like_dataset(60, 3, seed=4)
+        want = fit_gbm(data, TrainConfig(gbm=GbmParams(n_trees=3,
+                                                       max_depth=60)))
+        def out_of_time(signum, frame):
+            raise TimeoutError("tree growth went on after no node split")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(10)
+        try:
+            got = fit_gbm(data, TrainConfig(gbm=GbmParams(n_trees=3,
+                                                          max_depth=10**12)))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert max(tree.n_nodes for tree in want.trees) < 2 ** 7
+        assert got.train_loss == want.train_loss
+        for a, b in zip(got.trees, want.trees):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_min_samples_leaf(self):
         data = logistic_like_dataset(40, 3, seed=14)

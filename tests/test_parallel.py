@@ -2,10 +2,11 @@
 
 A GBM sweep runs its (ratio, fold) fits in a pool of forked workers.
 These tests force one worker and then two and compare, check that a
-task's error reaches the CLI with the serial exit code and message,
-that the longest fits are handed out first, that each worker searches
-SMOTE's neighbours on one thread, and that no worker outlives the
-sweep.
+ratio's result is the same whatever other ratios are swept (and equals
+cv_evaluate's), that a task's error reaches the CLI with the serial
+exit code and message, that the longest fits are handed out first,
+that each worker searches SMOTE's neighbours on one thread, and that
+no worker outlives the sweep.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ def fold_pids(tmp_path, monkeypatch):
     return read_and_clear
 
 
+def assert_same_result(got: evaluate.CvResult,
+                       want: evaluate.CvResult) -> None:
+    assert got.row() == want.row()
+    assert got.curve == want.curve
+    assert got.traces == want.traces
+    assert np.array_equal(got.pooled_scores, want.pooled_scores)
+
+
 def test_sweep_parallel_equals_serial(cohort, fold_pids, set_workers):
     args = dict(ratios=[ORIGINAL, 0.5, 1.0], model_kind="gbm",
                 train_config=SMALL_GBM, n_folds=3, seed=5)
@@ -92,10 +101,7 @@ def test_sweep_parallel_equals_serial(cohort, fold_pids, set_workers):
     assert parallel_dropped == serial_dropped
     assert len(parallel_results) == len(serial_results)
     for got, want in zip(parallel_results, serial_results):
-        assert got.row() == want.row()
-        assert got.curve == want.curve
-        assert got.traces == want.traces
-        assert np.array_equal(got.pooled_scores, want.pooled_scores)
+        assert_same_result(got, want)
 
 
 def test_cv_evaluate_parallel_equals_serial(cohort, fold_pids, set_workers):
@@ -111,6 +117,33 @@ def test_cv_evaluate_parallel_equals_serial(cohort, fold_pids, set_workers):
     assert parallel.traces == serial.traces
     assert parallel.confusion == serial.confusion
     assert parallel.auc == serial.auc
+
+
+@pytest.mark.parametrize(
+    "model_kind, workers", [("gbm", 1), ("gbm", 2), ("logistic", 1)],
+    ids=["gbm-serial", "gbm-pool", "logistic"])
+def test_a_ratio_row_does_not_depend_on_the_other_ratios(
+        cohort, set_workers, model_kind, workers):
+    # Logistic tasks run in this process whatever the worker count.
+    set_workers(workers)
+
+    def swept(ratios) -> dict[str, evaluate.CvResult]:
+        results, _ = evaluate.sweep(cohort, ratios, model_kind=model_kind,
+                                    train_config=SMALL_GBM, n_folds=3, seed=5)
+        return {result.ratio: result for result in results}
+
+    forward = swept([ORIGINAL, 1.0])
+    backward = swept([1.0, ORIGINAL])
+    for ratio in (ORIGINAL, 1.0):
+        label = evaluate.ratio_label(ratio)
+        alone = swept([ratio])[label]
+        assert_same_result(forward[label], alone)
+        assert_same_result(backward[label], alone)
+        # cv_evaluate is a sweep of one ratio.
+        assert_same_result(
+            evaluate.cv_evaluate(cohort, model_kind, SmoteConfig(ratio=ratio),
+                                 SMALL_GBM, n_folds=3, seed=5),
+            alone)
 
 
 def test_longest_fits_are_submitted_first(cohort, set_workers, monkeypatch):
