@@ -7,27 +7,33 @@ profiles.csv), sweep (oversampling-ratio evaluation sweep), train
 Exit codes are a stable contract: 0 success, 2 usage/input problems,
 3 I/O failures, 4 computation failures. Option values resolve as
 flags > config file > defaults, with READMIT_SEED as a seed fallback,
-and each must have its default's type (see DEFAULTS).
+and each must have its default's type (see _defaults).
 JSON artifacts embed the tool version and the fully resolved
 configuration; re-running with the same inputs is byte-identical.
 
-Only synth, sweep and train load numpy, inside the command: unify,
-report, --help and --version run on the pure-Python modules cohort and
-schema, and so start faster.
+Importing this module loads only argument parsing, json, os, pathlib
+and readmit.errors. Each command imports what it runs in its own body:
+report, --help and --version load no other readmit module; unify loads
+cohort and schema; synth, sweep and train also load numpy. The
+defaults are read from the schema classes that own them on first use.
+
+The program (``python -m readmit.cli`` and the ``readmit`` console
+script) is run(): main, then gc.freeze() before the interpreter exits,
+so that its final collections skip the heap the command left alive.
+main() itself freezes nothing and returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
+import functools
+import gc
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from . import cohort as cohort_mod
 from .errors import (
     ClassTooSmall,
     EmptyKeyPart,
@@ -37,35 +43,31 @@ from .errors import (
     ReadmitError,
     UnmappableFamilyType,
 )
-from .schema import (
-    MODEL_KINDS,
-    ORIGINAL,
-    FeatureSchema,
-    GbmParams,
-    LogisticParams,
-    SmoteConfig,
-    TrainConfig,
-)
-from .seeding import derive_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_COMPUTE = 4
 
-# Model and oversampling defaults are those of the classes that own them.
-_GBM_DEFAULTS = dataclasses.asdict(GbmParams())
-DEFAULTS = {
-    "seed": 0,
-    "folds": 5,
-    "model": "gbm",
-    "k": SmoteConfig.k,
-    "ratios": ORIGINAL + ",0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
-    "ratio": ORIGINAL,
-    "include_income": False,
-    "ridge": LogisticParams.ridge,
-    **_GBM_DEFAULTS,
-}
+
+@functools.cache
+def _defaults() -> dict:
+    """Each option's default. Model and oversampling defaults are those
+    of the classes that own them, so the first call loads schema."""
+    from dataclasses import asdict
+
+    from .schema import ORIGINAL, GbmParams, LogisticParams, SmoteConfig
+    return {
+        "seed": 0,
+        "folds": 5,
+        "model": "gbm",
+        "k": SmoteConfig.k,
+        "ratios": ORIGINAL + ",0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
+        "ratio": ORIGINAL,
+        "include_income": False,
+        "ridge": LogisticParams.ridge,
+        **asdict(GbmParams()),
+    }
 
 
 class UsageError(Exception):
@@ -99,7 +101,7 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(payload, dict):
         raise UsageError(f"config file {p} must hold a JSON object")
     for key in payload:
-        if key not in DEFAULTS and key != "spec":
+        if key not in _defaults() and key != "spec":
             raise UsageError(f"config file {p}: unknown key {key!r}")
     return payload
 
@@ -115,8 +117,8 @@ def _resolve(args, cfg: dict, key: str):
     elif key == "seed" and "READMIT_SEED" in os.environ:
         value, where = os.environ["READMIT_SEED"], "READMIT_SEED"
     else:
-        return DEFAULTS[key]
-    kind = type(DEFAULTS[key])
+        return _defaults()[key]
+    kind = type(_defaults()[key])
     try:
         typed = kind(value)
         # bool("false") is True and int(2.5) is 2: neither is accepted.
@@ -130,15 +132,27 @@ def _resolve(args, cfg: dict, key: str):
     return typed
 
 
-def _resolve_all(args, keys: tuple[str, ...]) -> dict:
+def _resolve_all(args, *more: str) -> dict:
+    """The model options, then the command's own options (more), each
+    resolved by _resolve; a model kind that is not one is rejected here,
+    from a flag as from the config file."""
+    from dataclasses import fields
+
+    from .schema import MODEL_KINDS, GbmParams
     cfg = _load_config_file(args.config)
+    keys = ("seed", "model", "k", "include_income", "ridge",
+            *(f.name for f in fields(GbmParams)), *more)
     resolved = {key: _resolve(args, cfg, key) for key in keys}
     if resolved["model"] not in MODEL_KINDS:
-        raise UsageError(f"unknown model {resolved['model']!r}")
+        where = "--model" if args.model is not None else "config key 'model'"
+        raise UsageError(f"{where} must be {' or '.join(MODEL_KINDS)}, "
+                         f"got {resolved['model']!r}")
     return resolved
 
 
 def parse_ratio_token(token: str) -> float | str:
+    from .schema import ORIGINAL
+
     token = token.strip()
     if token.lower() == ORIGINAL:
         return ORIGINAL
@@ -170,25 +184,27 @@ def _dump_json(payload: dict, path: Path) -> None:
     )
 
 
-_MODEL_KEYS = ("seed", "model", "k", "include_income", "ridge",
-               *_GBM_DEFAULTS)
+def _fit_configs(resolved: dict, **smote) -> tuple:
+    """(TrainConfig, SmoteConfig) of the resolved options, with smote's
+    ratio and seed (by default SmoteConfig's); an out-of-range value is
+    a usage error."""
+    from dataclasses import fields
 
-
-def _fit_configs(
-    resolved: dict, ratio: float | str = ORIGINAL, smote_seed: int = 0
-) -> tuple[TrainConfig, SmoteConfig]:
-    """The fit settings; an out-of-range value is a usage error."""
+    from .schema import GbmParams, LogisticParams, SmoteConfig, TrainConfig
     try:
         return TrainConfig(
-            gbm=GbmParams(**{key: resolved[key] for key in _GBM_DEFAULTS}),
+            gbm=GbmParams(**{f.name: resolved[f.name]
+                             for f in fields(GbmParams)}),
             logistic=LogisticParams(ridge=resolved["ridge"]),
-        ), SmoteConfig(ratio=ratio, k=resolved["k"], seed=smote_seed)
+        ), SmoteConfig(k=resolved["k"], **smote)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _read_profiles(path: str) -> cohort_mod.ProfileTable:
-    """profiles.csv's rows; a file with none is a usage error."""
+def _read_profiles(path: str):
+    """profiles.csv's ProfileTable; a file with no rows is a usage error."""
+    from . import cohort as cohort_mod
+
     profiles = cohort_mod.read_profiles(path)
     if not profiles:
         raise UsageError(f"profiles file {path} has no rows")
@@ -212,6 +228,9 @@ def _warn_dropped_income(encoded):
 # --- commands ------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    import dataclasses
+    import hashlib
+
     from . import synthgen
 
     cfg = _load_config_file(args.config)
@@ -263,6 +282,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_unify(args) -> int:
+    from . import cohort as cohort_mod
+
     demo = cohort_mod.read_demographics(args.demographics)
     exits = cohort_mod.read_exits(args.exits)
     incidents = cohort_mod.read_incidents(args.incidents)
@@ -295,8 +316,9 @@ def cmd_unify(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import evaluate as eval_mod
+    from .schema import FeatureSchema
 
-    resolved = _resolve_all(args, _MODEL_KEYS + ("folds", "ratios"))
+    resolved = _resolve_all(args, "folds", "ratios")
     ratios = parse_ratios(resolved["ratios"])
     if resolved["folds"] < 2:
         raise UsageError(f"folds must be >= 2, got {resolved['folds']}")
@@ -340,11 +362,13 @@ def cmd_sweep(args) -> int:
 def cmd_train(args) -> int:
     from . import evaluate as eval_mod
     from . import models as models_mod
+    from .schema import FeatureSchema
+    from .seeding import derive_seed
 
-    resolved = _resolve_all(args, _MODEL_KEYS + ("ratio",))
+    resolved = _resolve_all(args, "ratio")
     ratio = parse_ratio_token(resolved["ratio"])
     train_config, smote_config = _fit_configs(
-        resolved, ratio, derive_seed(resolved["seed"], "smote"))
+        resolved, ratio=ratio, seed=derive_seed(resolved["seed"], "smote"))
     profiles = _read_profiles(args.profiles)
 
     schema = FeatureSchema(include_income=resolved["include_income"])
@@ -449,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_unify.set_defaults(func=cmd_unify)
 
     def add_model_opts(p):
-        p.add_argument("--model", choices=list(MODEL_KINDS))
+        p.add_argument("--model", help="logistic or gbm")
         p.add_argument("--k", help="oversampling neighbor count")
         p.add_argument("--include-income", action="store_true", default=None)
         p.add_argument("--n-trees")
@@ -513,5 +537,15 @@ def main(argv=None) -> int:
         return EXIT_COMPUTE
 
 
+def run() -> None:
+    """The program: main, then exit with its code. The heap main leaves
+    alive is frozen first, so the interpreter's final collections do not
+    walk it; atexit handlers and the flushes of stdout and stderr still
+    run, and every file a command writes is closed before it returns."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -22,11 +22,15 @@ from .errors import ClassTooSmall, MinorityTooSmall, NonFiniteRow, SingleClass
 from .features import EncodedDataset
 from .schema import ORIGINAL, SmoteConfig
 
-NEIGHBOR_BLOCK = 64  # minority rows per neighbor-selection block
+NEIGHBOR_BLOCK = 64  # minority rows per neighbor-selection block, at most
 # Threads the neighbour search shares each NEIGHBOR_BLOCK rows among;
 # None means one per CPU (cpu_count). A sweep's pool workers set it to
 # 1, so that they do not contend for the CPUs (evaluate._start_worker).
 SEARCH_THREADS: int | None = None
+# A search thread's two m-wide float64 block buffers, together, stay
+# within this many bytes (a block has at least one row), so that they
+# stay in the CPU's cache as m grows.
+SEARCH_BUFFER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -91,14 +95,16 @@ def _packed_columns(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distance_blocks(words: np.ndarray, other: np.ndarray, starts,
-                     size: int):
+                     buffers: tuple[np.ndarray, np.ndarray]):
     """Yield (start, d2) for each start in starts, where d2[i, j] is the
     squared distance from row start + i to row j, for size rows (fewer
     where the m rows end).
 
-    words and other are _packed_columns' split of the points. d2 is a
-    reused buffer, which the next block overwrites; the generator holds
-    it and one scratch buffer of its shape. The distance starts from
+    words and other are _packed_columns' split of the points. buffers
+    is the caller's pair of (size, m) arrays: d2 is a view of the first,
+    which the next block overwrites, and the second is scratch. So the
+    blocks allocate nothing, on whichever thread they run (a thread's
+    own malloc arena would keep the pages). The distance starts from
     the binary part, the number of binary columns where the rows
     differ, counted by XOR and popcount over the packed words. It then
     adds (a_c - b_c)**2 for each other column c in column order, each a
@@ -109,8 +115,8 @@ def _distance_blocks(words: np.ndarray, other: np.ndarray, starts,
     differences.
     """
     m = words.shape[1]
-    d2_buf = np.empty((min(size, m), m))
-    spare_buf = np.empty_like(d2_buf)
+    d2_buf, spare_buf = buffers
+    size = len(d2_buf)
     for a in starts:
         b = min(a + size, m)
         d2 = d2_buf[: b - a]
@@ -144,21 +150,27 @@ def _nearest_minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
 
     The blocks are shared out among SEARCH_THREADS threads (one per
     CPU when it is None), at most one per NEIGHBOR_BLOCK rows. Each
-    has its own buffers of NEIGHBOR_BLOCK // threads rows, so memory
-    stays O(NEIGHBOR_BLOCK * m) in all. Each block writes only its own
-    rows of the result, which is therefore the same for any number of
-    threads.
+    thread has its own two buffers of NEIGHBOR_BLOCK // threads rows,
+    or fewer where m is large, so that they hold at most
+    SEARCH_BUFFER_BYTES together; memory stays O(NEIGHBOR_BLOCK * m)
+    in all. They are allocated here, on the calling thread. Each block
+    writes only its own rows of the result, which is therefore the same
+    for any number of threads and any block size.
     """
     m = len(points)
     out = np.empty((m, k), dtype=np.int64)
     words, other = _packed_columns(points)
     threads = min(SEARCH_THREADS or cpu_count(), NEIGHBOR_BLOCK,
                   -(-m // NEIGHBOR_BLOCK))
-    size = NEIGHBOR_BLOCK // threads
+    size = max(1, min(NEIGHBOR_BLOCK // threads,
+                      SEARCH_BUFFER_BYTES // (2 * 8 * m)))
     starts = range(0, m, size)
+    buffers = [(np.empty((min(size, m), m)), np.empty((min(size, m), m)))
+               for _ in range(threads)]
 
-    def search(share) -> None:
-        for a, d2 in _distance_blocks(words, other, share, size):
+    def search(t: int) -> None:
+        for a, d2 in _distance_blocks(words, other, starts[t::threads],
+                                      buffers[t]):
             rows = np.arange(len(d2))
             d2[rows, rows + a] = np.inf
             picks = out[a : a + len(d2)].T
@@ -167,7 +179,7 @@ def _nearest_minority_neighbors(points: np.ndarray, k: int) -> np.ndarray:
                 if j < k - 1:
                     d2[rows, pick] = np.inf
 
-    _run_in_threads(search, [starts[t::threads] for t in range(threads)])
+    _run_in_threads(search, list(range(threads)))
     return out
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import inspect
 import json
 import os
@@ -915,17 +916,28 @@ def test_report_row_keys_are_the_rendered_metrics():
         "ratio", *(key for _, key, _ in cli._REPORT_METRICS)]
 
 
-def run_fresh(body: str) -> dict:
-    """Run body (which may set rc) in a new interpreter; return rc and
-    whether numpy was loaded."""
+# Modules whose loading the start-up guard watches, besides readmit's own.
+WATCHED = ("numpy", "hashlib", "dataclasses")
+# All that importing the CLI, parsing and report may load of readmit's.
+LEAN = ["readmit", "readmit.cli", "readmit.errors"]
+
+
+def fresh_env() -> dict:
     src = str(Path(readmit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    script = ("import json, sys\nrc = 0\n" + body +
-              "\nprint(json.dumps({'rc': rc, "
-              "'numpy': 'numpy' in sys.modules}))\n")
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    return env
+
+
+def run_fresh(body: str) -> dict:
+    """Run body (which may set rc) in a new interpreter; return rc and,
+    sorted, the modules of readmit and of WATCHED that body loaded."""
+    script = ("import json, sys\nrc = 0\nbefore = set(sys.modules)\n" +
+              body + "\nloaded = sorted(m for m in set(sys.modules) - before"
+              f" if m.split('.')[0] == 'readmit' or m in {WATCHED!r})\n"
+              "print(json.dumps({'rc': rc, 'loaded': loaded}))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -938,23 +950,32 @@ def cli_call(argv: list[str]) -> str:
 
 
 class TestNumpyFreeStart:
-    """Linkage, the report and argument parsing load no numpy."""
+    """Start-up guard: importing the CLI, parsing and report load no
+    readmit module but the CLI's own, and no numpy, hashlib or
+    dataclasses; linkage loads no numpy and no generator."""
 
     @pytest.mark.parametrize("module", ["readmit.cli", "readmit.cohort"])
     def test_import(self, module):
-        assert run_fresh(f"import {module}") == {"rc": 0, "numpy": False}
+        loaded = run_fresh(f"import {module}")["loaded"]
+        assert "numpy" not in loaded
+        if module == "readmit.cli":
+            assert loaded == LEAN
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"],
                                       ["sweep", "--help"]])
     def test_parse_only(self, argv):
-        assert run_fresh(cli_call(argv)) == {"rc": 0, "numpy": False}
+        assert run_fresh(cli_call(argv)) == {"rc": 0, "loaded": LEAN}
 
     def test_unify(self, tmp_path):
         out = tmp_path / "profiles.csv"
         argv = ["unify", *(str(LINKAGE_SMALL / f"{name}.csv") for name in
                            ("demographics", "exits", "incidents")),
                 "-o", str(out)]
-        assert run_fresh(cli_call(argv)) == {"rc": 0, "numpy": False}
+        result = run_fresh(cli_call(argv))
+        assert result["rc"] == 0
+        assert [m for m in result["loaded"] if m.startswith("readmit")] == \
+            sorted([*LEAN, "readmit.cohort", "readmit.schema"])
+        assert "numpy" not in result["loaded"]
         assert out.read_bytes() == \
             (LINKAGE_SMALL / "profiles_golden.csv").read_bytes()
 
@@ -962,18 +983,98 @@ class TestNumpyFreeStart:
         report = tmp_path / "report.json"
         report.write_text(json.dumps({"rows": [REPORT_ROW]}))
         argv = ["report", "--report", str(report)]
-        assert run_fresh(cli_call(argv)) == {"rc": 0, "numpy": False}
+        assert run_fresh(cli_call(argv)) == {"rc": 0, "loaded": LEAN}
 
     def test_read_profiles(self, small_profiles_file):
         body = ("from readmit.cohort import read_profiles\n"
                 f"rc = len(read_profiles({str(small_profiles_file)!r})) - 300"
                 "\n")
-        assert run_fresh(body) == {"rc": 0, "numpy": False}
+        result = run_fresh(body)
+        assert result["rc"] == 0
+        assert "numpy" not in result["loaded"]
 
     def test_train_loads_numpy(self, tmp_path, small_profiles_file):
         argv = ["train", "--profiles", str(small_profiles_file),
                 "--model", "logistic", "-o", str(tmp_path / "fit")]
-        assert run_fresh(cli_call(argv)) == {"rc": 0, "numpy": True}
+        result = run_fresh(cli_call(argv))
+        assert result["rc"] == 0
+        assert "numpy" in result["loaded"]
+
+
+def run_program(*argv: str) -> subprocess.CompletedProcess:
+    """The program as `python -m readmit.cli` runs it."""
+    return subprocess.run([sys.executable, "-m", "readmit.cli", *argv],
+                          env=fresh_env(), capture_output=True, timeout=60)
+
+
+class TestProgramEntry:
+    """`python -m readmit.cli` and the console script run cli.run: main,
+    then gc.freeze() and exit with main's code; main freezes nothing."""
+
+    def test_report_prints_what_main_prints(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(
+            {"rows": [REPORT_ROW, dict(REPORT_ROW, ratio="1.0", tp=10)]}))
+        proc = run_program("report", "--report", str(report))
+        assert main(["report", "--report", str(report)]) == 0
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == capsys.readouterr().out.encode()
+        assert proc.stderr == b""
+
+    def test_bad_report_exits_2_with_its_message(self, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps({"rows": [dict(REPORT_ROW, tp="many")]}))
+        proc = run_program("report", "--report", str(bad))
+        assert main(["report", "--report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad report file {bad}: ")
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, b"", err.encode())
+
+    def test_unknown_model_exits_2_naming_flag_or_key(self, tmp_path,
+                                                      small_profiles_file):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"model": "bogus"}))
+        for command in ("sweep", "train"):
+            for source, where in ((["--model", "bogus"], "--model"),
+                                  (["--config", str(config)],
+                                   "config key 'model'")):
+                proc = run_program(command, "--profiles",
+                                   str(small_profiles_file), *source,
+                                   "-o", str(tmp_path / command))
+                assert proc.returncode == 2, proc.stderr
+                assert proc.stderr.decode() == (
+                    f"error: {where} must be logistic or gbm, "
+                    "got 'bogus'\n")
+                assert not (tmp_path / command).exists()
+
+    def test_main_freezes_nothing(self, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"rows": [REPORT_ROW]}))
+        frozen = gc.get_freeze_count()
+        assert main(["report", "--report", str(report)]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("rows,code", [([REPORT_ROW], 0), ([], 2)])
+    def test_module_entry_freezes_then_exits_with_mains_code(
+            self, tmp_path, rows, code):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"rows": rows}))
+        body = (
+            "import gc, runpy\n"
+            f"sys.argv = ['readmit', 'report', '--report', {str(report)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('readmit.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    rc = [exc.code, gc.get_freeze_count() > 0]\n")
+        assert run_fresh(body)["rc"] == [code, True]
+
+    def test_console_script_is_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"readmit": "readmit.cli:run"}
 
 
 class TestLazyCliNames:

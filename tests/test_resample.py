@@ -313,8 +313,9 @@ class TestNearestNeighbors:
     def test_block_distances_are_exact_and_symmetric(self, kind):
         points = tie_heavy_points(kind, 31, seed=4)  # last block: 1 row
         words, other = resample._packed_columns(points)
+        buffers = (np.empty((3, len(points))), np.empty((3, len(points))))
         d2 = np.vstack([block.copy() for _, block in resample._distance_blocks(
-            words, other, range(0, len(points), 3), 3)])
+            words, other, range(0, len(points), 3), buffers)])
         want = brute_force_sq_distances(points)
         assert d2.tobytes() == want.tobytes()
         assert d2.tobytes() == np.ascontiguousarray(d2.T).tobytes()
@@ -355,9 +356,10 @@ class TestNearestNeighbors:
         seen = []
         distance_blocks = resample._distance_blocks
 
-        def recording_blocks(words, other, starts, size):
-            seen.append((threading.current_thread(), list(starts), size))
-            return distance_blocks(words, other, starts, size)
+        def recording_blocks(words, other, starts, buffers):
+            seen.append((threading.current_thread(), list(starts),
+                         len(buffers[0])))
+            return distance_blocks(words, other, starts, buffers)
 
         monkeypatch.setattr(resample, "_distance_blocks", recording_blocks)
         monkeypatch.setattr(resample, "NEIGHBOR_BLOCK", 8)
@@ -373,13 +375,59 @@ class TestNearestNeighbors:
             starts = sorted(a for _, share, _ in seen for a in share)
             assert starts == list(range(0, 30, size))
 
+    @pytest.mark.parametrize("m, rows", [
+        (300, None),  # NEIGHBOR_BLOCK // threads rows
+        (3800, 1024 * 1024 // (16 * 3800)),  # 17: two buffers in 1 MB
+        (70000, 1),  # at least one row
+    ])
+    def test_block_rows_fit_the_buffer_budget(self, monkeypatch, m, rows):
+        # Each thread is handed its own two buffers, which hold
+        # SEARCH_BUFFER_BYTES at most (a block has at least one row).
+        seen = []
+        distance_blocks = resample._distance_blocks
+
+        def recording_blocks(words, other, starts, buffers):
+            seen.append(buffers)
+            return distance_blocks(words, other, starts[:1], buffers)
+
+        monkeypatch.setattr(resample, "_distance_blocks", recording_blocks)
+        points = np.zeros((m, 2))
+        points[:, 0] = np.arange(m)
+        for threads in (1, 2):
+            monkeypatch.setattr(resample, "SEARCH_THREADS", threads)
+            seen.clear()
+            resample._nearest_minority_neighbors(points, 1)
+            want = rows or resample.NEIGHBOR_BLOCK // threads
+            assert [[b.shape for b in pair] for pair in seen] == \
+                [[(want, m)] * 2] * threads
+            assert len({id(b) for pair in seen for b in pair}) == 2 * threads
+            if rows != 1:
+                assert all(sum(b.nbytes for b in pair)
+                           <= resample.SEARCH_BUFFER_BYTES for pair in seen)
+
+    def test_blocks_allocate_no_buffer(self):
+        # The buffers are allocated by the caller, on the calling thread:
+        # a search thread's own malloc arena would keep their pages.
+        points = tie_heavy_points("mixed", 3000, seed=5)
+        words, other = resample._packed_columns(points)
+        buffers = (np.empty((16, len(points))), np.empty((16, len(points))))
+        tracemalloc.start()
+        try:
+            for _ in resample._distance_blocks(
+                    words, other, range(0, len(points), 16), buffers):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffers[0].nbytes / 2
+
     def test_search_error_in_a_thread_is_raised(self, monkeypatch):
         distance_blocks = resample._distance_blocks
 
-        def failing_blocks(words, other, starts, size):
+        def failing_blocks(words, other, starts, buffers):
             if starts[0] != 0:  # not the calling thread's share
                 raise MemoryError("block search failed")
-            return distance_blocks(words, other, starts, size)
+            return distance_blocks(words, other, starts, buffers)
 
         monkeypatch.setattr(resample, "_distance_blocks", failing_blocks)
         monkeypatch.setattr(resample, "SEARCH_THREADS", 2)
